@@ -9,13 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from lsnc.errors import AmbiguousGroupingError
+
 MERGE_TOL = 1e-9
 GUARD_TOL = 1e-6
-
-
-class AmbiguousGroupingError(ValueError):
-    """Two cluster representatives are closer than the guard tolerance but
-    farther than the merge tolerance, so grouping would be arbitrary."""
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-
-def exact(value: complex | GaussianRational | int | float) -> GaussianRational:
-    """Exact Gaussian rational for `value` (floats use their binary expansion)."""
-    if isinstance(value, GaussianRational):
-        return value
-    value = complex(value)
-    return GaussianRational(Fraction(value.real), Fraction(value.imag))
 
 
 def cluster_complex(

@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .constraint import ConstraintPartition, build_constraints, constrained_pls
+from .constraint import build_constraints, constrained_pls
 from .coloring import exact_chromatic
 from .errors import (
     AmbiguousGroupingError,
@@ -33,7 +32,7 @@ from .fade_state import (
     psk_singular_fade_states,
     effective_constellation,
 )
-from .gridio import dumps_grid, grid_to_obj, loads_grid
+from .gridio import dumps_grid, loads_grid
 from .latin import (
     Grid,
     default_budget,
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize and verify Latin-square relay maps that "
                     "remove singular fade states.",
     )
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized helpers (fixed output regardless)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_signal_fade(sp, fade=True):
@@ -446,8 +443,6 @@ def _absorb_fade_value(argv: list[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_absorb_fade_value(list(argv if argv is not None else sys.argv[1:])))
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except SearchBudgetExceeded as exc:

@@ -2,13 +2,22 @@
 
 Proper colorings of a removal graph are exactly the valid symbol
 assignments, so the chromatic number is the minimum symbol count of a
-Latin Square removing the fade state.  All searches are deterministic:
-ties break by saturation, then degree, then lowest vertex index.
+Latin Square removing the fade state.
+
+Every search here, and Latin completion in `lsnc.latin`, runs one
+backtracking kernel over the graph's bitmask adjacency with a bitmask of
+neighbor colors per vertex.  It colors next the uncolored vertex with the
+most distinct neighbor colors, then the highest degree, then the lowest
+index; the caller sets which colors to try there, in what order, and what
+to do at a full coloring.  Greedy DSATUR is the kernel's first full
+coloring, the chromatic number its best one, and an extension its first
+one that keeps the given colors.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable
 
 from lsnc.errors import SearchBudgetExceeded
 from lsnc.latin import default_budget
@@ -57,126 +66,112 @@ def verify_proper(graph: RemovalGraph, coloring: Coloring) -> bool:
     return all(cols[u] != cols[v] for u, v in graph.edges())
 
 
-def _greedy_in_order(graph: RemovalGraph, order: Sequence[int]) -> list[int]:
-    colors = [0] * graph.n
-    for v in order:
-        used = {colors[u] for u in graph.neighbors(v) if colors[u]}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
+def _dsatur_search(
+    graph: RemovalGraph,
+    colors: list[int],
+    order: Callable[[int, Counter], Iterable[int]],
+    on_leaf: Callable[[int], bool],
+    budget: int,
+) -> tuple[int, bool]:
+    """Color every 0 entry of `colors` by most-constrained-first backtracking.
 
-
-def _dsatur_order_color(graph: RemovalGraph) -> list[int]:
-    n = graph.n
-    colors = [0] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if not colors[u]),
-            key=lambda u: (len(neighbor_colors[u]), graph.degree(u), -u),
-        )
-        c = 1
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        for u in graph.neighbors(v):
-            neighbor_colors[u].add(c)
-    return colors
-
-
-def greedy_color(graph: RemovalGraph, order: str | Sequence[int] = "dsatur") -> Coloring:
-    """Greedy proper coloring.
-
-    `order` is "dsatur" (default), "degeneracy" (smallest-last), or an
-    explicit vertex permutation.  Uses at most max-degree + 1 colors.
+    On entering a vertex, order(used, uses) gives the colors to try there:
+    `used` is the largest color placed so far and uses[c] the number of
+    vertices colored c.  Colors already on a neighbor are skipped, and each
+    color tried is one node.  At a full coloring on_leaf(used) is called;
+    True stops the search and leaves that coloring in `colors`.  Entering an
+    uncolored vertex after more than `budget` nodes also stops it.  Returns
+    (nodes, whether the budget stopped the search).
     """
-    if graph.n == 0:
-        return Coloring(())
-    if order == "dsatur":
-        return Coloring(tuple(_dsatur_order_color(graph)))
-    if order == "degeneracy":
-        remaining = set(range(graph.n))
-        seq: list[int] = []
-        while remaining:
-            v = min(
-                remaining,
-                key=lambda u: (sum(1 for w in graph.neighbors(u) if w in remaining), u),
-            )
-            remaining.remove(v)
-            seq.append(v)
-        seq.reverse()
-        return Coloring(tuple(_greedy_in_order(graph, seq)))
-    order_list = list(order)
-    if sorted(order_list) != list(range(graph.n)):
-        raise ValueError("explicit order must be a permutation of all vertices")
-    return Coloring(tuple(_greedy_in_order(graph, order_list)))
+    nbrs = [graph.neighbors(v) for v in range(graph.n)]
+    degree = [len(ns) for ns in nbrs]
+    seen = [0] * graph.n  # bit c set: a neighbor has color c
+    uses: Counter = Counter()
+    for v, c in enumerate(colors):
+        if c:
+            uses[c] += 1
+            for u in nbrs[v]:
+                seen[u] |= 1 << c
+    free = [v for v in range(graph.n) if not colors[v]]
+    nodes = 0
+    exhausted = False
+
+    def search(used: int) -> bool:
+        """True stops the whole search."""
+        nonlocal nodes, exhausted
+        if not free:
+            return on_leaf(used)
+        if nodes > budget:
+            exhausted = True
+            return True
+        v = max(free, key=lambda u: (seen[u].bit_count(), degree[u], -u))
+        free.remove(v)
+        for c in order(used, uses):
+            bit = 1 << c
+            if seen[v] & bit:
+                continue
+            nodes += 1
+            colors[v] = c
+            uses[c] += 1
+            added = [u for u in nbrs[v] if not colors[u] and not seen[u] & bit]
+            for u in added:
+                seen[u] |= bit
+            if search(max(used, c)):
+                return True
+            colors[v] = 0
+            uses[c] -= 1
+            for u in added:
+                seen[u] ^= bit
+        free.append(v)
+        return False
+
+    search(max(colors, default=0))
+    return nodes, exhausted
+
+
+def greedy_color(graph: RemovalGraph) -> Coloring:
+    """DSATUR greedy coloring: the first leaf of the search, each vertex
+    taking its smallest free color.  Uses at most max-degree + 1 colors."""
+    colors = [0] * graph.n
+    # Color used + 1 is always free, so the search never backtracks and
+    # spends one node per vertex.
+    _dsatur_search(graph, colors, lambda used, _: range(1, used + 2), lambda _: True, graph.n)
+    return Coloring(tuple(colors))
 
 
 def exact_chromatic(
     graph: RemovalGraph,
     lower: int | None = None,
-    upper: int | None = None,
     node_budget: int | None = None,
 ) -> ChromaticResult:
     """Chromatic number by DSATUR branch and bound.
 
-    `lower`/`upper` seed the bounds (a greedy clique and a DSATUR coloring
-    tighten them).  If the node budget runs out, the best coloring found so
-    far is returned with optimal=False.
+    `lower` seeds the lower bound (a greedy clique tightens it) and the
+    DSATUR greedy coloring the upper one.  If the node budget runs out, the
+    best coloring found so far is returned with optimal=False.
     """
     budget = default_budget() if node_budget is None else node_budget
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0)
     lb = max(lower or 1, greedy_clique_lower_bound(graph))
-    best = _dsatur_order_color(graph)
+    best = greedy_color(graph).colors
     best_k = max(best)
     if best_k <= lb:
-        return ChromaticResult(best_k, Coloring(tuple(best)), True, 0)
+        return ChromaticResult(best_k, Coloring(best), True, 0)
 
-    n = graph.n
-    colors = [0] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    nodes = 0
-    exhausted = False
-    cap = upper if upper is not None else n  # never explore beyond this many colors
+    colors = [0] * graph.n
 
-    def search(n_colored: int, used: int) -> bool:
-        """Look for a coloring better than best_k; True stops the search."""
-        nonlocal best, best_k, nodes, exhausted
-        if n_colored == n:
-            if used < best_k:
-                best = colors[:]
-                best_k = used
-            return best_k <= lb
-        if nodes > budget:
-            exhausted = True
-            return True
-        v = max(
-            (u for u in range(n) if not colors[u]),
-            key=lambda u: (len(neighbor_colors[u]), graph.degree(u), -u),
-        )
-        for c in range(1, min(used + 1, best_k - 1, cap) + 1):
-            if c in neighbor_colors[v]:
-                continue
-            nodes += 1
-            colors[v] = c
-            added = [u for u in graph.neighbors(v) if c not in neighbor_colors[u]]
-            for u in added:
-                neighbor_colors[u].add(c)
-            done = search(n_colored + 1, max(used, c))
-            colors[v] = 0
-            for u in added:
-                neighbor_colors[u].remove(c)
-            if done:
-                return True
-        return False
+    def on_leaf(used: int) -> bool:
+        nonlocal best, best_k
+        if used < best_k:
+            best, best_k = tuple(colors), used
+        return best_k <= lb
 
-    search(0, 0)
-    # An upper cap below best_k - 1 leaves part of the space unexplored.
-    optimal = not exhausted and cap >= best_k - 1
-    return ChromaticResult(best_k, Coloring(tuple(best)), optimal, nodes)
+    # Only colorings better than best_k are worth extending.
+    nodes, exhausted = _dsatur_search(
+        graph, colors, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf, budget
+    )
+    return ChromaticResult(best_k, Coloring(best), not exhausted, nodes)
 
 
 def extend_coloring(
@@ -203,42 +198,7 @@ def extend_coloring(
         if colors[u] and colors[u] == colors[v]:
             raise ValueError(f"partial coloring is improper on edge ({u}, {v})")
 
-    neighbor_colors: list[set[int]] = [set() for _ in range(graph.n)]
-    for v in range(graph.n):
-        if colors[v]:
-            for u in graph.neighbors(v):
-                neighbor_colors[u].add(colors[v])
-    uncolored = [v for v in range(graph.n) if not colors[v]]
-    nodes = 0
-
-    def search() -> bool:
-        nonlocal nodes
-        if not uncolored:
-            return True
-        # most-constrained vertex first
-        v = min(
-            uncolored,
-            key=lambda u: (k - len(neighbor_colors[u]), -graph.degree(u), u),
-        )
-        uncolored.remove(v)
-        for c in range(1, k + 1):
-            if c in neighbor_colors[v]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"extension budget {budget} exhausted")
-            colors[v] = c
-            added = [u for u in graph.neighbors(v) if c not in neighbor_colors[u]]
-            for u in added:
-                neighbor_colors[u].add(c)
-            if search():
-                return True
-            colors[v] = 0
-            for u in added:
-                neighbor_colors[u].remove(c)
-        uncolored.append(v)
-        return False
-
-    if search():
-        return Coloring(tuple(colors))
-    return None
+    nodes, _ = _dsatur_search(graph, colors, lambda *_: range(1, k + 1), lambda _: True, budget)
+    if nodes > budget:
+        raise SearchBudgetExceeded(f"extension budget {budget} exhausted")
+    return Coloring(tuple(colors)) if all(colors) else None

@@ -7,10 +7,10 @@ pairs of 1-indexed labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from lsnc._numeric import GaussianRational, cluster_complex
+from lsnc._numeric import cluster_complex
 from lsnc.fade_state import FadeState, as_exact_ratio, psk_representative
 from lsnc.latin import Grid
 from lsnc.signal_set import SignalSet
@@ -26,14 +26,12 @@ class ConstraintPartition:
 
     build_constraints orders blocks by their (sorted) first cell; the PSK
     closed form keeps its own c_1, c_2, ... indexing, which downstream
-    constructions rely on.  values[i] is the superposition for blocks[i]
-    (NaN-free floats; closed-form partitions derive values lazily).
+    constructions rely on.
     """
 
     m: int
     fade_state: complex
     blocks: tuple[tuple[Cell, ...], ...]
-    values: tuple[complex, ...] = field(repr=False, default=())
 
     @property
     def multi_indices(self) -> tuple[int, ...]:
@@ -62,28 +60,16 @@ def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPar
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
     if g is not None:
         by_val: dict[tuple[Fraction, Fraction], list[Cell]] = {}
-        vals: dict[tuple[Fraction, Fraction], complex] = {}
         for r, c in cells:
             v = s_set.exact_points[r - 1] + g * s_set.exact_points[c - 1]
-            key = (v.re, v.im)
-            by_val.setdefault(key, []).append((r, c))
-            vals.setdefault(key, complex(v))
-        raw = [(tuple(sorted(b)), vals[k]) for k, b in by_val.items()]
+            by_val.setdefault((v.re, v.im), []).append((r, c))
+        blocks = [tuple(sorted(b)) for b in by_val.values()]
     else:
         sv = complex(s)
         supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]
-        groups = cluster_complex(supers)
-        raw = [
-            (tuple(sorted(cells[i] for i in grp)), supers[grp[0]])
-            for grp in groups
-        ]
-    raw.sort(key=lambda bv: bv[0][0])
-    return ConstraintPartition(
-        m=m,
-        fade_state=complex(s),
-        blocks=tuple(b for b, _ in raw),
-        values=tuple(v for _, v in raw),
-    )
+        blocks = [tuple(sorted(cells[i] for i in grp)) for grp in cluster_complex(supers)]
+    blocks.sort(key=lambda b: b[0])
+    return ConstraintPartition(m=m, fade_state=complex(s), blocks=tuple(blocks))
 
 
 def constrained_pls(partition: ConstraintPartition) -> Grid:

@@ -1,8 +1,6 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
-from lsnc._numeric import AmbiguousGroupingError
-
 __all__ = [
     "AmbiguousGroupingError",
     "CertificateMismatchError",
@@ -10,6 +8,11 @@ __all__ = [
     "CompletionError",
     "SearchBudgetExceeded",
 ]
+
+
+class AmbiguousGroupingError(ValueError):
+    """Two cluster representatives are closer than the guard tolerance but
+    farther than the merge tolerance, so grouping would be arbitrary."""
 
 
 class CertificateMismatchError(RuntimeError):

@@ -307,58 +307,42 @@ def generic_complete(
     1..max_symbols.
 
     Returns the completed grid, or None when completion is impossible.
-    Cell order is most-constrained-first; symbol order prefers the least
-    used symbol (encouraging balanced squares), then the smallest index.
-    Raises SearchBudgetExceeded when the node budget runs out undecided.
+    Cell order is most-constrained-first, then row-major; symbol order
+    prefers the least used symbol (encouraging balanced squares), then the
+    smallest index.  Raises ValueError on a symbol outside 1..max_symbols
+    and SearchBudgetExceeded when the node budget runs out undecided.
     """
+    # Imported here: lsnc.coloring imports this module.
+    from lsnc.coloring import _dsatur_search
+    from lsnc.srg import RemovalGraph
+
     m = grid.m
     budget = default_budget() if node_budget is None else node_budget
     if max_symbols < m:
         return None  # a complete M x M Latin grid needs at least M symbols
     if not verify_latin(grid):
         raise ValueError("input grid violates row/column exclusion")
-    rows = [list(row) for row in grid.rows]
-    all_syms = range(1, max_symbols + 1)
-    row_used = [set(row) - {0} for row in rows]
-    col_used = [{rows[r][c] for r in range(m)} - {0} for c in range(m)]
-    counts = {s: 0 for s in all_syms}
-    for row in rows:
-        for v in row:
-            if v:
-                counts[v] += 1
-    empties = [(r, c) for r in range(m) for c in range(m) if not rows[r][c]]
-    nodes = 0
-
-    def solve() -> bool:
-        nonlocal nodes
-        if not empties:
-            return True
-        # most-constrained empty cell
-        best_i, best_cands = -1, None
-        for i, (r, c) in enumerate(empties):
-            cands = [s for s in all_syms if s not in row_used[r] and s not in col_used[c]]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_i, best_cands = i, cands
-                if not cands:
-                    return False
-        r, c = empties.pop(best_i)
-        for s in sorted(best_cands, key=lambda s: (counts[s], s)):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"completion budget {budget} exhausted")
-            rows[r][c] = s
-            row_used[r].add(s)
-            col_used[c].add(s)
-            counts[s] += 1
-            if solve():
-                return True
-            rows[r][c] = 0
-            row_used[r].remove(s)
-            col_used[c].remove(s)
-            counts[s] -= 1
-        empties.insert(best_i, (r, c))
-        return False
-
-    if solve():
-        return Grid.from_lists(rows)
-    return None
+    cells = [v for row in grid.rows for v in row]
+    if max(cells, default=0) > max_symbols:
+        raise ValueError(f"symbol {max(cells)} outside 1..{max_symbols}")
+    # Completion colors the rook graph: cell r*m + c is adjacent to every
+    # other cell of its row and of its column.
+    row, col = (1 << m) - 1, sum(1 << (m * r) for r in range(m))
+    rook = RemovalGraph(
+        m * m,
+        tuple(
+            ((row << (m * r)) | (col << c)) & ~(1 << (m * r + c))
+            for r in range(m)
+            for c in range(m)
+        ),
+        tuple(range(m * m)),
+    )
+    symbols = range(1, max_symbols + 1)
+    nodes, _ = _dsatur_search(
+        rook, cells, lambda _, uses: sorted(symbols, key=lambda s: (uses[s], s)), lambda _: True, budget
+    )
+    if nodes > budget:
+        raise SearchBudgetExceeded(f"completion budget {budget} exhausted")
+    if not all(cells):
+        return None
+    return Grid.from_lists([cells[r * m:(r + 1) * m] for r in range(m)])

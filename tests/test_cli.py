@@ -163,6 +163,13 @@ def test_complete_success_and_failure(tmp_path, capsys):
                  "--budget", "3"]) == 3
 
 
+def test_complete_rejects_symbol_above_symbol_count(tmp_path, capsys):
+    grid = tmp_path / "g.json"
+    grid.write_text(dumps_grid(Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])))
+    assert main(["complete", "--partial", str(grid), "--symbols", "3"]) == 2
+    assert "symbol 5 outside 1..3" in capsys.readouterr().err
+
+
 def test_budget_env_variable(tmp_path, monkeypatch, capsys):
     empty9 = tmp_path / "empty9.json"
     empty9.write_text(dumps_grid(Grid.empty(9)))
@@ -211,10 +218,6 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["mindist", "--signal", "hex:7", "--fade", "1+0j"]) == 2
     assert main(["mindist", "--signal", "qam:4", "--fade", "spiral"]) == 2
     assert main(["chromatic", "--signal", "qam:4", "--fade", "psk:1,2"]) == 2
-
-
-def test_seed_flag_accepted(capsys):
-    assert main(["--seed", "7", "mindist", "--signal", "qam:4", "--fade", "1+1j"]) == 0
 
 
 def test_render_grid_blanks_empty_cells():

@@ -8,6 +8,8 @@ import pytest
 from lsnc import (
     Coloring,
     RemovalGraph,
+    build_constraints,
+    build_srg,
     exact_chromatic,
     extend_coloring,
     greedy_color,
@@ -85,6 +87,22 @@ def test_exact_matches_exhaustive_oracle(seed):
     assert res.chi == brute_chromatic(g)
     assert verify_proper(g, res.coloring)
     assert res.coloring.k == res.chi
+
+
+@pytest.mark.parametrize(
+    "fade, budget, expected",
+    [
+        (0.5 - 2.5j, 200_000, (16, True, 566)),
+        (0.5 - 2.5j, 300, (17, False, 301)),
+        (2 + 0j, 300, (17, False, 301)),
+        (-1 - 1j, 300, (19, False, 301)),
+    ],
+)
+def test_exact_search_order_on_qam16(qam16, fade, budget, expected):
+    # Pins vertex order, color order and node accounting: any drift in
+    # them changes the bound reached within the budget or the node count.
+    res = exact_chromatic(build_srg(build_constraints(qam16, fade)), node_budget=budget)
+    assert (res.chi, res.optimal, res.nodes) == expected
 
 
 def test_exact_respects_budget():

@@ -217,3 +217,8 @@ class TestGenericComplete:
 
     def test_symbol_budget_below_order_returns_none(self):
         assert generic_complete(Grid.empty(4), 3) is None
+
+    def test_symbol_above_symbol_count_is_rejected(self):
+        g = Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="outside 1..3"):
+            generic_complete(g, 3)

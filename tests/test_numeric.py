@@ -10,7 +10,6 @@ from lsnc._numeric import (
     AmbiguousGroupingError,
     GaussianRational,
     cluster_complex,
-    exact,
 )
 
 
@@ -49,11 +48,6 @@ class TestGaussianRational:
     @given(gaussians)
     def test_conjugate_involution(self, a):
         assert a.conjugate().conjugate() == a
-
-    def test_exact_accepts_integers_and_halves(self):
-        assert exact(0.5 + 0.5j) == gr(Fraction(1, 2), Fraction(1, 2))
-        assert exact(-2) == gr(-2)
-        assert complex(exact(1 - 1j)) == 1 - 1j
 
 
 class TestClusterComplex:
