@@ -93,40 +93,47 @@ def _dsatur_search(
             for u in nbrs[v]:
                 seen[u] |= 1 << c
     free = [v for v in range(graph.n) if not colors[v]]
+    # An explicit stack, so depth is not bounded by the recursion limit.  One
+    # frame per vertex the search has colored, deepest last: [vertex, colors
+    # left to try, `used` before it, neighbors its color was added to].
+    stack: list[list] = []
+    used = max(colors, default=0)
     nodes = 0
-    exhausted = False
-
-    def search(used: int) -> bool:
-        """True stops the whole search."""
-        nonlocal nodes, exhausted
+    while True:
         if not free:
-            return on_leaf(used)
-        if nodes > budget:
-            exhausted = True
-            return True
-        v = max(free, key=lambda u: (seen[u].bit_count(), degree[u], -u))
-        free.remove(v)
-        for c in order(used, uses):
-            bit = 1 << c
-            if seen[v] & bit:
-                continue
-            nodes += 1
-            colors[v] = c
-            uses[c] += 1
-            added = [u for u in nbrs[v] if not colors[u] and not seen[u] & bit]
-            for u in added:
-                seen[u] |= bit
-            if search(max(used, c)):
-                return True
-            colors[v] = 0
-            uses[c] -= 1
-            for u in added:
-                seen[u] ^= bit
-        free.append(v)
-        return False
-
-    search(max(colors, default=0))
-    return nodes, exhausted
+            if on_leaf(used):
+                return nodes, False
+        elif nodes > budget:
+            return nodes, True
+        else:
+            v = max(free, key=lambda u: (seen[u].bit_count(), degree[u], -u))
+            free.remove(v)
+            stack.append([v, iter(order(used, uses)), used, ()])
+        # Move to the next untried color of the deepest vertex that has one.
+        while stack:
+            frame = stack[-1]
+            v, todo, used, added = frame
+            if colors[v]:
+                uses[colors[v]] -= 1
+                bit = 1 << colors[v]
+                colors[v] = 0
+                for u in added:
+                    seen[u] ^= bit
+            c = next((c for c in todo if not seen[v] & 1 << c), 0)
+            if c:
+                break
+            stack.pop()
+            free.append(v)
+        else:
+            return nodes, False
+        nodes += 1
+        colors[v] = c
+        uses[c] += 1
+        bit = 1 << c
+        frame[3] = [u for u in nbrs[v] if not seen[u] & bit]
+        for u in frame[3]:
+            seen[u] |= bit
+        used = max(used, c)
 
 
 def greedy_color(graph: RemovalGraph) -> Coloring:

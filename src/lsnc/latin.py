@@ -318,13 +318,13 @@ def generic_complete(
 
     m = grid.m
     budget = default_budget() if node_budget is None else node_budget
+    cells = [v for row in grid.rows for v in row]
+    if max(cells, default=0) > max_symbols:
+        raise ValueError(f"symbol {max(cells)} outside 1..{max_symbols}")
     if max_symbols < m:
         return None  # a complete M x M Latin grid needs at least M symbols
     if not verify_latin(grid):
         raise ValueError("input grid violates row/column exclusion")
-    cells = [v for row in grid.rows for v in row]
-    if max(cells, default=0) > max_symbols:
-        raise ValueError(f"symbol {max(cells)} outside 1..{max_symbols}")
     # Completion colors the rook graph: cell r*m + c is adjacent to every
     # other cell of its row and of its column.
     row, col = (1 << m) - 1, sum(1 << (m * r) for r in range(m))

@@ -74,6 +74,16 @@ def test_exact_on_odd_cycle_and_petersen():
     assert exact_chromatic(PETERSEN).chi == 3
 
 
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    # Each search level colors one vertex: 2001 levels is deeper than
+    # Python's default recursion limit of 1000.
+    g = cycle(2001)
+    assert verify_proper(g, greedy_color(g))
+    res = exact_chromatic(g)
+    assert (res.chi, res.optimal) == (3, True)
+    assert extend_coloring(g, {}, 2) is None
+
+
 def test_exact_on_edgeless_graph():
     g = RemovalGraph.from_edges(4, [])
     assert exact_chromatic(g).chi == 1

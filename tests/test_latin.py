@@ -222,3 +222,5 @@ class TestGenericComplete:
         g = Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError, match="outside 1..3"):
             generic_complete(g, 3)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            generic_complete(g, 2)  # checked before the symbol count
