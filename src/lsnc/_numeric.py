@@ -66,38 +66,47 @@ def cluster_complex(
     Groups keep first-occurrence order; each group's representative is its
     first member.  Raises AmbiguousGroupingError if two representatives end
     up closer than `guard_tol` without having been merged — that means the
-    input does not separate cleanly at these tolerances.
+    input does not separate cleanly at these tolerances.  Raises ValueError
+    on a value that is not finite, or too large to index at `guard_tol`.
     """
-    # Spatial hash with guard-sized cells: any value within guard_tol of a
-    # representative lies in the 3x3 cell neighbourhood.
+    # Spatial hash with cells twice the guard width, indexed through
+    # half-cells: a value in the lower half of its cell along an axis has
+    # every point within guard_tol in that cell or the one below, and
+    # likewise above for the upper half.  So the value's cell and its three
+    # neighbours on the nearer sides hold every representative it can be
+    # within guard_tol of.  Float `//` floors exactly while |value| /
+    # guard_tol stays below 2**52, and a point outside those cells is more
+    # than guard_tol away along one axis, which no rounding of `abs` brings
+    # below guard_tol.
     cells: dict[tuple[int, int], list[int]] = {}
     reps: list[complex] = []
     groups: list[list[int]] = []
-
-    def cell_of(v: complex) -> tuple[int, int]:
-        return (int(v.real // guard_tol), int(v.imag // guard_tol))
-
+    empty: list[int] = []  # never appended to
     for idx, v in enumerate(values):
-        cx, cy = cell_of(v)
-        near: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                near.extend(cells.get((cx + dx, cy + dy), ()))
-        target = None
+        try:
+            hx, hy = int(v.real // guard_tol), int(v.imag // guard_tol)
+        except (OverflowError, ValueError):
+            raise ValueError(
+                f"cannot cluster {v!r}: too large or not finite for guard_tol={guard_tol}"
+            ) from None
+        cx, cy = hx >> 1, hy >> 1
+        nx, ny = cx + (hx & 1) * 2 - 1, cy + (hy & 1) * 2 - 1
+        near = (
+            cells.get((cx, cy), empty) + cells.get((nx, cy), empty)
+            + cells.get((cx, ny), empty) + cells.get((nx, ny), empty)
+        )
         for g in near:
             if abs(v - reps[g]) <= merge_tol:
-                target = g
+                groups[g].append(idx)
                 break
-        if target is None:
+        else:
             for g in near:
                 if abs(v - reps[g]) < guard_tol:
                     raise AmbiguousGroupingError(
                         f"values {v!r} and {reps[g]!r} are separated by less than "
                         f"{guard_tol} but more than {merge_tol}"
                     )
-            target = len(reps)
+            cells.setdefault((cx, cy), []).append(len(reps))
             reps.append(v)
-            groups.append([])
-            cells.setdefault((cx, cy), []).append(target)
-        groups[target].append(idx)
+            groups.append([idx])
     return groups

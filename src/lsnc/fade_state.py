@@ -69,6 +69,8 @@ def as_exact_ratio(s: complex | FadeState) -> GaussianRational | None:
     s = complex(s)
     parts = []
     for x in (s.real, s.imag):
+        if not math.isfinite(x):
+            return None
         f = Fraction(x).limit_denominator(RECONSTRUCT_DEN)
         if abs(float(f) - x) > RECONSTRUCT_TOL:
             return None

@@ -184,36 +184,52 @@ def interchange_symbol_row(grid: Grid) -> Grid:
 
 def candidate_cells(grid: Grid, symbol: int) -> list[tuple[int, int]]:
     """Empty cells whose row and column are both free of `symbol`."""
-    m = grid.m
-    rows_with = {r + 1 for r, row in enumerate(grid.rows) if symbol in row}
-    cols_with = {c + 1 for c in range(m) if any(grid.rows[r][c] == symbol for r in range(m))}
+    free_cols = [c for c, col in enumerate(zip(*grid.rows)) if symbol not in col]
     return [
-        (r, c)
-        for r in range(1, m + 1)
-        if r not in rows_with
-        for c in range(1, m + 1)
-        if c not in cols_with and not grid.at(r, c)
+        (r, c + 1)
+        for r, row in enumerate(grid.rows, 1)
+        if symbol not in row
+        for c in free_cols
+        if not row[c]
     ]
 
 
-def _augment(u: int, nbrs: list[list[int]], match_r: dict[int, int], seen: set[int]) -> bool:
-    # Kuhn's augmenting path step, deterministic by neighbor order.
-    for v in nbrs[u]:
-        if v in seen:
-            continue
-        seen.add(v)
-        if v not in match_r or _augment(match_r[v], nbrs, match_r, seen):
-            match_r[v] = u
-            return True
-    return False
+def _kuhn(nbrs: Sequence[int], n_right: int) -> list[int]:
+    """Maximum bipartite matching by Kuhn's augmenting paths.
 
-
-def _max_matching(n_left: int, nbrs: list[list[int]]) -> dict[int, int]:
-    """Right-element -> left-index matching via augmenting paths."""
-    match_r: dict[int, int] = {}
-    for u in range(n_left):
-        _augment(u, nbrs, match_r, set())
-    return match_r
+    Left vertex u may take right vertex v when bit v of nbrs[u] is set.
+    Left vertices are matched in index order, and each path search tries
+    the lowest unvisited right vertex first, so the matching is a fixed
+    function of the adjacency.  Returns, per right vertex, its left vertex
+    or -1.
+    """
+    match = [-1] * n_right
+    for root in range(len(nbrs)):
+        avail = -1  # right vertices this search has not visited
+        path = [root]  # left vertices of the alternating path
+        via: list[int] = []  # via[i]: right vertex path[i] takes, matched to path[i+1]
+        u = root
+        while True:
+            free = nbrs[u] & avail
+            if free:
+                low = free & -free
+                avail ^= low
+                v = low.bit_length() - 1
+                via.append(v)
+                owner = match[v]
+                if owner < 0:
+                    for w, x in zip(path, via):
+                        match[x] = w
+                    break
+                path.append(owner)
+                u = owner
+            else:
+                path.pop()
+                if not path:
+                    break
+                via.pop()
+                u = path[-1]
+    return match
 
 
 @dataclass(frozen=True)
@@ -233,35 +249,39 @@ def find_sdr(family: Sequence[Sequence[Hashable]]) -> SdrResult:
     Hall's condition (indices S with |union of S's sets| < |S|)."""
     elements: list[Hashable] = []
     index: dict[Hashable, int] = {}
-    nbrs: list[list[int]] = []
+    nbrs: list[int] = []
     for s in family:
-        row = []
+        mask = 0
         for x in s:
             if x not in index:
                 index[x] = len(elements)
                 elements.append(x)
-            row.append(index[x])
-        nbrs.append(sorted(set(row)))
-    match_r = _max_matching(len(family), nbrs)
-    match_l: dict[int, int] = {u: v for v, u in match_r.items()}
-    if len(match_l) == len(family):
-        reps = tuple(elements[match_l[u]] for u in range(len(family)))
+            mask |= 1 << index[x]
+        nbrs.append(mask)
+    match = _kuhn(nbrs, len(elements))
+    match_l = [-1] * len(family)
+    for v, u in enumerate(match):
+        if u >= 0:
+            match_l[u] = v
+    if -1 not in match_l:
+        reps = tuple(elements[v] for v in match_l)
         return SdrResult(representatives=reps, violating=None)
     # Alternating BFS from an unmatched set: the reachable sets overflow
     # their combined neighborhood.
-    start = min(u for u in range(len(family)) if u not in match_l)
+    start = match_l.index(-1)
     reach_l = {start}
-    reach_r: set[int] = set()
+    reach_r = 0
     frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in nbrs[u]:
-                if v in reach_r:
-                    continue
-                reach_r.add(v)
-                w = match_r.get(v)
-                if w is not None and w not in reach_l:
+            new = nbrs[u] & ~reach_r
+            reach_r |= new
+            while new:
+                low = new & -new
+                new ^= low
+                w = match[low.bit_length() - 1]
+                if w >= 0 and w not in reach_l:
                     reach_l.add(w)
                     nxt.append(w)
         frontier = nxt
@@ -282,18 +302,19 @@ def complete_rows_hall(grid: Grid) -> Grid:
     if grid.symbols() - full:
         raise ValueError("rectangle must use symbols 1..M")
     rows = [list(row) for row in grid.rows]
-    col_used: list[set[int]] = [{rows[i][c] for i in range(r)} for c in range(m)]
+    # free[c]: bit s-1 is set while symbol s is still missing from column c
+    free = [(1 << m) - 1] * m
+    for row in rows[:r]:
+        for c, s in enumerate(row):
+            free[c] &= ~(1 << (s - 1))
     for i in range(r, m):
-        # columns on the left, candidate symbols on the right
-        nbrs = [sorted(full - col_used[c]) for c in range(m)]
-        sym_ids = [[s - 1 for s in row] for row in nbrs]
-        match_r = _max_matching(m, sym_ids)
-        if len(match_r) != m:
+        # columns on the left, their free symbols on the right
+        match = _kuhn(free, m)
+        if -1 in match:
             raise CompletionError("row extension matching failed on a Latin rectangle")
-        assign = {u: v + 1 for v, u in match_r.items()}
-        for c in range(m):
-            rows[i][c] = assign[c]
-            col_used[c].add(assign[c])
+        for s, c in enumerate(match, 1):
+            rows[i][c] = s
+            free[c] &= ~(1 << (s - 1))
     out = Grid.from_lists(rows)
     if not verify_latin(out):
         raise CompletionError("row extension produced a non-Latin grid")

@@ -223,13 +223,16 @@ def _rectangle_complete(l1: Grid, n_rect: int) -> Grid:
     extend to a Latin Square, and interchange back."""
     m = l1.m
     rect = interchange_symbol_row(l1)
+    # Rectangle row r may take symbol j at (r, c) exactly when cell (j, c)
+    # of l1 may take symbol r, so only the n_rect rectangle rows are scanned.
+    by_sym: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(m + 1)]
+    for r in range(1, n_rect + 1):
+        for j, c in candidate_cells(l1, r):
+            by_sym[j].setdefault(r, []).append((r, c))
     family: list[list[tuple[int, int]]] = []
     fill_syms: list[int] = []
     for j in range(1, m + 1):
-        cells = [(r, c) for r, c in candidate_cells(rect, j) if r <= n_rect]
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for r, c in cells:
-            by_row.setdefault(r, []).append((r, c))
+        by_row = by_sym[j]
         missing = [r for r in range(1, n_rect + 1) if j not in rect.rows[r - 1]]
         if sorted(by_row) != missing:
             raise CompletionError(
@@ -252,18 +255,18 @@ def _rectangle_complete(l1: Grid, n_rect: int) -> Grid:
     return interchange_symbol_row(full)
 
 
-def appendix_a_complete(grid: Grid, case: PskCase) -> Grid:
+def appendix_a_complete(grid: Grid, case: PskCase, coloring: Coloring) -> Grid:
     """Complete a Sin-case partial grid (M constraints, 4 symbols) to an
     M-symbol Latin Square.
 
-    One closed-form cell per row is filled with the symbol of the
-    constraint half a turn away, then the grid goes through the
+    `coloring` is the vital coloring the grid was filled from.  One
+    closed-form cell per row is filled with the symbol of the constraint
+    half a turn away, then the grid goes through the
     interchange/SDR/rectangle route.
     """
     if case.tag not in (SIN_ODD, SIN_EVEN):
         raise ValueError(f"appendix A handles Sin cases only, got {case.tag}")
     m, k, half = case.m, case.bk, case.m // 2
-    coloring = vital_coloring(case)
     rows = [list(row) for row in grid.rows]
     for i in range(m):
         if k % 2:
@@ -310,11 +313,11 @@ def appendix_b_complete(grid: Grid, case: PskCase) -> Grid:
 def removal_square(m: int, k: int, l: int) -> Grid:
     """M-symbol Latin Square removing the (k, l) representative of M-PSK."""
     case = classify(m, k, l)
-    pfls, _, _ = vital_pfls(case)
+    pfls, _, coloring = vital_pfls(case)
     if case.tag in (BOTH_ODD, SAME_POWER):
         square = diagonal_complete(pfls)
     elif case.tag in (SIN_ODD, SIN_EVEN):
-        square = appendix_a_complete(pfls, case)
+        square = appendix_a_complete(pfls, case, coloring)
     else:
         square = appendix_b_complete(pfls, case)
     if case.transposed:

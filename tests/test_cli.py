@@ -220,6 +220,25 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["chromatic", "--signal", "qam:4", "--fade", "psk:1,2"]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["constraints", "latin", "mindist"])
+@pytest.mark.parametrize(
+    "signal,fade",
+    [
+        ("psk:8", "1e308+1e308j"),
+        ("psk:8", "1e308j"),
+        ("psk:8", "nan"),
+        ("psk:8", "inf"),
+        ("qam:16", "nan"),
+        ("qam:16", "inf"),
+    ],
+)
+def test_unclusterable_fade_is_a_usage_error(cmd, signal, fade, capsys):
+    # Superposed values that overflow or are not finite cannot be clustered.
+    assert main([cmd, "--signal", signal, "--fade", fade]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot cluster") and "Traceback" not in err
+
+
 def test_render_grid_blanks_empty_cells():
     text = render_grid(Grid.from_lists([[1, 0], [0, 12]]))
     assert "| 12 |" in text

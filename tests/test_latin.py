@@ -224,3 +224,106 @@ class TestGenericComplete:
             generic_complete(g, 3)
         with pytest.raises(ValueError, match="outside 1..2"):
             generic_complete(g, 2)  # checked before the symbol count
+
+
+# Reference implementations for the matching and candidate-cell kernels:
+# plain lists and sets, in the visiting order the kernels promise.
+
+
+def reference_matching(nbrs):
+    """Kuhn's augmenting paths over sorted neighbour lists: right -> left."""
+    match = {}
+
+    def augment(u, seen):
+        for v in nbrs[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match or augment(match[v], seen):
+                match[v] = u
+                return True
+        return False
+
+    for u in range(len(nbrs)):
+        augment(u, set())
+    return match
+
+
+def reference_sdr(family):
+    elements = list(dict.fromkeys(x for s in family for x in s))
+    index = {x: i for i, x in enumerate(elements)}
+    match = reference_matching([sorted({index[x] for x in s}) for s in family])
+    by_set = {u: elements[v] for v, u in match.items()}
+    if len(by_set) < len(family):
+        return None
+    return tuple(by_set[u] for u in range(len(family)))
+
+
+def reference_complete_rows(rect, r):
+    m = rect.m
+    rows = [list(row) for row in rect.rows]
+    for i in range(r, m):
+        nbrs = [sorted(set(range(m)) - {rows[j][c] - 1 for j in range(i)}) for c in range(m)]
+        for v, c in reference_matching(nbrs).items():
+            rows[i][c] = v + 1
+    return rows
+
+
+def random_rectangle(m, r, seed):
+    """r rows of a Latin rectangle, each a random perfect matching of the
+    free symbols, then empty rows."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(r):
+        nbrs = [
+            rng.sample(sorted(set(range(m)) - {row[c] - 1 for row in rows}), m - len(rows))
+            for c in range(m)
+        ]
+        row = [0] * m
+        for v, c in reference_matching(nbrs).items():
+            row[c] = v + 1
+        rows.append(row)
+    return Grid.from_lists(rows + [[0] * m for _ in range(m - r)])
+
+
+class TestKernelsAgainstReference:
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_complete_rows_hall(self, m, data):
+        r = data.draw(st.integers(0, m - 1))
+        rect = random_rectangle(m, r, data.draw(st.integers(0, 2**32 - 1)))
+        assert complete_rows_hall(rect).to_lists() == reference_complete_rows(rect, r)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 11), max_size=5, unique=True),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_find_sdr(self, family):
+        assert find_sdr(family).representatives == reference_sdr(family)
+
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_cells(self, m, seed, latin):
+        rng = random.Random(seed)
+        if latin:
+            keep = rng.random()
+            square = random_rectangle(m, m, seed)
+            grid = Grid.from_lists(
+                [[v if rng.random() < keep else 0 for v in row] for row in square.rows]
+            )
+        else:
+            grid = Grid.from_lists([[rng.randint(0, m) for _ in range(m)] for _ in range(m)])
+        for symbol in range(1, m + 1):
+            expected = [
+                (r, c)
+                for r in range(1, m + 1)
+                for c in range(1, m + 1)
+                if not grid.at(r, c)
+                and symbol not in grid.rows[r - 1]
+                and all(grid.at(i, c) != symbol for i in range(1, m + 1))
+            ]
+            assert candidate_cells(grid, symbol) == expected

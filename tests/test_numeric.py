@@ -1,12 +1,15 @@
 """Exact Gaussian-rational arithmetic and tolerance-aware clustering."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsnc._numeric import (
+    GUARD_TOL,
+    MERGE_TOL,
     AmbiguousGroupingError,
     GaussianRational,
     cluster_complex,
@@ -68,3 +71,58 @@ class TestClusterComplex:
     def test_chain_merges_transitively(self):
         vals = [0j, 5e-10 + 0j, 1e-9 + 0j]
         assert len(cluster_complex(vals)) == 1
+
+    @pytest.mark.parametrize(
+        "bad", [complex("nan"), complex("inf"), complex(1, float("nan")), 1e308 + 0j]
+    )
+    def test_unclusterable_value_raises_value_error(self, bad):
+        # 1e308 is finite, but its guard-cell index is not
+        with pytest.raises(ValueError, match="cannot cluster") as info:
+            cluster_complex([0j, bad])
+        assert not isinstance(info.value, AmbiguousGroupingError)
+
+
+def brute_force_cluster(values):
+    """Reference grouping: compare each value with every representative."""
+    reps: list[complex] = []
+    groups: list[list[int]] = []
+    for idx, v in enumerate(values):
+        for g, rep in enumerate(reps):
+            if abs(v - rep) <= MERGE_TOL:
+                groups[g].append(idx)
+                break
+        else:
+            if any(abs(v - rep) < GUARD_TOL for rep in reps):
+                raise AmbiguousGroupingError("")
+            reps.append(v)
+            groups.append([idx])
+    return groups
+
+
+def grouping_or_error(cluster, values):
+    try:
+        return cluster(values)
+    except AmbiguousGroupingError:
+        return "ambiguous"
+
+
+# Lattice points half a guard width apart sit on cell and half-cell edges;
+# the offsets fall at 0, under the merge tolerance, between merge and guard,
+# at the guard and over it.
+OFFSETS = [0.0, 4e-10, 1e-9, 3e-8, 4.9e-7, 9.99e-7, 1e-6, 1.01e-6, 2.5e-6]
+near_edges = st.builds(
+    lambda a, b, scale, r, phi: complex(a, b) * scale + cmath.rect(r, phi),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.sampled_from([GUARD_TOL / 2, GUARD_TOL, 0.75, 1e3]),
+    st.sampled_from(OFFSETS),
+    st.sampled_from([0.0, cmath.pi / 2, cmath.pi, -cmath.pi / 2, 0.3, 2.0]),
+)
+
+
+@given(st.lists(near_edges, min_size=1, max_size=25))
+@settings(max_examples=400, deadline=None)
+def test_cluster_matches_brute_force(values):
+    assert grouping_or_error(cluster_complex, values) == grouping_or_error(
+        brute_force_cluster, values
+    )

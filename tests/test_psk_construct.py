@@ -1,5 +1,7 @@
 """Closed-form PSK constructions: case routing, vital colorings, completions."""
 
+import hashlib
+
 import pytest
 
 from lsnc import (
@@ -12,6 +14,7 @@ from lsnc import (
     verify_removes,
 )
 from lsnc.fixtures import load_grid
+from lsnc.gridio import dumps_grid
 from lsnc.psk_construct import (
     BOTH_ODD,
     DIFF_POWER,
@@ -117,3 +120,17 @@ def test_remove_all_covers_every_representative():
 def test_sixteen_psk_sweep_is_clean():
     squares = remove_all_psk(16)
     assert len(squares) == 56
+
+
+@pytest.mark.parametrize(
+    "m,sha256",
+    [
+        (8, "6aa550ff36ba9e81c7535fb7cf0f25c51a07b09d8256114d797c15b18d34e41a"),
+        (16, "2542bc4248a72c39849d7a33b02d03339b9be946fda3b720d86dcac4c5e566fa"),
+    ],
+)
+def test_sweep_matches_golden_dump(m, sha256):
+    # Pins every square byte for byte, so a change in matching or SDR order
+    # shows even where the squares still verify.
+    dump = "".join(f"{key}\n{dumps_grid(g)}" for key, g in sorted(remove_all_psk(m).items()))
+    assert hashlib.sha256(dump.encode()).hexdigest() == sha256
