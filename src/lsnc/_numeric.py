@@ -1,11 +1,15 @@
 """Exact Gaussian-rational arithmetic and tolerance-based complex clustering.
 
 Square-QAM and PAM constellations live on the Gaussian integers, so grouping
-by complex value can (and should) be done exactly.  PSK points are
-irrational; those go through the floating-point clustering path instead.
+by complex value can (and should) be done exactly; the hot loops do it on
+integer pairs over one common denominator (`integer_pairs`) rather than on
+Fractions.  PSK points are irrational; those go through the floating-point
+clustering path instead.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +58,19 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
+
+
+def integer_pairs(values: Sequence[GaussianRational]) -> tuple[list[tuple[int, int]], int]:
+    """Exact values as integer pairs over one common positive denominator.
+
+    Returns (pairs, den) with values[i] == (pairs[i][0] + pairs[i][1]*j) / den,
+    so integer arithmetic on the pairs stands in for Fraction arithmetic.
+    """
+    den = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+    return [
+        (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+        for v in values
+    ], den
 
 
 def cluster_complex(

@@ -8,9 +8,8 @@ pairs of 1-indexed labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from lsnc._numeric import cluster_complex
+from lsnc._numeric import cluster_complex, integer_pairs
 from lsnc.fade_state import FadeState, as_exact_ratio, psk_representative
 from lsnc.latin import Grid
 from lsnc.signal_set import SignalSet
@@ -51,21 +50,27 @@ class ConstraintPartition:
 def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPartition:
     """Partition of S x S by the value of x_A + s*x_B.
 
-    Uses exact Gaussian-rational arithmetic whenever the signal set lives on
-    the integer grid and s denotes a small rational; floating-point
-    clustering otherwise.
+    Groups exactly whenever the signal set lives on the integer grid and s
+    denotes a small rational; by floating-point clustering otherwise.
     """
     m = s_set.size
-    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
     if g is not None:
-        by_val: dict[tuple[Fraction, Fraction], list[Cell]] = {}
-        for r, c in cells:
-            v = s_set.exact_points[r - 1] + g * s_set.exact_points[c - 1]
-            by_val.setdefault((v.re, v.im), []).append((r, c))
-        blocks = [tuple(sorted(b)) for b in by_val.values()]
+        # With the points and g = (a + bj)/d over one denominator d, the key
+        # d*x_A + (a + bj)*x_B is x_A + g*x_B scaled by d*d: cells share a
+        # key exactly when they share a value.
+        ints, d = integer_pairs((*s_set.exact_points, g))
+        a, b = ints.pop()
+        g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in ints]
+        by_val: dict[tuple[int, int], list[Cell]] = {}
+        for r, (xr, xi) in enumerate(ints, 1):
+            dxr, dxi = d * xr, d * xi
+            for c, (ur, ui) in enumerate(g_col, 1):
+                by_val.setdefault((dxr + ur, dxi + ui), []).append((r, c))
+        blocks = [tuple(cs) for cs in by_val.values()]
     else:
         sv = complex(s)
+        cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
         supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]
         blocks = [tuple(sorted(cells[i] for i in grp)) for grp in cluster_complex(supers)]
     blocks.sort(key=lambda b: b[0])

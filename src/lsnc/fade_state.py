@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from lsnc._numeric import GaussianRational, cluster_complex
+from lsnc._numeric import GaussianRational, cluster_complex, integer_pairs
 from lsnc.signal_set import SignalSet
 
 __all__ = [
@@ -86,20 +86,28 @@ def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
     """
     n = s_set.size
     if s_set.exact_points is not None:
-        pts = s_set.exact_points
-        diffs: dict[tuple[Fraction, Fraction], GaussianRational] = {}
-        for a in range(n):
-            for a2 in range(n):
-                if a != a2:
-                    d = pts[a] - pts[a2]
-                    diffs.setdefault((d.re, d.im), d)
-        seen: dict[tuple[Fraction, Fraction], GaussianRational] = {}
-        for num in diffs.values():
-            for den in diffs.values():
-                r = -num / den
-                seen.setdefault((r.re, r.im), r)
+        ints, _ = integer_pairs(s_set.exact_points)
+        diffs = dict.fromkeys(
+            (xr - x2r, xi - x2i)
+            for a, (xr, xi) in enumerate(ints)
+            for a2, (x2r, x2i) in enumerate(ints)
+            if a != a2
+        )
+        # -n/d = -(n * conj d) / |d|^2.  With the denominator positive, the
+        # triple reduced by the gcd of all three parts is canonical, so it
+        # keys the deduplication.
+        seen: dict[tuple[int, int, int], None] = {}
+        for nr, ni in diffs:
+            for dr, di in diffs:
+                re, im, q = -(nr * dr + ni * di), nr * di - ni * dr, dr * dr + di * di
+                k = math.gcd(re, im, q)
+                seen[re // k, im // k, q // k] = None
         states = [
-            FadeState(value=_canon(complex(g)), exact_value=g) for g in seen.values()
+            FadeState(
+                value=_canon(complex(re / q, im / q)),
+                exact_value=GaussianRational(Fraction(re, q), Fraction(im, q)),
+            )
+            for re, im, q in seen
         ]
     else:
         pts = s_set.points
@@ -183,10 +191,6 @@ def psk_representatives(m: int) -> tuple[FadeState, ...]:
     )
 
 
-def _superposed_exact(s_set: SignalSet, g: GaussianRational) -> list[GaussianRational]:
-    return [xa + g * xb for xa in s_set.exact_points for xb in s_set.exact_points]
-
-
 def effective_constellation(
     s_set: SignalSet, s: complex | FadeState
 ) -> tuple[tuple[complex, ...], float]:
@@ -194,24 +198,39 @@ def effective_constellation(
     raw (unclustered) superpositions — 0 whenever any two coincide."""
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
     if g is not None:
-        vals = _superposed_exact(s_set, g)
-        distinct = {(v.re, v.im): v for v in vals}
-        pts = sorted((_canon(complex(v)) for v in distinct.values()), key=_sort_key)
-        if len(pts) < len(vals):
-            return tuple(pts), 0.0
-        dmin = min(
-            abs(complex(a - b))
-            for i, a in enumerate(vals)
-            for b in vals[i + 1 :]
+        # keys as in build_constraints: value i is complex(*vals[i]) / den
+        ints, d = integer_pairs((*s_set.exact_points, g))
+        a, b = ints.pop()
+        g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in ints]
+        vals = [(d * xr + ur, d * xi + ui) for xr, xi in ints for ur, ui in g_col]
+        den = d * d
+        pts = sorted(
+            (_canon(complex(kr / den, ki / den)) for kr, ki in dict.fromkeys(vals)),
+            key=_sort_key,
         )
-        return tuple(pts), dmin
-    sv = complex(s)
-    vals_f = [xa + sv * xb for xa in s_set.points for xb in s_set.points]
-    groups = cluster_complex(vals_f)
-    pts = sorted((_canon(vals_f[grp[0]]) for grp in groups), key=_sort_key)
-    if len(pts) < len(vals_f):
+    else:
+        sv = complex(s)
+        vals_f = [xa + sv * xb for xa in s_set.points for xb in s_set.points]
+        groups = cluster_complex(vals_f)
+        pts = sorted((_canon(vals_f[grp[0]]) for grp in groups), key=_sort_key)
+        vals, den = [(v.real, v.imag) for v in vals_f], 1
+    if len(pts) < len(vals):
         return tuple(pts), 0.0
-    dmin = min(abs(a - b) for i, a in enumerate(vals_f) for b in vals_f[i + 1 :])
+    # Closest pair by a sweep in real-part order.  A pair's distance is at
+    # least its real-part gap (abs(complex(x, y)) >= abs(x) in floats too),
+    # and the gap only grows along the sweep, so a point's scan stops once
+    # the gap reaches the best distance so far.  Distances come from the
+    # same correctly rounded differences an all-pairs minimum takes, so the
+    # result is the same float.
+    vals.sort()
+    dmin = math.inf
+    for i, (xr, xi) in enumerate(vals):
+        for j in range(i + 1, len(vals)):
+            yr, yi = vals[j]
+            dr = (yr - xr) / den
+            if dr >= dmin:
+                break
+            dmin = min(dmin, abs(complex(dr, (yi - xi) / den)))
     return tuple(pts), dmin
 
 

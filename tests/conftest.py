@@ -14,6 +14,9 @@ from lsnc import (
 # The rectangular 8-point grid used throughout the cross-constellation tests.
 QAM8_POINTS = [-3 - 1j, -3 + 1j, -1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j, 3 - 1j, 3 + 1j]
 
+# An integer set with no symmetry under negation, conjugation or rotation.
+SKEW_POINTS = [0, 1, 3j, 2 + 1j, -1 + 2j, 4, -3 - 1j]
+
 
 @pytest.fixture(scope="session")
 def qam4():

@@ -55,6 +55,12 @@ def test_mindist_contract_line(capsys):
     assert capsys.readouterr().out == "points=12 dmin=0\n"
 
 
+def test_mindist_qam64_regular_state(capsys):
+    # 4096 distinct points: the closest pair comes from the sweep
+    assert main(["mindist", "--signal", "qam:64", "--fade", "0.37+0.11j"]) == 0
+    assert capsys.readouterr().out == "points=4096 dmin=0.14142135623730953\n"
+
+
 def test_mindist_regular_state(capsys):
     assert main(["mindist", "--signal", "qam:4", "--fade", "0.25+0.1j"]) == 0
     line = capsys.readouterr().out

@@ -1,15 +1,24 @@
 """Constraint partitions against a brute-force grouping oracle."""
 
+import hashlib
+
 import pytest
 
 from lsnc import (
     build_constraints,
     constrained_pls,
+    enumerate_singular_fade_states,
+    make_custom,
+    make_pam,
+    make_square_qam,
     psk_constraints_closed_form,
     psk_representative,
 )
 from lsnc._numeric import cluster_complex
+from lsnc.fade_state import as_exact_ratio
 from lsnc.fixtures import load_grid
+
+from conftest import SKEW_POINTS
 
 
 def brute_blocks(signal, s):
@@ -102,3 +111,56 @@ class TestClosedForm:
             psk_constraints_closed_form(8, 3, 3)
         with pytest.raises(ValueError):
             psk_constraints_closed_form(12, 1, 2)
+
+
+def ref_exact_blocks(signal, s):
+    """The Gaussian-rational grouping that the integer-key kernel replaces."""
+    g = as_exact_ratio(s)
+    pts = signal.exact_points
+    m = signal.size
+    by_val = {}
+    for r in range(1, m + 1):
+        for c in range(1, m + 1):
+            v = pts[r - 1] + g * pts[c - 1]
+            by_val.setdefault((v.re, v.im), []).append((r, c))
+    return tuple(sorted((tuple(sorted(b)) for b in by_val.values()), key=lambda b: b[0]))
+
+
+EXACT_SIGNALS = {
+    "qam4": make_square_qam(4),
+    "qam16": make_square_qam(16),
+    "pam8": make_pam(8),
+    "skew": make_custom(SKEW_POINTS),
+    "qam64": make_square_qam(64),
+}
+
+
+# Plain-complex fades whose reconstruction has non-trivial denominators.
+PLAIN_FADES = [0.1 + 0.2j, 1 / 3 + 0j, 0.37 + 0.11j, 1 / 7 - 2j / 9, -2.5 + 0.75j]
+
+
+@pytest.mark.parametrize("name", ["qam4", "qam16", "pam8", "skew"])
+def test_exact_kernel_matches_reference(name):
+    signal = EXACT_SIGNALS[name]
+    for fs in enumerate_singular_fade_states(signal):
+        expected = ref_exact_blocks(signal, fs)
+        assert build_constraints(signal, fs).blocks == expected
+        assert build_constraints(signal, fs.value).blocks == expected
+    for s in PLAIN_FADES:
+        assert build_constraints(signal, s).blocks == ref_exact_blocks(signal, s)
+
+
+@pytest.mark.parametrize(
+    "name,step,sha256",
+    [
+        ("qam16", 1, "c38cb7fa62bcc14abde0a68f9d41db9f24e4df1c309375391c87784a6e7e4056"),
+        ("qam64", 400, "b5b37d74a76af06af9f0e22954c45d486598426f3a8bd41145be1a99d6e890cf"),
+    ],
+    ids=["qam16-all", "qam64-every-400th"],
+)
+def test_partitions_match_golden_hash(name, step, sha256):
+    # Taken from the Gaussian-rational grouping; pins every block in order.
+    signal = EXACT_SIGNALS[name]
+    states = enumerate_singular_fade_states(signal)[::step]
+    dump = "".join(f"{build_constraints(signal, fs).blocks!r}\n" for fs in states)
+    assert hashlib.sha256(dump.encode()).hexdigest() == sha256

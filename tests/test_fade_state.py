@@ -1,6 +1,8 @@
 """Singular fade-state enumeration against brute-force ratio oracles."""
 
 import cmath
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,18 @@ from lsnc import (
     effective_constellation,
     enumerate_singular_fade_states,
     is_singular,
+    make_custom,
+    make_pam,
+    make_square_qam,
     psk_representative,
     psk_representatives,
     psk_singular_fade_states,
 )
 from lsnc._numeric import GaussianRational, cluster_complex
-from lsnc.fade_state import as_exact_ratio
+from lsnc.errors import AmbiguousGroupingError
+from lsnc.fade_state import FadeState, _canon, _sort_key, as_exact_ratio
+
+from conftest import SKEW_POINTS
 
 
 def brute_ratio_set(signal):
@@ -109,3 +117,120 @@ def test_exact_ratio_detection():
 def test_is_singular_boundary(qam4):
     assert is_singular(qam4, -2 + 0j) is False
     assert is_singular(qam4, 1 + 0j) is True
+
+
+# Reference implementations: the Gaussian-rational and all-pairs algorithms
+# the integer-key kernel and the closest-pair sweep replace.
+
+def ref_exact_states(s_set):
+    pts = s_set.exact_points
+    diffs = {}
+    for a in range(len(pts)):
+        for a2 in range(len(pts)):
+            if a != a2:
+                d = pts[a] - pts[a2]
+                diffs.setdefault((d.re, d.im), d)
+    seen = {}
+    for num in diffs.values():
+        for den in diffs.values():
+            r = -num / den
+            seen.setdefault((r.re, r.im), r)
+    states = [FadeState(value=_canon(complex(g)), exact_value=g) for g in seen.values()]
+    return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
+
+
+def ref_effective_constellation(s_set, s):
+    g = as_exact_ratio(s) if s_set.exact_points is not None else None
+    if g is not None:
+        vals = [xa + g * xb for xa in s_set.exact_points for xb in s_set.exact_points]
+        distinct = {(v.re, v.im): v for v in vals}
+        pts = sorted((_canon(complex(v)) for v in distinct.values()), key=_sort_key)
+        if len(pts) < len(vals):
+            return tuple(pts), 0.0
+        return tuple(pts), min(
+            abs(complex(a - b)) for i, a in enumerate(vals) for b in vals[i + 1 :]
+        )
+    sv = complex(s)
+    vals_f = [xa + sv * xb for xa in s_set.points for xb in s_set.points]
+    pts = sorted((_canon(vals_f[grp[0]]) for grp in cluster_complex(vals_f)), key=_sort_key)
+    if len(pts) < len(vals_f):
+        return tuple(pts), 0.0
+    return tuple(pts), min(abs(a - b) for i, a in enumerate(vals_f) for b in vals_f[i + 1 :])
+
+
+EXACT_SIGNALS = {
+    "qam4": make_square_qam(4),
+    "qam16": make_square_qam(16),
+    "pam8": make_pam(8),
+    "skew": make_custom(SKEW_POINTS),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_SIGNALS)
+def test_exact_enumeration_matches_reference(name):
+    s_set = EXACT_SIGNALS[name]
+    states, ref = enumerate_singular_fade_states(s_set), ref_exact_states(s_set)
+    assert [(repr(fs.value), fs.exact_value) for fs in states] == [
+        (repr(fs.value), fs.exact_value) for fs in ref
+    ]
+    assert all(isinstance(fs.exact_value, GaussianRational) for fs in states)
+
+
+def test_qam64_enumeration_matches_golden_hash():
+    # Taken from the Gaussian-rational enumeration; pins values, exact
+    # values and order.
+    dump = "".join(
+        f"{fs.value!r} {fs.exact_value.re} {fs.exact_value.im}\n"
+        for fs in enumerate_singular_fade_states(make_square_qam(64))
+    )
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "f3c0222e6c939e5285752ac6c3c882b6045cdf4125103f64ab7e91d0ee57f606"
+    )
+
+
+def _random_fade(rng):
+    return complex(rng.randint(-40, 40) / rng.randint(1, 31), rng.randint(-40, 40) / rng.randint(1, 29))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_matches_all_pairs_on_integer_points(seed):
+    rng = random.Random(seed)
+    # few distinct coordinates, so many superposed values share a real part
+    pts = list({complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(9)})
+    s_set = make_custom(pts)
+    assert s_set.exact_points is not None
+    fades = [_random_fade(rng) for _ in range(4)] + [
+        complex(0, rng.randint(1, 9) / 7), complex(rng.randint(1, 9) / 5, 0), 1 / 3, 0.1 + 0.2j
+    ]
+    for s in fades:
+        assert repr(effective_constellation(s_set, s)) == repr(
+            ref_effective_constellation(s_set, s)
+        ), s
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_matches_all_pairs_on_float_points(seed):
+    rng = random.Random(seed)
+    # shared real parts across points, irrational-looking imaginary parts
+    reals = [0.5, 1.25, -2.75]
+    pts = [complex(rng.choice(reals), rng.uniform(-3, 3)) for _ in range(8)]
+    s_set = make_custom(pts)
+    assert s_set.exact_points is None
+    for s in [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)] + [
+        complex(0, rng.uniform(0.1, 2)), 0.5 + 0j
+    ]:
+        try:
+            expected = ref_effective_constellation(s_set, s)
+        except AmbiguousGroupingError:
+            with pytest.raises(AmbiguousGroupingError):
+                effective_constellation(s_set, s)
+            continue
+        assert repr(effective_constellation(s_set, s)) == repr(expected), s
+
+
+def test_sweep_on_regular_psk_and_qam_states(psk8, qam16):
+    for s_set, s in ((psk8, 0.37 + 0.11j), (psk8, 0.2 + 0.9j), (qam16, 0.37 + 0.11j),
+                     (qam16, 1 / 3 + 0.1j)):
+        assert repr(effective_constellation(s_set, s)) == repr(
+            ref_effective_constellation(s_set, s)
+        )
