@@ -73,19 +73,16 @@ def integer_pairs(values: Sequence[GaussianRational]) -> tuple[list[tuple[int, i
     ], den
 
 
-def cluster_complex(
-    values: list[complex],
-    merge_tol: float = MERGE_TOL,
-    guard_tol: float = GUARD_TOL,
-) -> list[list[int]]:
-    """Group indices of `values` that coincide within `merge_tol`.
+def cluster_complex(values: list[complex]) -> list[list[int]]:
+    """Group indices of `values` that coincide within MERGE_TOL.
 
     Groups keep first-occurrence order; each group's representative is its
     first member.  Raises AmbiguousGroupingError if two representatives end
-    up closer than `guard_tol` without having been merged — that means the
+    up closer than GUARD_TOL without having been merged — that means the
     input does not separate cleanly at these tolerances.  Raises ValueError
-    on a value that is not finite, or too large to index at `guard_tol`.
+    on a value that is not finite, or too large to index at GUARD_TOL.
     """
+    merge_tol, guard_tol = MERGE_TOL, GUARD_TOL
     # Spatial hash with cells twice the guard width, indexed through
     # half-cells: a value in the lower half of its cell along an axis has
     # every point within guard_tol in that cell or the one below, and

@@ -11,13 +11,11 @@ import argparse
 import cmath
 import json
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .constraint import build_constraints, constrained_pls
-from .coloring import exact_chromatic
+from .constraint import ConstraintPartition, build_constraints, constrained_pls
+from .coloring import ChromaticResult, exact_chromatic
 from .errors import (
     AmbiguousGroupingError,
     CertificateMismatchError,
@@ -34,8 +32,8 @@ from .fade_state import (
 )
 from .gridio import dumps_grid, loads_grid
 from .latin import (
+    DEFAULT_BUDGET,
     Grid,
-    default_budget,
     from_coloring,
     generic_complete,
     verify_latin,
@@ -43,40 +41,12 @@ from .latin import (
 )
 from .psk_construct import classify, removal_square
 from .signal_set import SignalSet, from_spec
-from .srg import build_srg, qam_clique_certificate, row_clique, to_dot, vital_subgraph
+from .srg import RemovalGraph, build_srg, qam_clique_certificate, row_clique, to_dot, vital_subgraph
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One sweep row: what was built for one fade state and how it checked out."""
-
-    k: int
-    l: int
-    case: str
-    method: str
-    symbols: int
-    chi_lower: int
-    chi_upper: int
-    verified: bool
-    wall_ms: float | None = None
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "case": self.case,
-            "method": self.method,
-            "symbols": self.symbols,
-            "chi_lower": self.chi_lower,
-            "chi_upper": self.chi_upper,
-            "verified": self.verified,
-            "wall_ms": self.wall_ms,
-        }
 
 
 def _fmt_num(x: float) -> str:
@@ -117,12 +87,19 @@ def parse_fade(text: str, signal: SignalSet | None) -> complex:
     return complex(text.replace(" ", ""))
 
 
-def _graph_to_obj(graph) -> dict[str, Any]:
-    return {
-        "n": graph.n,
-        "vertex_blocks": [b + 1 for b in graph.vertex_block],
-        "edges": [[u + 1, v + 1] for (u, v) in graph.edges()],
-    }
+def _partition(args: argparse.Namespace) -> ConstraintPartition:
+    """The constraint partition of --signal at --fade."""
+    signal = from_spec(args.signal)
+    return build_constraints(signal, parse_fade(args.fade, signal))
+
+
+def _chromatic(graph: RemovalGraph, budget: int) -> ChromaticResult | None:
+    """exact_chromatic within `budget`; None, after reporting its bound, if not optimal."""
+    result = exact_chromatic(graph, node_budget=budget)
+    if not result.optimal:
+        print(f"budget exhausted; best upper bound {result.chi}", file=sys.stderr)
+        return None
+    return result
 
 
 def _dump_json(obj: Any) -> str:
@@ -161,9 +138,7 @@ def cmd_fade_states(args: argparse.Namespace) -> int:
 
 
 def cmd_constraints(args: argparse.Namespace) -> int:
-    signal = from_spec(args.signal)
-    fade = parse_fade(args.fade, signal)
-    part = build_constraints(signal, fade)
+    part = _partition(args)
     if args.json:
         print(_dump_json({"blocks": [[[r, c] for (r, c) in blk] for blk in part.blocks]}), end="")
     else:
@@ -173,31 +148,29 @@ def cmd_constraints(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    signal = from_spec(args.signal)
-    fade = parse_fade(args.fade, signal)
-    part = build_constraints(signal, fade)
+    part = _partition(args)
     graph = build_srg(part)
     if args.vital:
         graph = vital_subgraph(graph, part)
     if args.dot:
         Path(args.dot).write_text(to_dot(graph))
     if args.json:
-        Path(args.json).write_text(_dump_json(_graph_to_obj(graph)))
+        Path(args.json).write_text(_dump_json({
+            "n": graph.n,
+            "vertex_blocks": [b + 1 for b in graph.vertex_block],
+            "edges": [[u + 1, v + 1] for (u, v) in graph.edges()],
+        }))
     print(f"vertices={graph.n} edges={graph.edge_count}")
     return EXIT_OK
 
 
 def cmd_chromatic(args: argparse.Namespace) -> int:
-    signal = from_spec(args.signal)
-    fade = parse_fade(args.fade, signal)
-    part = build_constraints(signal, fade)
+    part = _partition(args)
     graph = build_srg(part)
     if args.vital_only:
         graph = vital_subgraph(graph, part)
-    budget = args.budget if args.budget is not None else default_budget()
-    result = exact_chromatic(graph, node_budget=budget)
-    if not result.optimal:
-        print(f"budget exhausted; best upper bound {result.chi}", file=sys.stderr)
+    result = _chromatic(graph, args.budget)
+    if result is None:
         return EXIT_BUDGET
     print(f"chi={result.chi}")
     print(json.dumps({"colors": list(result.coloring.colors)}, separators=(",", ":")))
@@ -205,14 +178,9 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
 
 
 def cmd_latin(args: argparse.Namespace) -> int:
-    signal = from_spec(args.signal)
-    fade = parse_fade(args.fade, signal)
-    part = build_constraints(signal, fade)
-    graph = build_srg(part)
-    budget = args.budget if args.budget is not None else default_budget()
-    result = exact_chromatic(graph, node_budget=budget)
-    if not result.optimal:
-        print(f"budget exhausted; best upper bound {result.chi}", file=sys.stderr)
+    part = _partition(args)
+    result = _chromatic(build_srg(part), args.budget)
+    if result is None:
         return EXIT_BUDGET
     grid = from_coloring(part, result.coloring)
     if not (verify_latin(grid) and verify_removes(grid, part)):
@@ -250,9 +218,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"cannot load grid: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    budget = args.budget if args.budget is not None else default_budget()
     try:
-        done = generic_complete(grid, args.symbols, node_budget=budget)
+        done = generic_complete(grid, args.symbols, node_budget=args.budget)
     except SearchBudgetExceeded:
         print("budget exhausted before the search finished", file=sys.stderr)
         return EXIT_BUDGET
@@ -273,48 +240,34 @@ def cmd_psk_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    reports: list[RunReport] = []
-    rows = []
+    rows = []  # (grid, summary record) per representative
     for fs in psk_representatives(m):
-        t0 = time.perf_counter()
         case = classify(m, fs.k, fs.l)
         grid = removal_square(m, fs.k, fs.l)
         part = build_constraints(signal, fs.value)
-        graph = build_srg(part)
-        lower = len(row_clique(graph, part))
+        lower = len(row_clique(build_srg(part), part))
         verified = (
             grid.is_complete()
             and verify_latin(grid)
             and verify_removes(grid, part)
             and grid.symbol_count == m
         )
-        wall = (time.perf_counter() - t0) * 1000.0
-        rep = RunReport(
-            k=fs.k, l=fs.l, case=case.tag, method="closed-form",
-            symbols=grid.symbol_count, chi_lower=lower, chi_upper=grid.symbol_count,
-            verified=verified, wall_ms=round(wall, 3) if args.timing else None,
-        )
-        reports.append(rep)
-        rows.append((fs, grid, rep))
-    header = f"{'k':>3} {'l':>3}  {'case':<10} {'symbols':>7}  {'chi':>5}  verified"
-    if args.timing:
-        header += "  wall_ms"
-    print(header)
-    for fs, grid, rep in rows:
-        line = (f"{rep.k:>3} {rep.l:>3}  {rep.case:<10} {rep.symbols:>7}  "
-                f"{rep.chi_lower:>2}={rep.chi_upper:<2}  {'yes' if rep.verified else 'NO'}")
-        if args.timing:
-            line += f"  {rep.wall_ms}"
-        print(line)
-    print(f"{len(reports)} representatives, "
-          f"{sum(1 for r in reports if r.verified)} verified")
+        rows.append((grid, {
+            "k": fs.k, "l": fs.l, "case": case.tag, "method": "closed-form",
+            "symbols": grid.symbol_count, "chi_lower": lower, "chi_upper": grid.symbol_count,
+            "verified": verified,
+        }))
+    print(f"{'k':>3} {'l':>3}  {'case':<10} {'symbols':>7}  {'chi':>5}  verified")
+    for _, rec in rows:
+        print(f"{rec['k']:>3} {rec['l']:>3}  {rec['case']:<10} {rec['symbols']:>7}  "
+              f"{rec['chi_lower']:>2}={rec['chi_upper']:<2}  {'yes' if rec['verified'] else 'NO'}")
+    n_verified = sum(rec["verified"] for _, rec in rows)
+    print(f"{len(rows)} representatives, {n_verified} verified")
     if out_dir:
-        for fs, grid, rep in rows:
-            (out_dir / f"rep_k{rep.k}_l{rep.l}.json").write_text(dumps_grid(grid))
-        (out_dir / "summary.json").write_text(
-            _dump_json([rep.to_obj() for rep in reports])
-        )
-    return EXIT_OK if all(r.verified for r in reports) else EXIT_FAILED
+        for grid, rec in rows:
+            (out_dir / f"rep_k{rec['k']}_l{rec['l']}.json").write_text(dumps_grid(grid))
+        (out_dir / "summary.json").write_text(_dump_json([rec for _, rec in rows]))
+    return EXIT_OK if n_verified == len(rows) else EXIT_FAILED
 
 
 def cmd_clique(args: argparse.Namespace) -> int:
@@ -352,12 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_signal_fade(sp, fade=True):
+    def add_signal_fade(sp):
         sp.add_argument("--signal", required=True,
                         help="psk:M | qam:M | pam:M | custom:@points.json")
-        if fade:
-            sp.add_argument("--fade", required=True,
-                            help="a+bj | polar:r,theta | psk:k,l")
+        sp.add_argument("--fade", required=True, help="a+bj | polar:r,theta | psk:k,l")
 
     sp = sub.add_parser("fade-states", help="enumerate singular fade states")
     sp.add_argument("--signal", required=True)
@@ -366,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constraints", help="show the constraint partition")
     add_signal_fade(sp)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--ascii", action="store_true", help="boxed table (default)")
-    mode.add_argument("--json", action="store_true", help="JSON blocks to stdout")
+    sp.add_argument("--json", action="store_true", help="JSON blocks to stdout, not a boxed table")
     sp.set_defaults(func=cmd_constraints)
 
     sp = sub.add_parser("graph", help="export the singularity removal graph")
@@ -381,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chromatic", help="exact chromatic number of the graph")
     add_signal_fade(sp)
     sp.add_argument("--vital-only", action="store_true")
-    sp.add_argument("--budget", type=int, default=None, help="search node budget")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
     sp.set_defaults(func=cmd_chromatic)
 
     sp = sub.add_parser("latin", help="emit a minimum-symbol removing Latin square")
     add_signal_fade(sp)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--json", metavar="PATH", help="write the grid JSON here")
     sp.set_defaults(func=cmd_latin)
 
@@ -400,15 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("complete", help="complete a partial Latin square")
     sp.add_argument("--partial", required=True, metavar="GRID.json")
     sp.add_argument("--symbols", required=True, type=int)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--json", metavar="PATH", help="write the grid JSON here")
     sp.set_defaults(func=cmd_complete)
 
     sp = sub.add_parser("psk-sweep", help="build squares for all PSK representatives")
     sp.add_argument("--m", required=True, type=int)
     sp.add_argument("--out", metavar="DIR", help="write per-state grids + summary.json")
-    sp.add_argument("--timing", action="store_true",
-                    help="include wall times (breaks byte determinism)")
     sp.set_defaults(func=cmd_psk_sweep)
 
     sp = sub.add_parser("clique", help="certified clique for square QAM states")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from lsnc.errors import SearchBudgetExceeded
-from lsnc.latin import default_budget
+from lsnc.latin import DEFAULT_BUDGET
 from lsnc.srg import RemovalGraph, greedy_clique_lower_bound
 
 __all__ = [
@@ -42,12 +42,6 @@ class Coloring:
     @property
     def k(self) -> int:
         return max(self.colors, default=0)
-
-    def classes(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v, c in enumerate(self.colors):
-            out.setdefault(c, []).append(v)
-        return out
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,7 @@ def greedy_color(graph: RemovalGraph) -> Coloring:
 def exact_chromatic(
     graph: RemovalGraph,
     lower: int | None = None,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_BUDGET,
 ) -> ChromaticResult:
     """Chromatic number by DSATUR branch and bound.
 
@@ -157,7 +151,6 @@ def exact_chromatic(
     DSATUR greedy coloring the upper one.  If the node budget runs out, the
     best coloring found so far is returned with optimal=False.
     """
-    budget = default_budget() if node_budget is None else node_budget
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0)
     lb = max(lower or 1, greedy_clique_lower_bound(graph))
@@ -176,7 +169,7 @@ def exact_chromatic(
 
     # Only colorings better than best_k are worth extending.
     nodes, exhausted = _dsatur_search(
-        graph, colors, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf, budget
+        graph, colors, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf, node_budget
     )
     return ChromaticResult(best_k, Coloring(best), not exhausted, nodes)
 
@@ -185,7 +178,7 @@ def extend_coloring(
     graph: RemovalGraph,
     partial: dict[int, int],
     k: int,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_BUDGET,
 ) -> Coloring | None:
     """Extend a partial coloring to all vertices with colors 1..k.
 
@@ -193,7 +186,6 @@ def extend_coloring(
     (proof of infeasibility).  Raises on an improper or out-of-range
     partial, and SearchBudgetExceeded if the budget ends the search early.
     """
-    budget = default_budget() if node_budget is None else node_budget
     colors = [0] * graph.n
     for v, c in partial.items():
         if not 0 <= v < graph.n:
@@ -205,7 +197,9 @@ def extend_coloring(
         if colors[u] and colors[u] == colors[v]:
             raise ValueError(f"partial coloring is improper on edge ({u}, {v})")
 
-    nodes, _ = _dsatur_search(graph, colors, lambda *_: range(1, k + 1), lambda _: True, budget)
-    if nodes > budget:
-        raise SearchBudgetExceeded(f"extension budget {budget} exhausted")
+    nodes, _ = _dsatur_search(
+        graph, colors, lambda *_: range(1, k + 1), lambda _: True, node_budget
+    )
+    if nodes > node_budget:
+        raise SearchBudgetExceeded(f"extension budget {node_budget} exhausted")
     return Coloring(tuple(colors)) if all(colors) else None

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from lsnc._numeric import cluster_complex, integer_pairs
-from lsnc.fade_state import FadeState, as_exact_ratio, psk_representative
+from lsnc.fade_state import FadeState, as_exact_ratio, check_closed_form
 from lsnc.latin import Grid
 from lsnc.signal_set import SignalSet
 
@@ -29,7 +29,6 @@ class ConstraintPartition:
     """
 
     m: int
-    fade_state: complex
     blocks: tuple[tuple[Cell, ...], ...]
 
     @property
@@ -47,14 +46,19 @@ class ConstraintPartition:
         raise KeyError(f"cell {cell} not in any block")
 
 
-def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPartition:
-    """Partition of S x S by the value of x_A + s*x_B.
+def superpose(s_set: SignalSet, s: complex | FadeState) -> tuple[dict[tuple, list[Cell]], int]:
+    """Cells of S x S grouped by the value of x_A + s*x_B.
 
-    Groups exactly whenever the signal set lives on the integer grid and s
-    denotes a small rational; by floating-point clustering otherwise.
+    Returns (groups, den): the cells of the group keyed (re, im) share the
+    value complex(re / den, im / den).  Groups come in order of their first
+    cell and hold their cells in row-major order.  Grouping is exact
+    whenever the signal set lives on the integer grid and s denotes a small
+    rational.  Otherwise it is by floating-point clustering, den is 1 and a
+    key is its group's first value, which the others match within MERGE_TOL.
     """
     m = s_set.size
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
+    groups: dict[tuple, list[Cell]] = {}
     if g is not None:
         # With the points and g = (a + bj)/d over one denominator d, the key
         # d*x_A + (a + bj)*x_B is x_A + g*x_B scaled by d*d: cells share a
@@ -62,19 +66,26 @@ def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPar
         ints, d = integer_pairs((*s_set.exact_points, g))
         a, b = ints.pop()
         g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in ints]
-        by_val: dict[tuple[int, int], list[Cell]] = {}
         for r, (xr, xi) in enumerate(ints, 1):
             dxr, dxi = d * xr, d * xi
             for c, (ur, ui) in enumerate(g_col, 1):
-                by_val.setdefault((dxr + ur, dxi + ui), []).append((r, c))
-        blocks = [tuple(cs) for cs in by_val.values()]
-    else:
-        sv = complex(s)
-        cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
-        supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]
-        blocks = [tuple(sorted(cells[i] for i in grp)) for grp in cluster_complex(supers)]
-    blocks.sort(key=lambda b: b[0])
-    return ConstraintPartition(m=m, fade_state=complex(s), blocks=tuple(blocks))
+                groups.setdefault((dxr + ur, dxi + ui), []).append((r, c))
+        return groups, d * d
+    sv = complex(s)
+    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
+    supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]
+    for grp in cluster_complex(supers):
+        v = supers[grp[0]]
+        groups[v.real, v.imag] = [cells[i] for i in grp]
+    return groups, 1
+
+
+def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPartition:
+    """Partition of S x S by the value of x_A + s*x_B, one block per
+    `superpose` group."""
+    groups, _ = superpose(s_set, s)
+    blocks = tuple(map(tuple, groups.values()))
+    return ConstraintPartition(m=s_set.size, blocks=blocks)
 
 
 def constrained_pls(partition: ConstraintPartition) -> Grid:
@@ -99,10 +110,7 @@ def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
     column offsets.  When k or l equals M/2 the two families coincide and
     only c_1..c_M are distinct.
     """
-    if m < 8 or m & (m - 1):
-        raise ValueError(f"closed form needs M a power of two >= 8, got {m}")
-    if not (1 <= k <= m // 2 and 1 <= l <= m // 2) or k == l:
-        raise ValueError(f"need 1 <= k,l <= M/2 and k != l, got ({k},{l})")
+    check_closed_form(m, k, l)
     half = m // 2
     if (k - l) % 2 == 0:
         d1, d2 = (k - l) // 2, (k + l) // 2
@@ -124,8 +132,4 @@ def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
     blocks = [fam1(i) for i in range(m)]
     if k != half and l != half:
         blocks += [fam2(i) for i in range(m)]
-    return ConstraintPartition(
-        m=m,
-        fade_state=psk_representative(m, k, l).value,
-        blocks=tuple(blocks),
-    )
+    return ConstraintPartition(m=m, blocks=tuple(blocks))

@@ -161,6 +161,15 @@ def psk_singular_fade_states(m: int) -> tuple[FadeState, ...]:
     return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
 
 
+def check_closed_form(m: int, k: int, l: int) -> None:
+    """Reject parameters outside the PSK closed forms: M a power of two
+    >= 8, 1 <= k, l <= M/2 and k != l."""
+    if m < 8 or m & (m - 1):
+        raise ValueError(f"constructions need M a power of two >= 8, got {m}")
+    if not (1 <= k <= m // 2 and 1 <= l <= m // 2) or k == l:
+        raise ValueError(f"need 1 <= k,l <= M/2 and k != l, got ({k},{l})")
+
+
 def psk_representative(m: int, k: int, l: int) -> FadeState:
     """The per-circle representative sin(k*pi/M)/sin(l*pi/M), rotated by
     e^{j*pi/M} when k and l have opposite parity."""
@@ -196,33 +205,21 @@ def effective_constellation(
 ) -> tuple[tuple[complex, ...], float]:
     """Distinct values of x_A + s*x_B and the minimum distance between the
     raw (unclustered) superpositions — 0 whenever any two coincide."""
-    g = as_exact_ratio(s) if s_set.exact_points is not None else None
-    if g is not None:
-        # keys as in build_constraints: value i is complex(*vals[i]) / den
-        ints, d = integer_pairs((*s_set.exact_points, g))
-        a, b = ints.pop()
-        g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in ints]
-        vals = [(d * xr + ur, d * xi + ui) for xr, xi in ints for ur, ui in g_col]
-        den = d * d
-        pts = sorted(
-            (_canon(complex(kr / den, ki / den)) for kr, ki in dict.fromkeys(vals)),
-            key=_sort_key,
-        )
-    else:
-        sv = complex(s)
-        vals_f = [xa + sv * xb for xa in s_set.points for xb in s_set.points]
-        groups = cluster_complex(vals_f)
-        pts = sorted((_canon(vals_f[grp[0]]) for grp in groups), key=_sort_key)
-        vals, den = [(v.real, v.imag) for v in vals_f], 1
-    if len(pts) < len(vals):
+    # Imported here: lsnc.constraint imports this module.
+    from lsnc.constraint import superpose
+
+    groups, den = superpose(s_set, s)
+    pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)
+    if len(groups) < s_set.size**2:
         return tuple(pts), 0.0
+    # No two superpositions coincide, so the group keys are all of them.
     # Closest pair by a sweep in real-part order.  A pair's distance is at
     # least its real-part gap (abs(complex(x, y)) >= abs(x) in floats too),
     # and the gap only grows along the sweep, so a point's scan stops once
     # the gap reaches the best distance so far.  Distances come from the
     # same correctly rounded differences an all-pairs minimum takes, so the
     # result is the same float.
-    vals.sort()
+    vals = sorted(groups)
     dmin = math.inf
     for i, (xr, xi) in enumerate(vals):
         for j in range(i + 1, len(vals)):
@@ -236,5 +233,7 @@ def effective_constellation(
 
 def is_singular(s_set: SignalSet, s: complex | FadeState) -> bool:
     """True when the effective constellation collapses below M^2 points."""
-    pts, _ = effective_constellation(s_set, s)
-    return len(pts) < s_set.size**2
+    from lsnc.constraint import superpose
+
+    groups, _ = superpose(s_set, s)
+    return len(groups) < s_set.size**2

@@ -22,8 +22,11 @@ def grid_to_obj(grid: Grid) -> dict[str, Any]:
 def grid_from_obj(obj: Any) -> Grid:
     if not isinstance(obj, dict) or "m" not in obj or "cells" not in obj:
         raise ValueError("grid JSON needs keys 'm' and 'cells'")
-    grid = Grid.from_lists(obj["cells"])
-    if grid.m != obj["m"]:
+    try:
+        grid = Grid.from_lists(obj["cells"])
+    except TypeError:
+        raise ValueError("grid cells must be a list of lists of integers") from None
+    if type(obj["m"]) is not int or grid.m != obj["m"]:
         raise ValueError(f"declared m={obj['m']} but cells are {grid.m}x{grid.m}")
     return grid
 

@@ -7,7 +7,6 @@ state's partition is filled with a single common symbol.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -31,14 +30,12 @@ __all__ = [
     "column_rotate",
     "xor_square",
     "candidate_cells",
-    "default_budget",
+    "DEFAULT_BUDGET",
 ]
 
 
-def default_budget(fallback: int = 10_000_000) -> int:
-    """Search node budget; the LSNC_BUDGET environment variable overrides."""
-    raw = os.environ.get("LSNC_BUDGET")
-    return int(raw) if raw else fallback
+# Search node budget of every backtracking search unless the caller sets one.
+DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -53,12 +50,13 @@ class Grid:
             if len(row) != m:
                 raise ValueError("grid must be square")
             for v in row:
-                if not isinstance(v, int) or v < 0:
+                # `type(v) is int` also keeps out bools (JSON true/false)
+                if type(v) is not int or v < 0:
                     raise ValueError(f"bad cell value {v!r}")
 
     @classmethod
     def from_lists(cls, rows: Sequence[Sequence[int]]) -> Grid:
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def empty(cls, m: int) -> Grid:
@@ -322,7 +320,7 @@ def complete_rows_hall(grid: Grid) -> Grid:
 
 
 def generic_complete(
-    grid: Grid, max_symbols: int, node_budget: int | None = None
+    grid: Grid, max_symbols: int, node_budget: int = DEFAULT_BUDGET
 ) -> Grid | None:
     """Backtracking completion of a partial Latin grid with symbols
     1..max_symbols.
@@ -338,7 +336,6 @@ def generic_complete(
     from lsnc.srg import RemovalGraph
 
     m = grid.m
-    budget = default_budget() if node_budget is None else node_budget
     cells = [v for row in grid.rows for v in row]
     if max(cells, default=0) > max_symbols:
         raise ValueError(f"symbol {max(cells)} outside 1..{max_symbols}")
@@ -360,10 +357,11 @@ def generic_complete(
     )
     symbols = range(1, max_symbols + 1)
     nodes, _ = _dsatur_search(
-        rook, cells, lambda _, uses: sorted(symbols, key=lambda s: (uses[s], s)), lambda _: True, budget
+        rook, cells, lambda _, uses: sorted(symbols, key=lambda s: (uses[s], s)), lambda _: True,
+        node_budget,
     )
-    if nodes > budget:
-        raise SearchBudgetExceeded(f"completion budget {budget} exhausted")
+    if nodes > node_budget:
+        raise SearchBudgetExceeded(f"completion budget {node_budget} exhausted")
     if not all(cells):
         return None
     return Grid.from_lists([cells[r * m:(r + 1) * m] for r in range(m)])

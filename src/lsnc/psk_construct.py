@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from lsnc.coloring import Coloring, verify_proper
 from lsnc.constraint import ConstraintPartition, build_constraints, psk_constraints_closed_form
 from lsnc.errors import CertificateMismatchError, CompletionError, PatternMismatchError
-from lsnc.fade_state import psk_representative
+from lsnc.fade_state import check_closed_form, psk_representative
 from lsnc.latin import (
     Grid,
     candidate_cells,
@@ -60,8 +60,9 @@ class PskCase:
     """Construction plan for one representative.
 
     The square is built for parameters (bk, bl); when `transposed` is set
-    that is the swapped pair and the finished square must be transposed
-    (and column-rotated by `rotate`) to remove the original (k, l) state.
+    that is the swapped pair and the finished square must be transposed to
+    remove the original (k, l) state, then column-rotated by `rotate` when k
+    and l have opposite parity (the swap keeps the e^{j*pi/M} phase).
     """
 
     m: int
@@ -70,41 +71,39 @@ class PskCase:
     tag: str
     bk: int
     bl: int
-    transposed: bool = False
-    rotate: int = 0
+
+    @property
+    def transposed(self) -> bool:
+        return (self.bk, self.bl) != (self.k, self.l)
+
+    @property
+    def rotate(self) -> int:
+        return (self.k - self.l) % 2 if self.transposed else 0
 
 
 def classify(m: int, k: int, l: int) -> PskCase:
     """Pick the construction case for the (k, l) representative of M-PSK."""
-    if m < 8 or m & (m - 1):
-        raise ValueError(f"constructions need M a power of two >= 8, got {m}")
-    if not (1 <= k <= m // 2 and 1 <= l <= m // 2) or k == l:
-        raise ValueError(f"need 1 <= k,l <= M/2 and k != l, got ({k},{l})")
+    check_closed_form(m, k, l)
     half = m // 2
     if l == half:
         return PskCase(m, k, l, SIN_ODD if k % 2 else SIN_EVEN, bk=k, bl=l)
     if k == half:
-        # 1/sin form: build the sin form for (l, M/2) and transpose; odd l
-        # changes the phase class, which one column rotation undoes.
-        return PskCase(
-            m, k, l, SIN_ODD if l % 2 else SIN_EVEN,
-            bk=l, bl=k, transposed=True, rotate=1 if l % 2 else 0,
-        )
+        # 1/sin form: build the sin form for (l, M/2) and transpose.
+        return PskCase(m, k, l, SIN_ODD if l % 2 else SIN_EVEN, bk=l, bl=k)
     if k % 2 and l % 2:
         return PskCase(m, k, l, BOTH_ODD, bk=k, bl=l)
     if k % 2 != l % 2:
         if k % 2:
             return PskCase(m, k, l, MIXED, bk=k, bl=l)
         # The mixed-parity completion assumes the odd parameter comes first;
-        # build the swapped square and transpose.  Opposite parity keeps the
-        # e^{j*pi/M} phase, so one column rotation restores the fade state.
-        return PskCase(m, k, l, MIXED, bk=l, bl=k, transposed=True, rotate=1)
+        # build the swapped square and transpose.
+        return PskCase(m, k, l, MIXED, bk=l, bl=k)
     m1, m2 = _val2(k), _val2(l)
     if m1 == m2:
         return PskCase(m, k, l, SAME_POWER, bk=k, bl=l)
     if m1 < m2:
         return PskCase(m, k, l, DIFF_POWER, bk=k, bl=l)
-    return PskCase(m, k, l, DIFF_POWER, bk=l, bl=k, transposed=True)
+    return PskCase(m, k, l, DIFF_POWER, bk=l, bl=k)
 
 
 def vital_coloring(case: PskCase) -> Coloring:

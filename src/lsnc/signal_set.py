@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from lsnc._numeric import GUARD_TOL, GaussianRational
+from lsnc._numeric import GUARD_TOL, MERGE_TOL, GaussianRational
 
 __all__ = ["SignalSet", "make_psk", "make_square_qam", "make_pam", "make_custom", "from_spec"]
 
@@ -38,19 +38,19 @@ class SignalSet:
             raise ValueError(f"label {label} out of range 1..{len(self.points)}")
         return self.points[label - 1]
 
-    def label_of(self, point: complex, tol: float = 1e-9) -> int:
-        """1-indexed label of the point closest to `point` (within tol)."""
+    def label_of(self, point: complex) -> int:
+        """1-indexed label of the point within MERGE_TOL of `point`."""
         for i, p in enumerate(self.points):
-            if abs(p - point) <= tol:
+            if abs(p - point) <= MERGE_TOL:
                 return i + 1
         raise ValueError(f"{point!r} is not a constellation point")
 
 
-def _check_distinct(points: list[complex], kind: str) -> None:
+def _check_distinct(points: tuple[complex, ...]) -> None:
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if abs(points[i] - points[j]) <= GUARD_TOL:
-                raise ValueError(f"{kind} points {i + 1} and {j + 1} coincide")
+                raise ValueError(f"custom points {i + 1} and {j + 1} coincide")
 
 
 def make_psk(m: int) -> SignalSet:
@@ -67,8 +67,8 @@ def make_square_qam(m: int) -> SignalSet:
     The point (-sqrt(M)+1+2l) + (-sqrt(M)+1+2k)j gets label k + l*sqrt(M) + 1,
     i.e. labels run up the imaginary axis first.
     """
-    side = math.isqrt(m)
-    if side * side != m or side % 2:
+    side = math.isqrt(max(m, 0))
+    if m < 4 or side * side != m or side % 2:
         raise ValueError("square QAM needs M a square of an even side")
     pts = []
     for l in range(side):
@@ -98,7 +98,7 @@ def make_custom(points: list[complex]) -> SignalSet:
     pts = tuple(complex(p) for p in points)
     if len(pts) < 2:
         raise ValueError("a signal set needs at least 2 points")
-    _check_distinct(list(pts), "custom")
+    _check_distinct(pts)
     exact = None
     if all(p.real.is_integer() and p.imag.is_integer() for p in pts):
         exact = tuple(GaussianRational(Fraction(int(p.real)), Fraction(int(p.imag))) for p in pts)
@@ -123,5 +123,11 @@ def from_spec(spec: str) -> SignalSet:
         if not arg.startswith("@"):
             raise ValueError("custom signal spec must reference a file: custom:@file.json")
         records = json.loads(Path(arg[1:]).read_text())
-        return make_custom([complex(r["re"], r["im"]) for r in records])
+        try:
+            points = [complex(r["re"], r["im"]) for r in records]
+        except (KeyError, TypeError, OverflowError):
+            raise ValueError(
+                f'{arg[1:]}: expected a JSON list of {{"re": number, "im": number}}'
+            ) from None
+        return make_custom(points)
     raise ValueError(f"unknown signal kind {kind!r}")

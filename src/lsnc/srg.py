@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from lsnc.constraint import ConstraintPartition, build_constraints
 from lsnc.errors import CertificateMismatchError
+from lsnc.fade_state import check_closed_form
 from lsnc.signal_set import SignalSet, make_square_qam
 
 __all__ = [
@@ -36,16 +37,14 @@ class RemovalGraph:
     vertex_block: tuple[int, ...]  # vertex -> block index in the source partition
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: list[tuple[int, int]], vertex_block: tuple[int, ...] | None = None
-    ) -> RemovalGraph:
+    def from_edges(cls, n: int, edges: list[tuple[int, int]]) -> RemovalGraph:
         masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return cls(n, tuple(masks), vertex_block or tuple(range(n)))
+        return cls(n, tuple(masks), tuple(range(n)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -112,10 +111,7 @@ def psk_vital_adjacency(m: int, k: int, l: int) -> RemovalGraph:
     mirrors it.  With k or l = M/2 only M constraints exist and vertex i is
     adjacent to i+-p and i+M/2 for the non-M/2 parameter p.
     """
-    if m < 8 or m & (m - 1):
-        raise ValueError(f"need M a power of two >= 8, got {m}")
-    if not (1 <= k <= m // 2 and 1 <= l <= m // 2) or k == l:
-        raise ValueError(f"need 1 <= k,l <= M/2 and k != l, got ({k},{l})")
+    check_closed_form(m, k, l)
     half = m // 2
     edges: list[tuple[int, int]] = []
     if k == half or l == half:
@@ -168,10 +164,8 @@ def qam_clique_certificate(m: int, s: complex = -1 - 1j) -> tuple[int, ...]:
     is checked; a failure raises CertificateMismatchError.  Certifies
     chi >= M+1, i.e. these states cost at least one extra symbol.
     """
-    side = math.isqrt(m)
-    if side * side != m or side % 2:
-        raise ValueError("square QAM needs M a square of an even side")
     s_set = make_square_qam(m)
+    side = math.isqrt(m)
     cells = [(side + 2, c) for c in range(1, m + 1)] + [(2, (m - side + 2) // 2)]
 
     base = -1 - 1j
@@ -205,21 +199,11 @@ def qam_clique_certificate(m: int, s: complex = -1 - 1j) -> tuple[int, ...]:
             cells = [(c, r) for r, c in cells]
 
     partition = build_constraints(s_set, s)
-    vertices = sorted({partition.block_of(cell) for cell in cells})
-    if len(vertices) != m + 1:
-        raise CertificateMismatchError(
-            f"certificate cells span {len(vertices)} blocks, expected {m + 1}"
-        )
-    graph = build_srg(partition)
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            if not graph.has_edge(u, v):
-                raise CertificateMismatchError(f"blocks {u} and {v} are not adjacent")
-    return tuple(vertices)
+    return _certified_clique(build_srg(partition), partition, cells)
 
 
-def row_clique(graph: RemovalGraph, partition: ConstraintPartition, row: int = 1) -> tuple[int, ...]:
-    """Vertices of the blocks meeting one grid row — a clique of size m.
+def row_clique(graph: RemovalGraph, partition: ConstraintPartition) -> tuple[int, ...]:
+    """Vertices of the blocks meeting grid row 1 — a clique of size m.
 
     No constraint holds two cells of the same row (the superposition map is
     injective along rows), so a row meets m distinct blocks, and any two of
@@ -227,9 +211,18 @@ def row_clique(graph: RemovalGraph, partition: ConstraintPartition, row: int = 1
     is re-checked here so the returned clique is a certificate that the
     chromatic number is at least m.
     """
-    vertices = sorted({partition.block_of((row, c)) for c in range(1, partition.m + 1)})
-    if len(vertices) != partition.m:
-        raise CertificateMismatchError(f"row {row} meets {len(vertices)} blocks, expected {partition.m}")
+    cells = [(1, c) for c in range(1, partition.m + 1)]
+    return _certified_clique(graph, partition, cells)
+
+
+def _certified_clique(
+    graph: RemovalGraph, partition: ConstraintPartition, cells: list[tuple[int, int]]
+) -> tuple[int, ...]:
+    """The sorted blocks of `cells`, checked to be one per cell and pairwise
+    adjacent in `graph`; a failure raises CertificateMismatchError."""
+    vertices = sorted({partition.block_of(cell) for cell in cells})
+    if len(vertices) != len(cells):
+        raise CertificateMismatchError(f"cells span {len(vertices)} blocks, expected {len(cells)}")
     for i, u in enumerate(vertices):
         for v in vertices[i + 1 :]:
             if not graph.has_edge(u, v):
@@ -251,9 +244,9 @@ def greedy_clique_lower_bound(graph: RemovalGraph) -> int:
     return len(clique)
 
 
-def to_dot(graph: RemovalGraph, name: str = "removal_graph") -> str:
+def to_dot(graph: RemovalGraph) -> str:
     """DOT text; vertex labels are 1-indexed block indices."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph removal_graph {"]
     for v in range(graph.n):
         lines.append(f'  v{v} [label="{graph.vertex_block[v] + 1}"];')
     for u, v in graph.edges():

@@ -1,0 +1,139 @@
+"""Byte-level CLI transcript: exit code, stdout, stderr and every file left in
+the working directory, for each subcommand, pinned by SHA-256 digests.
+
+Each invocation runs in its own directory holding the input files below, so
+paths in the output are relative and the digests do not depend on where the
+test runs.  A change to any byte of any output fails the invocation's case.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from lsnc.cli import main
+from lsnc.fixtures import load_grid
+from lsnc.gridio import dumps_grid
+from lsnc.latin import Grid
+
+from conftest import QAM8_POINTS
+
+INPUTS = {
+    "qam8.json": json.dumps([{"re": p.real, "im": p.imag} for p in QAM8_POINTS]),
+    "good.json": dumps_grid(load_grid("qam8_rect_ls")),
+    "bad.json": dumps_grid(load_grid("qam8_rect_ls").set(1, 1, 2)),
+    "pfls.json": dumps_grid(load_grid("qam8_rect_pfls")),
+    "rect.json": dumps_grid(load_grid("hall_rect")),
+    "blocked.json": dumps_grid(Grid.from_lists([[1, 0], [0, 2]])),
+    "empty9.json": dumps_grid(Grid.empty(9)),
+    "high.json": dumps_grid(Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])),
+}
+
+TRANSCRIPT = [
+    ("fade-states --signal qam:4",
+     "43cc3bb93005e80ee73e25d55e6f8c191c49e83b024b4dae14a8d2f1aba5b587"),
+    ("fade-states --signal psk:8 --json states.json",
+     "7692646bced5877abae4db0dfbbfb3a59705c77b23046337f976f62a26d258b9"),
+    ("fade-states --signal pam:4",
+     "672a53dffefcaccbb884ce4b3b826b2ea215b1e2c68809504df2f4a23ef8328f"),
+    ("constraints --signal qam:4 --fade 0.5+0.5j",
+     "e967bf5915d74a91cdd68a07d907e1f7b7e0c27ebbe87f5bc3e197277958b93e"),
+    ("constraints --signal qam:4 --fade 0.5+0.5j --json",
+     "e8a7bb748ff2b08bbdcefeffb8934964dbc531f9a12e92b0cc5bc3401c6667a8"),
+    ("constraints --signal psk:8 --fade psk:1,3",
+     "c5cf20a3cc6c4885ac30693c6fde1c858450c4a1b1458031886da278c0221e7f"),
+    ("constraints --signal custom:@qam8.json --fade -0.5-0.5j --json",
+     "af9c29c7afca43ff3fe4596bc594abaf693add11311febc410faf50fb21f0408"),
+    ("constraints --signal psk:8 --fade nan",
+     "2ceab29848e60f9e4db1fce8aa3a5a7b8a802dc5a6c85199857076999374115d"),
+    ("graph --signal qam:4 --fade 0.5+0.5j --dot g.dot --json g.json",
+     "a0b41b44c527b53e3fa279ba21316fad1fd6320bbab73298e40a693891edb23f"),
+    ("graph --signal psk:8 --fade psk:2,4 --vital --json v.json",
+     "490aad88de59bd103c66be3d0c2feab637420c19c4894ce13654190228620129"),
+    ("chromatic --signal qam:4 --fade 0.5+0.5j",
+     "afac810ee93ad5aeeebb193c45936b7b0e890c20e3337f6b57e80714645c1105"),
+    ("chromatic --signal qam:4 --fade 0.5+0.5j --vital-only",
+     "adc821d254aea9a93979e0597410c51396281ba88d3a7104fdb3d7e2ab392299"),
+    ("chromatic --signal psk:8 --fade psk:1,3 --vital-only",
+     "4b4a216ae11395453bab9021eb96998e54add73f68f0a52148cdca00f58da300"),
+    ("chromatic --signal qam:16 --fade 0.5+2.5j --budget 5",
+     "ba596a4c23d34ce8b5e23b81426207a5d351281d35829b03944dec9106499520"),
+    ("chromatic --signal qam:4 --fade psk:1,2",
+     "ee6709799254860c0fd64c550f728293878b5690463a40fdee0f13e0329ca605"),
+    ("latin --signal qam:4 --fade 0.5+0.5j",
+     "fef7a42c40399e775caa5f5fe94d7d21d399c1d8be07a85082bcad1f47e98d80"),
+    ("latin --signal qam:4 --fade 0.5+0.5j --json ls.json",
+     "e9067f4aa55d13f7767d25ca230c6077cc7a39e9fef8e47823dc3a1002341c11"),
+    ("latin --signal pam:4 --fade -2",
+     "b632e861bfdac89b762913a9cd2ff812acfacf5b1f9d1a2545ff86f910908825"),
+    ("latin --signal qam:16 --fade 0.5+2.5j --budget 5",
+     "ba596a4c23d34ce8b5e23b81426207a5d351281d35829b03944dec9106499520"),
+    ("verify --latin good.json --signal custom:@qam8.json --fade -0.5-0.5j",
+     "4b710a2b0d9f269348e5bc086fb39a90cd34b1ad8cd5f82a22634d21ef87f51c"),
+    ("verify --latin bad.json --signal custom:@qam8.json --fade -0.5-0.5j",
+     "519620d7afe010d50e81955772cb9df3d6db116590b197524fff1a9a20ecdaf1"),
+    ("verify --latin pfls.json --signal custom:@qam8.json --fade -0.5-0.5j",
+     "3d7789405d94f27e830c715385b4c920c594f3cda23261a13c5ac77a4fefa8a6"),
+    ("verify --latin pfls.json --signal custom:@qam8.json --fade -0.5-0.5j --allow-partial",
+     "bab5f31f52920d29afb0f551821995f0d84f40a76035c2dcfa41bfeb1e2d8c36"),
+    ("verify --latin nope.json --signal qam:4 --fade 1+0j",
+     "fa674a5fce70e4a48723ec45e495e323711705d7cadadc582339f1b0fc766704"),
+    ("complete --partial rect.json --symbols 4",
+     "a185326988f9f2633946c8a3f83722d3d3ede536e6f41f7a7cd9e00ec5b8203b"),
+    ("complete --partial rect.json --symbols 4 --json done.json",
+     "76362ab961a4565a2f231eef3a9072e5e63dd193881ba7bcd1d7b9653d53af47"),
+    ("complete --partial blocked.json --symbols 2",
+     "4b13e6a44cbf87f1e1bcecf4531e60fbfd8136e814d8845a3a24c9e080c60e17"),
+    ("complete --partial empty9.json --symbols 9 --budget 3",
+     "a5d1a6033cbf2251a682da00b1793ac430353e2e11f6a49ff7f5bdc191e1eee4"),
+    ("complete --partial high.json --symbols 3",
+     "02e49bbb4286186b95ca5ce4bcb0fffee11cde34df69797d8b1e6b6692f2d5b1"),
+    ("psk-sweep --m 8",
+     "8eb875d6fe01cba49b5a53e972f203d99fe4eab970685e7ce2a62f15ee86b74e"),
+    ("psk-sweep --m 8 --out sweep",
+     "42b0f54d41748e5f80b16116c1c856f91bb78b89a6995b3290183e1ae991f9da"),
+    ("psk-sweep --m 4",
+     "2b9255ed03f1dc3887c1ea3dcbffe8b48d040a5475fe80f137c4d4d02e3061c5"),
+    ("clique --signal qam:4 --fade -1-1j",
+     "e8d9a50754aedce845b054ca4759da5ffa9b37fc7b2ce0112a1ff641049956e0"),
+    ("clique --signal qam:16 --fade 0.5+0.5j --json",
+     "c49c2f7273f7f1be2a025f1e7f61852acb319d90b765ff84501be670286ad0ff"),
+    ("clique --signal qam:4 --fade 0.3j",
+     "d381f5424205b48d48b0a92b54f773bad926ede2c61a556efde8c0662b6fc9c3"),
+    ("clique --signal psk:8 --fade -1-1j",
+     "f84f957e2cfc66c3f8bc366f16c13317448268fe62d8535f2ac335ba58051956"),
+    ("mindist --signal qam:4 --fade 0.5+0.5j",
+     "dde41353808c58c1bbe3cd035421fecc58ae8a2b498733e797916ee602f1c7a2"),
+    ("mindist --signal psk:8 --fade psk:1,3",
+     "da0664da72e9cfe102ba48373561629fc37ca9e143c7409e826809bf4e1651c8"),
+    ("mindist --signal qam:4 --fade 0.25+0.1j",
+     "b6f9d50721a2e1fdec98c132a3d522810c08dee9a29b294553bc997da2904488"),
+    ("mindist --signal hex:7 --fade 1+0j",
+     "fd3cd1b61bb68ccd67143639d0d02a3e652d99d6f5f3a79a895c1f647a9e4c62"),
+]
+
+
+def run(cmd: str) -> tuple[int, str, str]:
+    """Write the inputs to the working directory and run one invocation there."""
+    for name, text in INPUTS.items():
+        Path(name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(cmd.split())
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(code: int, out: str, err: str, workdir: Path) -> str:
+    h = hashlib.sha256(f"{code}\n{out}\0{err}\0".encode())
+    for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+        h.update(path.relative_to(workdir).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cmd,sha256", TRANSCRIPT, ids=[cmd for cmd, _ in TRANSCRIPT])
+def test_cli_transcript(cmd, sha256, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert digest(*run(cmd), tmp_path) == sha256

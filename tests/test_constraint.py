@@ -10,9 +10,11 @@ from lsnc import (
     enumerate_singular_fade_states,
     make_custom,
     make_pam,
+    make_psk,
     make_square_qam,
     psk_constraints_closed_form,
     psk_representative,
+    psk_representatives,
 )
 from lsnc._numeric import cluster_complex
 from lsnc.fade_state import as_exact_ratio
@@ -155,12 +157,20 @@ def test_exact_kernel_matches_reference(name):
     [
         ("qam16", 1, "c38cb7fa62bcc14abde0a68f9d41db9f24e4df1c309375391c87784a6e7e4056"),
         ("qam64", 400, "b5b37d74a76af06af9f0e22954c45d486598426f3a8bd41145be1a99d6e890cf"),
+        ("psk16", 1, "b155734f829c708dd6ea1549eb08579da9bd8b0e0f0cc68b24e26d4fe1a7fafd"),
+        ("psk32", 1, "adb624461778e24e2f2460301554d2bb6bf1e14057f688a5f092a2c8e1f72340"),
     ],
-    ids=["qam16-all", "qam64-every-400th"],
+    ids=["qam16-all", "qam64-every-400th", "psk16-representatives", "psk32-representatives"],
 )
 def test_partitions_match_golden_hash(name, step, sha256):
-    # Taken from the Gaussian-rational grouping; pins every block in order.
-    signal = EXACT_SIGNALS[name]
-    states = enumerate_singular_fade_states(signal)[::step]
+    # QAM hashes were taken from the Gaussian-rational grouping, PSK ones
+    # from the float clustering of the representatives; they pin every
+    # block in order.
+    if name.startswith("psk"):
+        m = int(name[3:])
+        signal, states = make_psk(m), psk_representatives(m)
+    else:
+        signal = EXACT_SIGNALS[name]
+        states = enumerate_singular_fade_states(signal)[::step]
     dump = "".join(f"{build_constraints(signal, fs).blocks!r}\n" for fs in states)
     assert hashlib.sha256(dump.encode()).hexdigest() == sha256

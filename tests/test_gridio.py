@@ -34,6 +34,14 @@ def test_obj_schema():
         {"m": 2, "cells": [[1, 2]]},
         {"m": 3, "cells": [[1, 2], [2, 1]]},
         {"m": 2, "cells": [[1, 2], [2, "x"]]},
+        {"m": 1, "cells": 5},
+        {"m": 1, "cells": [[None]]},
+        {"m": 1, "cells": [[1.7]]},
+        {"m": 1, "cells": [[True]]},
+        {"m": 1, "cells": [["3"]]},
+        {"m": 1, "cells": [5]},
+        {"m": True, "cells": [[1]]},
+        [[None]],
     ],
 )
 def test_malformed_objects_rejected(obj):
