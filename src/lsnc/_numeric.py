@@ -1,76 +1,17 @@
-"""Exact Gaussian-rational arithmetic and tolerance-based complex clustering.
+"""Tolerance-based clustering of complex values.
 
-Square-QAM and PAM constellations live on the Gaussian integers, so grouping
-by complex value can (and should) be done exactly; the hot loops do it on
-integer pairs over one common denominator (`integer_pairs`) rather than on
-Fractions.  PSK points are irrational; those go through the floating-point
-clustering path instead.
+Square-QAM and PAM constellations live on the Gaussian integers, so at a
+rational fade state their superposed values are grouped exactly, on
+integer keys (`lsnc.constraint.superpose`).  PSK points are irrational;
+those, and any irrational fade, go through this floating-point clustering
+instead.
 """
 from __future__ import annotations
-
-import math
-from collections.abc import Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 
 from lsnc.errors import AmbiguousGroupingError
 
 MERGE_TOL = 1e-9
 GUARD_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other: GaussianRational) -> GaussianRational:
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-
-def integer_pairs(values: Sequence[GaussianRational]) -> tuple[list[tuple[int, int]], int]:
-    """Exact values as integer pairs over one common positive denominator.
-
-    Returns (pairs, den) with values[i] == (pairs[i][0] + pairs[i][1]*j) / den,
-    so integer arithmetic on the pairs stands in for Fraction arithmetic.
-    """
-    den = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
-    return [
-        (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
-        for v in values
-    ], den
 
 
 def cluster_complex(values: list[complex]) -> list[list[int]]:

@@ -194,13 +194,21 @@ def cmd_latin(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_grid(path: str) -> Grid | None:
+    """The grid in a JSON file, or None once the reason it cannot be read
+    is on stderr."""
+    try:
+        return loads_grid(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        print(f"cannot load grid: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     signal = from_spec(args.signal)
     fade = parse_fade(args.fade, signal)
-    try:
-        grid = loads_grid(Path(args.latin).read_text())
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"cannot load grid: {exc}", file=sys.stderr)
+    grid = _load_grid(args.latin)
+    if grid is None:
         return EXIT_USAGE
     part = build_constraints(signal, fade)
     complete = grid.is_complete()
@@ -213,10 +221,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    try:
-        grid = loads_grid(Path(args.partial).read_text())
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"cannot load grid: {exc}", file=sys.stderr)
+    grid = _load_grid(args.partial)
+    if grid is None:
         return EXIT_USAGE
     try:
         done = generic_complete(grid, args.symbols, node_budget=args.budget)
@@ -275,12 +281,7 @@ def cmd_clique(args: argparse.Namespace) -> int:
     if signal.kind != "qam":
         print("clique certificates are defined for qam:M signals", file=sys.stderr)
         return EXIT_USAGE
-    fade = parse_fade(args.fade, signal)
-    try:
-        vertices = qam_clique_certificate(signal.size, fade)
-    except (ValueError, CertificateMismatchError) as exc:
-        print(f"certificate failed: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    vertices = qam_clique_certificate(signal.size, parse_fade(args.fade, signal))
     if args.json:
         print(_dump_json({"size": len(vertices), "blocks": [v + 1 for v in vertices]}), end="")
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lsnc._numeric import cluster_complex, integer_pairs
+from lsnc._numeric import cluster_complex
 from lsnc.fade_state import FadeState, as_exact_ratio, check_closed_form
 from lsnc.latin import Grid
 from lsnc.signal_set import SignalSet
@@ -60,17 +60,17 @@ def superpose(s_set: SignalSet, s: complex | FadeState) -> tuple[dict[tuple, lis
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
     groups: dict[tuple, list[Cell]] = {}
     if g is not None:
-        # With the points and g = (a + bj)/d over one denominator d, the key
-        # d*x_A + (a + bj)*x_B is x_A + g*x_B scaled by d*d: cells share a
-        # key exactly when they share a value.
-        ints, d = integer_pairs((*s_set.exact_points, g))
-        a, b = ints.pop()
-        g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in ints]
-        for r, (xr, xi) in enumerate(ints, 1):
+        # With integer points and g = (a + bj)/d, the key d*x_A + (a + bj)*x_B
+        # is x_A + g*x_B scaled by d: cells share a key exactly when they
+        # share a value.
+        a, b, d = g
+        pts = s_set.exact_points
+        g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in pts]
+        for r, (xr, xi) in enumerate(pts, 1):
             dxr, dxi = d * xr, d * xi
             for c, (ur, ui) in enumerate(g_col, 1):
                 groups.setdefault((dxr + ur, dxi + ui), []).append((r, c))
-        return groups, d * d
+        return groups, d
     sv = complex(s)
     cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
     supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]

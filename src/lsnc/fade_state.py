@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from lsnc._numeric import GaussianRational, cluster_complex, integer_pairs
+from lsnc._numeric import cluster_complex
 from lsnc.signal_set import SignalSet
 
 __all__ = [
@@ -37,7 +37,9 @@ class FadeState:
     value: complex
     k: int | None = None
     l: int | None = None
-    exact_value: GaussianRational | None = None
+    # (re, im, q): the value is (re + im*j)/q, with q > 0 and
+    # gcd(re, im, q) == 1, so equal values have equal triples
+    exact_value: tuple[int, int, int] | None = None
 
     @property
     def radius(self) -> float:
@@ -56,8 +58,9 @@ def _sort_key(v: complex) -> tuple[float, float]:
     return (round(v.real, 12) + 0.0, round(v.imag, 12) + 0.0)
 
 
-def as_exact_ratio(s: complex | FadeState) -> GaussianRational | None:
-    """Exact rational value of a fade state, when it denotes one.
+def as_exact_ratio(s: complex | FadeState) -> tuple[int, int, int] | None:
+    """Exact rational value of a fade state as its reduced (re, im, q)
+    triple (see FadeState.exact_value), when it denotes one.
 
     FadeStates produced by exact enumeration carry it already; plain floats
     are accepted when both parts reconstruct to small rationals.
@@ -75,7 +78,11 @@ def as_exact_ratio(s: complex | FadeState) -> GaussianRational | None:
         if abs(float(f) - x) > RECONSTRUCT_TOL:
             return None
         parts.append(f)
-    return GaussianRational(parts[0], parts[1])
+    fr, fi = parts
+    # Both fractions are in lowest terms, so over the lcm of their
+    # denominators the triple is already reduced.
+    q = math.lcm(fr.denominator, fi.denominator)
+    return fr.numerator * (q // fr.denominator), fi.numerator * (q // fi.denominator), q
 
 
 def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
@@ -86,7 +93,7 @@ def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
     """
     n = s_set.size
     if s_set.exact_points is not None:
-        ints, _ = integer_pairs(s_set.exact_points)
+        ints = s_set.exact_points
         diffs = dict.fromkeys(
             (xr - x2r, xi - x2i)
             for a, (xr, xi) in enumerate(ints)
@@ -95,7 +102,7 @@ def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
         )
         # -n/d = -(n * conj d) / |d|^2.  With the denominator positive, the
         # triple reduced by the gcd of all three parts is canonical, so it
-        # keys the deduplication.
+        # keys the deduplication and is the state's exact value.
         seen: dict[tuple[int, int, int], None] = {}
         for nr, ni in diffs:
             for dr, di in diffs:
@@ -103,10 +110,7 @@ def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
                 k = math.gcd(re, im, q)
                 seen[re // k, im // k, q // k] = None
         states = [
-            FadeState(
-                value=_canon(complex(re / q, im / q)),
-                exact_value=GaussianRational(Fraction(re, q), Fraction(im, q)),
-            )
+            FadeState(value=_canon(complex(re / q, im / q)), exact_value=(re, im, q))
             for re, im, q in seen
         ]
     else:

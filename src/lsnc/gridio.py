@@ -28,6 +28,8 @@ def grid_from_obj(obj: Any) -> Grid:
         raise ValueError("grid cells must be a list of lists of integers") from None
     if type(obj["m"]) is not int or grid.m != obj["m"]:
         raise ValueError(f"declared m={obj['m']} but cells are {grid.m}x{grid.m}")
+    if not grid.m:
+        raise ValueError("grid has no cells")
     return grid
 
 

@@ -11,10 +11,9 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
-from lsnc._numeric import GUARD_TOL, MERGE_TOL, GaussianRational
+from lsnc._numeric import GUARD_TOL, MERGE_TOL
 
 __all__ = ["SignalSet", "make_psk", "make_square_qam", "make_pam", "make_custom", "from_spec"]
 
@@ -25,8 +24,8 @@ class SignalSet:
 
     points: tuple[complex, ...]
     kind: str
-    # exact Gaussian-rational coordinates when the set lies on the integer grid
-    exact_points: tuple[GaussianRational, ...] | None = field(default=None, repr=False)
+    # integer (re, im) coordinates when the set lies on the integer grid
+    exact_points: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -75,9 +74,8 @@ def make_square_qam(m: int) -> SignalSet:
         for k in range(side):
             pts.append(complex(-side + 1 + 2 * l, -side + 1 + 2 * k))
     # label = k + l*side + 1 means k varies fastest, matching the loop above
-    pts_t = tuple(pts)
-    exact = tuple(GaussianRational(Fraction(int(p.real)), Fraction(int(p.imag))) for p in pts_t)
-    return SignalSet(pts_t, "qam", exact)
+    exact = tuple((int(p.real), int(p.imag)) for p in pts)
+    return SignalSet(tuple(pts), "qam", exact)
 
 
 def make_pam(m: int) -> SignalSet:
@@ -85,7 +83,7 @@ def make_pam(m: int) -> SignalSet:
     if m < 2:
         raise ValueError("PAM needs at least 2 points")
     pts = tuple(complex(-m + 1 + 2 * i, 0) for i in range(m))
-    exact = tuple(GaussianRational(Fraction(int(p.real)), Fraction(0)) for p in pts)
+    exact = tuple((int(p.real), int(p.imag)) for p in pts)
     return SignalSet(pts, "pam", exact)
 
 
@@ -101,7 +99,7 @@ def make_custom(points: list[complex]) -> SignalSet:
     _check_distinct(pts)
     exact = None
     if all(p.real.is_integer() and p.imag.is_integer() for p in pts):
-        exact = tuple(GaussianRational(Fraction(int(p.real)), Fraction(int(p.imag))) for p in pts)
+        exact = tuple((int(p.real), int(p.imag)) for p in pts)
     return SignalSet(pts, "custom", exact)
 
 

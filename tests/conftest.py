@@ -1,5 +1,8 @@
 """Shared fixtures: small signal sets and their worked-out fade states."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from lsnc import (
@@ -16,6 +19,40 @@ QAM8_POINTS = [-3 - 1j, -3 + 1j, -1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j, 3 - 1j, 3 + 1
 
 # An integer set with no symmetry under negation, conjugation or rotation.
 SKEW_POINTS = [0, 1, 3j, 2 + 1j, -1 + 2j, 4, -3 - 1j]
+
+
+# Exact arithmetic for the oracles, independent of lsnc's integer keys:
+# a Gaussian rational is a (Fraction, Fraction) pair.
+
+def gq(z):
+    """The pair for an integer point (re, im) or an exact triple (re, im, q)."""
+    q = z[2] if len(z) == 3 else 1
+    return Fraction(z[0], q), Fraction(z[1], q)
+
+
+def gadd(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def gsub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def gdiv(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def to_triple(x):
+    """The reduced (re, im, q) triple of a pair: q > 0, gcd(re, im, q) = 1."""
+    q = x[0].denominator * x[1].denominator
+    re, im = int(x[0] * q), int(x[1] * q)
+    k = math.gcd(re, im, q)
+    return re // k, im // k, q // k
 
 
 @pytest.fixture(scope="session")

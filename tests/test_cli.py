@@ -220,6 +220,9 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["latin", "--signal", "qam:0", "--fade", "1"]) == 2
     assert "square QAM" in capsys.readouterr().err
+    # a fade state with no clique certificate is bad input, not a failed check
+    assert main(["clique", "--signal", "qam:4", "--fade", "0.3j"]) == 2
+    assert capsys.readouterr().err == "error: no clique certificate at fade state 0.3j\n"
     for i, text in enumerate(['[{"re": 1}]', '{"re": 1, "im": 2}', "[1, 2]",
                               '[{"re": "1", "im": 2}, {"re": 3, "im": 4}]']):
         pts = tmp_path / f"pts{i}.json"
@@ -237,7 +240,7 @@ def test_usage_errors(capsys, tmp_path):
 @pytest.mark.parametrize("cmd", ["verify", "complete"])
 @pytest.mark.parametrize("text", ['{"m": 1, "cells": 5}', '{"m": 1, "cells": [[null]]}',
                                   '{"m": 1, "cells": [[1.7]]}', '{"m": 1, "cells": [[true]]}',
-                                  '{"m": 1, "cells": [["3"]]}', "[[1]]"])
+                                  '{"m": 1, "cells": [["3"]]}', "[[1]]", '{"m": 0, "cells": []}'])
 def test_malformed_grid_is_a_usage_error(cmd, text, tmp_path, capsys):
     grid = tmp_path / "g.json"
     grid.write_text(text)

@@ -102,7 +102,7 @@ TRANSCRIPT = [
     ("clique --signal qam:16 --fade 0.5+0.5j --json",
      "c49c2f7273f7f1be2a025f1e7f61852acb319d90b765ff84501be670286ad0ff"),
     ("clique --signal qam:4 --fade 0.3j",
-     "d381f5424205b48d48b0a92b54f773bad926ede2c61a556efde8c0662b6fc9c3"),
+     "8a587b5bce8feb52cd80c57a93a64e06822865c2b2e2077e74d51e7ffee5ff0b"),
     ("clique --signal psk:8 --fade -1-1j",
      "f84f957e2cfc66c3f8bc366f16c13317448268fe62d8535f2ac335ba58051956"),
     ("mindist --signal qam:4 --fade 0.5+0.5j",

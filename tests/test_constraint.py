@@ -20,7 +20,7 @@ from lsnc._numeric import cluster_complex
 from lsnc.fade_state import as_exact_ratio
 from lsnc.fixtures import load_grid
 
-from conftest import SKEW_POINTS
+from conftest import SKEW_POINTS, gadd, gmul, gq
 
 
 def brute_blocks(signal, s):
@@ -116,15 +116,15 @@ class TestClosedForm:
 
 
 def ref_exact_blocks(signal, s):
-    """The Gaussian-rational grouping that the integer-key kernel replaces."""
-    g = as_exact_ratio(s)
-    pts = signal.exact_points
+    """The Fraction grouping that the integer-key kernel replaces."""
+    g = gq(as_exact_ratio(s))
+    pts = [gq(p) for p in signal.exact_points]
     m = signal.size
     by_val = {}
     for r in range(1, m + 1):
         for c in range(1, m + 1):
-            v = pts[r - 1] + g * pts[c - 1]
-            by_val.setdefault((v.re, v.im), []).append((r, c))
+            v = gadd(pts[r - 1], gmul(g, pts[c - 1]))
+            by_val.setdefault(v, []).append((r, c))
     return tuple(sorted((tuple(sorted(b)) for b in by_val.values()), key=lambda b: b[0]))
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -18,11 +19,11 @@ from lsnc import (
     psk_representatives,
     psk_singular_fade_states,
 )
-from lsnc._numeric import GaussianRational, cluster_complex
+from lsnc._numeric import cluster_complex
 from lsnc.errors import AmbiguousGroupingError
-from lsnc.fade_state import FadeState, _canon, _sort_key, as_exact_ratio
+from lsnc.fade_state import RECONSTRUCT_TOL, FadeState, _canon, _sort_key, as_exact_ratio
 
-from conftest import SKEW_POINTS
+from conftest import SKEW_POINTS, gadd, gdiv, gmul, gq, gsub, to_triple
 
 
 def brute_ratio_set(signal):
@@ -109,8 +110,7 @@ def test_effective_constellation_singular_vs_regular(qam4):
 
 
 def test_exact_ratio_detection():
-    g = as_exact_ratio(0.5 + 0.5j)
-    assert g == GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    assert as_exact_ratio(0.5 + 0.5j) == (1, 1, 2)
     assert as_exact_ratio(psk_representative(8, 1, 3).value) is None
 
 
@@ -119,36 +119,29 @@ def test_is_singular_boundary(qam4):
     assert is_singular(qam4, 1 + 0j) is True
 
 
-# Reference implementations: the Gaussian-rational and all-pairs algorithms
-# the integer-key kernel and the closest-pair sweep replace.
+# Reference implementations: the Fraction and all-pairs algorithms the
+# integer-key kernel and the closest-pair sweep replace.
 
 def ref_exact_states(s_set):
-    pts = s_set.exact_points
-    diffs = {}
-    for a in range(len(pts)):
-        for a2 in range(len(pts)):
-            if a != a2:
-                d = pts[a] - pts[a2]
-                diffs.setdefault((d.re, d.im), d)
-    seen = {}
-    for num in diffs.values():
-        for den in diffs.values():
-            r = -num / den
-            seen.setdefault((r.re, r.im), r)
-    states = [FadeState(value=_canon(complex(g)), exact_value=g) for g in seen.values()]
+    pts = [gq(p) for p in s_set.exact_points]
+    diffs = {gsub(x, x2): None for x in pts for x2 in pts if x != x2}
+    # -(x - x')/(y - y') over all nonzero differences
+    seen = {gdiv(gsub((0, 0), num), den): None for num in diffs for den in diffs}
+    states = [FadeState(value=_canon(complex(*g)), exact_value=to_triple(g)) for g in seen]
     return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
 
 
 def ref_effective_constellation(s_set, s):
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
     if g is not None:
-        vals = [xa + g * xb for xa in s_set.exact_points for xb in s_set.exact_points]
-        distinct = {(v.re, v.im): v for v in vals}
-        pts = sorted((_canon(complex(v)) for v in distinct.values()), key=_sort_key)
+        xs = [gq(p) for p in s_set.exact_points]
+        vals = [gadd(xa, gmul(gq(g), xb)) for xa in xs for xb in xs]
+        distinct = dict.fromkeys(vals)
+        pts = sorted((_canon(complex(*v)) for v in distinct), key=_sort_key)
         if len(pts) < len(vals):
             return tuple(pts), 0.0
         return tuple(pts), min(
-            abs(complex(a - b)) for i, a in enumerate(vals) for b in vals[i + 1 :]
+            abs(complex(*gsub(a, b))) for i, a in enumerate(vals) for b in vals[i + 1 :]
         )
     sv = complex(s)
     vals_f = [xa + sv * xb for xa in s_set.points for xb in s_set.points]
@@ -173,19 +166,48 @@ def test_exact_enumeration_matches_reference(name):
     assert [(repr(fs.value), fs.exact_value) for fs in states] == [
         (repr(fs.value), fs.exact_value) for fs in ref
     ]
-    assert all(isinstance(fs.exact_value, GaussianRational) for fs in states)
+    assert all(_is_canonical(fs.exact_value) for fs in states)
 
 
 def test_qam64_enumeration_matches_golden_hash():
     # Taken from the Gaussian-rational enumeration; pins values, exact
-    # values and order.
+    # values (printed as the two Fractions re/q and im/q) and order.
     dump = "".join(
-        f"{fs.value!r} {fs.exact_value.re} {fs.exact_value.im}\n"
+        f"{fs.value!r} {Fraction(re, q)} {Fraction(im, q)}\n"
         for fs in enumerate_singular_fade_states(make_square_qam(64))
+        for re, im, q in [fs.exact_value]
     )
     assert hashlib.sha256(dump.encode()).hexdigest() == (
         "f3c0222e6c939e5285752ac6c3c882b6045cdf4125103f64ab7e91d0ee57f606"
     )
+
+
+def _is_canonical(triple):
+    re, im, q = triple
+    return q > 0 and math.gcd(re, im, q) == 1
+
+
+@pytest.mark.parametrize("m,step", [(16, 1), (64, 400)])
+def test_exact_value_is_canonical_and_matches_float(m, step):
+    # a state has one triple, whether it comes from the enumeration or is
+    # reconstructed from the state's float value
+    for fs in enumerate_singular_fade_states(make_square_qam(m))[::step]:
+        assert _is_canonical(fs.exact_value), fs
+        assert as_exact_ratio(fs.value) == fs.exact_value, fs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reconstructed_triple_is_reduced(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        a, b = rng.randint(-300, 300), rng.randint(1, 999)
+        c, d = rng.randint(-300, 300), rng.randint(1, 999)
+        s = complex(a / b, c / d)
+        triple = as_exact_ratio(s)
+        assert triple == to_triple((Fraction(a, b), Fraction(c, d))), s
+        assert _is_canonical(triple), s
+        re, im, q = triple
+        assert abs(complex(re / q, im / q) - s) <= RECONSTRUCT_TOL, s
 
 
 def _random_fade(rng):

@@ -41,6 +41,7 @@ def test_obj_schema():
         {"m": 1, "cells": [["3"]]},
         {"m": 1, "cells": [5]},
         {"m": True, "cells": [[1]]},
+        {"m": 0, "cells": []},
         [[None]],
     ],
 )

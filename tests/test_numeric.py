@@ -1,7 +1,6 @@
-"""Exact Gaussian-rational arithmetic and tolerance-aware clustering."""
+"""Tolerance-aware clustering of complex values."""
 
 import cmath
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,46 +10,8 @@ from lsnc._numeric import (
     GUARD_TOL,
     MERGE_TOL,
     AmbiguousGroupingError,
-    GaussianRational,
     cluster_complex,
 )
-
-
-def gr(re, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
-small_rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=8
-)
-gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
-
-
-class TestGaussianRational:
-    def test_field_ops_match_complex(self):
-        a, b = gr(3, -2), gr(Fraction(1, 2), 5)
-        assert complex(a + b) == complex(a) + complex(b)
-        assert complex(a - b) == complex(a) - complex(b)
-        assert complex(a * b) == complex(a) * complex(b)
-        assert complex(a / b) == pytest.approx(complex(a) / complex(b))
-
-    def test_division_is_exact(self):
-        # (1+j)/(1-j) = j with no rounding
-        assert gr(1, 1) / gr(1, -1) == gr(0, 1)
-
-    def test_zero_division_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            gr(1) / gr(0)
-
-    @given(gaussians, gaussians)
-    def test_mul_div_roundtrip(self, a, b):
-        if not b:
-            return
-        assert (a * b) / b == a
-
-    @given(gaussians)
-    def test_conjugate_involution(self, a):
-        assert a.conjugate().conjugate() == a
 
 
 class TestClusterComplex:
