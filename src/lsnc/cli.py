@@ -102,6 +102,17 @@ def _chromatic(graph: RemovalGraph, budget: int) -> ChromaticResult | None:
     return result
 
 
+def _budget(text: str) -> int:
+    """--budget: a node count, so a non-negative integer."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {budget}")
+    return budget
+
+
 def _dump_json(obj: Any) -> str:
     if isinstance(obj, list):  # one record per line
         body = ",\n ".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in obj)
@@ -331,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chromatic", help="exact chromatic number of the graph")
     add_signal_fade(sp)
     sp.add_argument("--vital-only", action="store_true")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+    sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="search node budget")
     sp.set_defaults(func=cmd_chromatic)
 
     sp = sub.add_parser("latin", help="emit a minimum-symbol removing Latin square")
     add_signal_fade(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     sp.add_argument("--json", metavar="PATH", help="write the grid JSON here")
     sp.set_defaults(func=cmd_latin)
 
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("complete", help="complete a partial Latin square")
     sp.add_argument("--partial", required=True, metavar="GRID.json")
     sp.add_argument("--symbols", required=True, type=int)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     sp.add_argument("--json", metavar="PATH", help="write the grid JSON here")
     sp.set_defaults(func=cmd_complete)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from lsnc.errors import SearchBudgetExceeded
 from lsnc.latin import DEFAULT_BUDGET
@@ -57,7 +57,23 @@ def verify_proper(graph: RemovalGraph, coloring: Coloring) -> bool:
     cols = coloring.colors
     if len(cols) != graph.n or any(c < 1 for c in cols):
         return False
-    return all(cols[u] != cols[v] for u, v in graph.edges())
+    return _first_conflict(graph, cols) is None
+
+
+def _first_conflict(graph: RemovalGraph, colors: Sequence[int]) -> tuple[int, int] | None:
+    """The first edge (u, v), u < v in row-major order, whose ends share a
+    nonzero color, or None.  Each colored vertex's adjacency mask is tested
+    against the mask of the vertices of its color."""
+    members: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        if c:
+            members[c] = members.get(c, 0) | 1 << v
+    for u, c in enumerate(colors):
+        if c:
+            later = graph.adj[u] & members[c] & -(2 << u)  # neighbors above u
+            if later:
+                return u, (later & -later).bit_length() - 1
+    return None
 
 
 def _dsatur_search(
@@ -76,20 +92,44 @@ def _dsatur_search(
     True stops the search and leaves that coloring in `colors`.  Entering an
     uncolored vertex after more than `budget` nodes also stops it.  Returns
     (nodes, whether the budget stopped the search).
+
+    The vertex entered is the uncolored one with the most distinct neighbor
+    colors (its saturation), then the highest degree, then the lowest index.
+    It is found without scanning the uncolored vertices.  The vertices are
+    numbered once by (degree descending, index ascending), and level[s] is a
+    bitmask, in that numbering, of the uncolored vertices of saturation s,
+    so the vertex entered is the lowest set bit of the highest nonempty
+    level.  Coloring a vertex moves each uncolored neighbor that gains a
+    color up one level, and undoing the color moves the same neighbors back
+    down, so a step costs O(degree) rather than O(n).
     """
-    nbrs = [graph.neighbors(v) for v in range(graph.n)]
-    degree = [len(ns) for ns in nbrs]
-    seen = [0] * graph.n  # bit c set: a neighbor has color c
+    nbrs = graph.neighbor_lists
+    by_rank = sorted(range(graph.n), key=lambda v: (-len(nbrs[v]), v))
+    rank_bit = [0] * graph.n
+    for r, v in enumerate(by_rank):
+        rank_bit[v] = 1 << r
+    seen = [0] * graph.n  # bit c set: a colored neighbor has color c
     uses: Counter = Counter()
     for v, c in enumerate(colors):
         if c:
             uses[c] += 1
             for u in nbrs[v]:
                 seen[u] |= 1 << c
-    free = [v for v in range(graph.n) if not colors[v]]
+    sat = [mask.bit_count() for mask in seen]  # saturation of each vertex
+    # Saturation is at most the degree, and `top` may run one level above
+    # the highest nonempty one.
+    level = [0] * (max(map(len, nbrs), default=0) + 2)
+    free = 0  # number of uncolored vertices not on the stack
+    for v, c in enumerate(colors):
+        if not c:
+            level[sat[v]] |= rank_bit[v]
+            free += 1
+    top = len(level) - 1  # no nonempty level lies above it
     # An explicit stack, so depth is not bounded by the recursion limit.  One
     # frame per vertex the search has colored, deepest last: [vertex, colors
-    # left to try, `used` before it, neighbors its color was added to].
+    # left to try, `used` before it, uncolored neighbors its color raised].
+    # A colored vertex's `seen` and saturation stay as they were when it was
+    # entered, since no vertex entered later changes them.
     stack: list[list] = []
     used = max(colors, default=0)
     nodes = 0
@@ -100,33 +140,48 @@ def _dsatur_search(
         elif nodes > budget:
             return nodes, True
         else:
-            v = max(free, key=lambda u: (seen[u].bit_count(), degree[u], -u))
-            free.remove(v)
-            stack.append([v, iter(order(used, uses)), used, ()])
+            while not level[top]:
+                top -= 1
+            low = level[top] & -level[top]
+            level[top] ^= low
+            free -= 1
+            stack.append([by_rank[low.bit_length() - 1], iter(order(used, uses)), used, ()])
         # Move to the next untried color of the deepest vertex that has one.
         while stack:
             frame = stack[-1]
-            v, todo, used, added = frame
+            v, todo, used, raised = frame
             if colors[v]:
                 uses[colors[v]] -= 1
                 bit = 1 << colors[v]
                 colors[v] = 0
-                for u in added:
+                for u in raised:
                     seen[u] ^= bit
+                    s = sat[u]
+                    sat[u] = s - 1
+                    level[s] ^= rank_bit[u]
+                    level[s - 1] |= rank_bit[u]
             c = next((c for c in todo if not seen[v] & 1 << c), 0)
             if c:
                 break
             stack.pop()
-            free.append(v)
+            level[sat[v]] |= rank_bit[v]
+            free += 1
         else:
             return nodes, False
         nodes += 1
         colors[v] = c
         uses[c] += 1
         bit = 1 << c
-        frame[3] = [u for u in nbrs[v] if not seen[u] & bit]
-        for u in frame[3]:
+        frame[3] = raised = [u for u in nbrs[v] if not (colors[u] or seen[u] & bit)]
+        for u in raised:
             seen[u] |= bit
+            s = sat[u]
+            sat[u] = s + 1
+            level[s] ^= rank_bit[u]
+            level[s + 1] |= rank_bit[u]
+        # v was entered from the highest nonempty level, sat[v]; a coloring
+        # step raises a saturation by at most one.
+        top = sat[v] + 1
         used = max(used, c)
 
 
@@ -193,9 +248,9 @@ def extend_coloring(
         if not 1 <= c <= k:
             raise ValueError(f"color {c} outside 1..{k}")
         colors[v] = c
-    for u, v in graph.edges():
-        if colors[u] and colors[u] == colors[v]:
-            raise ValueError(f"partial coloring is improper on edge ({u}, {v})")
+    conflict = _first_conflict(graph, colors)
+    if conflict:
+        raise ValueError(f"partial coloring is improper on edge {conflict}")
 
     nodes, _ = _dsatur_search(
         graph, colors, lambda *_: range(1, k + 1), lambda _: True, node_budget

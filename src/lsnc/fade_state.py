@@ -213,26 +213,30 @@ def effective_constellation(
     from lsnc.constraint import superpose
 
     groups, den = superpose(s_set, s)
-    pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)
-    if len(groups) < s_set.size**2:
-        return tuple(pts), 0.0
-    # No two superpositions coincide, so the group keys are all of them.
-    # Closest pair by a sweep in real-part order.  A pair's distance is at
-    # least its real-part gap (abs(complex(x, y)) >= abs(x) in floats too),
-    # and the gap only grows along the sweep, so a point's scan stops once
-    # the gap reaches the best distance so far.  Distances come from the
-    # same correctly rounded differences an all-pairs minimum takes, so the
-    # result is the same float.
-    vals = sorted(groups)
-    dmin = math.inf
-    for i, (xr, xi) in enumerate(vals):
-        for j in range(i + 1, len(vals)):
-            yr, yi = vals[j]
-            dr = (yr - xr) / den
-            if dr >= dmin:
-                break
-            dmin = min(dmin, abs(complex(dr, (yi - xi) / den)))
-    return tuple(pts), dmin
+    # Exact keys can lie beyond the float range; their quotients cannot.
+    try:
+        pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)
+        if len(groups) < s_set.size**2:
+            return tuple(pts), 0.0
+        # No two superpositions coincide, so the group keys are all of them.
+        # Closest pair by a sweep in real-part order.  A pair's distance is at
+        # least its real-part gap (abs(complex(x, y)) >= abs(x) in floats too),
+        # and the gap only grows along the sweep, so a point's scan stops once
+        # the gap reaches the best distance so far.  Distances come from the
+        # same correctly rounded differences an all-pairs minimum takes, so the
+        # result is the same float.
+        vals = sorted(groups)
+        dmin = math.inf
+        for i, (xr, xi) in enumerate(vals):
+            for j in range(i + 1, len(vals)):
+                yr, yi = vals[j]
+                dr = (yr - xr) / den
+                if dr >= dmin:
+                    break
+                dmin = min(dmin, abs(complex(dr, (yi - xi) / den)))
+        return tuple(pts), dmin
+    except OverflowError:
+        raise ValueError(f"cannot cluster x_A + s*x_B at s={s!r}: too large for a float") from None
 
 
 def is_singular(s_set: SignalSet, s: complex | FadeState) -> bool:

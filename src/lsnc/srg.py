@@ -4,12 +4,14 @@ Vertices are the constraint blocks of a partition; two blocks are adjacent
 when they share a row or a column label, so proper colorings are exactly
 the symbol assignments a Latin Square may use.  Adjacency is kept as one
 bitmask per vertex: the graphs are small (n <= M^2) and coloring searches
-hammer edge queries.
+hammer edge queries.  The neighbor lists that searches and edge listings
+walk are unpacked from those masks once per graph and cached on it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from lsnc.constraint import ConstraintPartition, build_constraints
 from lsnc.errors import CertificateMismatchError
@@ -52,11 +54,16 @@ class RemovalGraph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
+    @cached_property
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbors of every vertex, unpacked from `adj` once."""
+        return tuple(tuple(_bits(mask)) for mask in self.adj)
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self.neighbor_lists[v]
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
+        return [(u, v) for u, ns in enumerate(self.neighbor_lists) for v in ns if u < v]
 
     @property
     def edge_count(self) -> int:

@@ -223,6 +223,11 @@ def test_usage_errors(capsys, tmp_path):
     # a fade state with no clique certificate is bad input, not a failed check
     assert main(["clique", "--signal", "qam:4", "--fade", "0.3j"]) == 2
     assert capsys.readouterr().err == "error: no clique certificate at fade state 0.3j\n"
+    # exact superpositions beyond the float range
+    for fade in ("1e308+1e308j", "1.7e308"):
+        assert main(["mindist", "--signal", "qam:4", "--fade", fade]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot cluster") and "Traceback" not in err
     for i, text in enumerate(['[{"re": 1}]', '{"re": 1, "im": 2}', "[1, 2]",
                               '[{"re": "1", "im": 2}, {"re": 3, "im": 4}]']):
         pts = tmp_path / f"pts{i}.json"
@@ -235,6 +240,22 @@ def test_usage_errors(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(removed)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chromatic", "--signal", "qam:16", "--fade", "2"],
+        ["latin", "--signal", "qam:16", "--fade", "2"],
+        ["complete", "--partial", "unread.json", "--symbols", "3"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(argv, capsys):
+    # rejected before any search runs, not reported as an exhausted budget
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "-5"])
+    assert exc.value.code == 2
+    assert "argument --budget: must be 0 or more, got -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["verify", "complete"])

@@ -113,6 +113,8 @@ TRANSCRIPT = [
      "b6f9d50721a2e1fdec98c132a3d522810c08dee9a29b294553bc997da2904488"),
     ("mindist --signal hex:7 --fade 1+0j",
      "fd3cd1b61bb68ccd67143639d0d02a3e652d99d6f5f3a79a895c1f647a9e4c62"),
+    ("mindist --signal qam:4 --fade 1e308+1e308j",
+     "3d3b26cf3febeb9766ab989ffcae2c7b5f0e1b714daa76d2a2619a67c633a0b7"),
 ]
 
 

@@ -1,20 +1,26 @@
 """Coloring: DSATUR greedy, exact branch and bound, partial extension."""
 
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from lsnc import (
     Coloring,
     RemovalGraph,
+    Grid,
     build_constraints,
     build_srg,
+    enumerate_singular_fade_states,
     exact_chromatic,
     extend_coloring,
+    generic_complete,
     greedy_color,
     verify_proper,
 )
+from lsnc import coloring
 from lsnc.errors import SearchBudgetExceeded
 
 
@@ -106,6 +112,10 @@ def test_exact_matches_exhaustive_oracle(seed):
         (0.5 - 2.5j, 300, (17, False, 301)),
         (2 + 0j, 300, (17, False, 301)),
         (-1 - 1j, 300, (19, False, 301)),
+        (-1.2 + 0.6j, 300, (16, True, 25)),
+        (-3 + 0j, 300, (16, True, 171)),
+        (-3 - 2j, 300, (16, True, 296)),
+        (-0.5 - 0.5j, 300, (17, True, 159)),
     ],
 )
 def test_exact_search_order_on_qam16(qam16, fade, budget, expected):
@@ -113,6 +123,54 @@ def test_exact_search_order_on_qam16(qam16, fade, budget, expected):
     # them changes the bound reached within the budget or the node count.
     res = exact_chromatic(build_srg(build_constraints(qam16, fade)), node_budget=budget)
     assert (res.chi, res.optimal, res.nodes) == expected
+
+
+def run_with_kernel(monkeypatch, kernel, fn, *args):
+    """fn(*args) or the exception it raised, with every kernel run's
+    (nodes, exhausted), all on `kernel`."""
+    runs = []
+
+    def spy(*kargs):
+        runs.append(kernel(*kargs))
+        return runs[-1]
+
+    monkeypatch.setattr(coloring, "_dsatur_search", spy)
+    try:
+        out = fn(*args)
+    except SearchBudgetExceeded as exc:
+        out = str(exc)
+    return out, runs
+
+
+@pytest.mark.parametrize(
+    "fade, expected",
+    [
+        (-3 + 0j, ("yes", 158)),
+        (-3 - 3j, ("yes", 259)),
+        (-1 - 1j, ("no", 0)),
+        (-0.5 - 0.5j, ("no", 34)),
+    ],
+)
+def test_extend_search_order_on_qam16(qam16, fade, expected, monkeypatch):
+    # Pins the node count of 16-symbol extensions of row 1: 16-QAM states
+    # whose chromatic number exceeds 16 are refuted by exhausted searches.
+    part = build_constraints(qam16, fade)
+    graph = build_srg(part)
+    pre = {part.block_of((1, c)): c for c in range(1, 17)}
+    col, runs = run_with_kernel(monkeypatch, coloring._dsatur_search, extend_coloring, graph, pre, 16, 300)
+    assert ("no" if col is None else "yes", runs[0][0]) == expected
+
+
+def test_exact_search_effort_on_qam16_states(qam16):
+    # (chi, optimal, nodes) at a 300-node budget on every 8th 16-QAM state.
+    lines = []
+    for fs in enumerate_singular_fade_states(qam16)[::8]:
+        res = exact_chromatic(build_srg(build_constraints(qam16, fs.value)), node_budget=300)
+        lines.append(f"{res.chi} {res.optimal} {res.nodes}\n")
+    assert len(lines) == 49
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "a387eae75a1d79db31a3b5416560b598008fdbf9a08ce2b4e8b23652c281b1f6"
+    )
 
 
 def test_exact_respects_budget():
@@ -152,3 +210,128 @@ class TestExtendColoring:
         g = random_graph(26, 0.5, 7)
         with pytest.raises(SearchBudgetExceeded):
             extend_coloring(g, {0: 1}, 3, node_budget=2)
+
+
+def scan_dsatur_search(graph, colors, order, on_leaf, budget):
+    """Reference kernel: the same search, choosing each vertex by a scan of
+    every uncolored one.  The kernel in lsnc must pick the same vertices."""
+    nbrs = [graph.neighbors(v) for v in range(graph.n)]
+    degree = [len(ns) for ns in nbrs]
+    seen = [0] * graph.n
+    uses = Counter()
+    for v, c in enumerate(colors):
+        if c:
+            uses[c] += 1
+            for u in nbrs[v]:
+                seen[u] |= 1 << c
+    free = [v for v in range(graph.n) if not colors[v]]
+    stack = []
+    used = max(colors, default=0)
+    nodes = 0
+    while True:
+        if not free:
+            if on_leaf(used):
+                return nodes, False
+        elif nodes > budget:
+            return nodes, True
+        else:
+            v = max(free, key=lambda u: (seen[u].bit_count(), degree[u], -u))
+            free.remove(v)
+            stack.append([v, iter(order(used, uses)), used, ()])
+        while stack:
+            frame = stack[-1]
+            v, todo, used, added = frame
+            if colors[v]:
+                uses[colors[v]] -= 1
+                bit = 1 << colors[v]
+                colors[v] = 0
+                for u in added:
+                    seen[u] ^= bit
+            c = next((c for c in todo if not seen[v] & 1 << c), 0)
+            if c:
+                break
+            stack.pop()
+            free.append(v)
+        else:
+            return nodes, False
+        nodes += 1
+        colors[v] = c
+        uses[c] += 1
+        bit = 1 << c
+        frame[3] = [u for u in nbrs[v] if not seen[u] & bit]
+        for u in frame[3]:
+            seen[u] |= bit
+        used = max(used, c)
+
+
+def kernel_trace(kernel, graph, colors, order, stop_after, budget):
+    """(nodes, exhausted, final colors, every leaf seen) of one kernel run
+    that stops at its stop_after-th full coloring."""
+    colors = list(colors)
+    leaves = []
+
+    def on_leaf(used):
+        leaves.append((used, tuple(colors)))
+        return len(leaves) >= stop_after
+
+    nodes, exhausted = kernel(graph, colors, order, on_leaf, budget)
+    return nodes, exhausted, colors, leaves
+
+
+ORDERS = {
+    "greedy": lambda used, _: range(1, used + 2),
+    "four": lambda *_: range(1, 5),
+    "least-used": lambda _, uses: sorted(range(1, 6), key=lambda c: (uses[c], c)),
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_kernel_matches_scanning_reference(seed, order):
+    rng = random.Random(seed)
+    graph = random_graph(rng.randint(1, 16), rng.choice([0.2, 0.4, 0.6]), seed)
+    precolored = [0] * graph.n
+    if seed % 2:  # pin a proper partial coloring on about a third of the vertices
+        greedy = greedy_color(graph).colors
+        precolored = [c if rng.random() < 0.35 else 0 for c in greedy]
+    for stop_after, budget in ((1, 10**6), (5, 10**6), (10**9, 40), (10**9, 3000)):
+        args = (graph, precolored, ORDERS[order], stop_after, budget)
+        assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
+            scan_dsatur_search, *args
+        )
+
+
+@pytest.mark.parametrize("budget", [0, 5, 60, 10**6])
+def test_exact_chromatic_matches_scanning_reference(budget, monkeypatch, qam4):
+    graphs = [random_graph(14, 0.5, seed) for seed in range(6)]
+    graphs += [build_srg(build_constraints(qam4, fade)) for fade in (0.5 + 0.5j, 1 + 1j, -2 + 0j)]
+    kernel = coloring._dsatur_search
+    for graph in graphs:
+        new = run_with_kernel(monkeypatch, kernel, exact_chromatic, graph, None, budget)
+        ref = run_with_kernel(monkeypatch, scan_dsatur_search, exact_chromatic, graph, None, budget)
+        assert new == ref
+
+
+def random_partial_latin(m, fill, seed):
+    """Symbols placed in random cells without repeating one in a row or a
+    column; such a grid may or may not complete."""
+    rng = random.Random(seed)
+    rows = [[0] * m for _ in range(m)]
+    for r, c in itertools.product(range(m), repeat=2):
+        if rng.random() < fill:
+            taken = set(rows[r]) | {rows[i][c] for i in range(m)}
+            free = [s for s in range(1, m + 1) if s not in taken]
+            if free:
+                rows[r][c] = rng.choice(free)
+    return Grid.from_lists(rows)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generic_complete_matches_scanning_reference(seed, monkeypatch):
+    m = 4 + seed % 3
+    grid = random_partial_latin(m, 0.3 + 0.04 * seed, seed)
+    kernel = coloring._dsatur_search
+    for symbols, budget in ((m, 10**6), (m, 4), (m + 1, 10**6), (m + 1, 8)):
+        new = run_with_kernel(monkeypatch, kernel, generic_complete, grid, symbols, budget)
+        ref = run_with_kernel(monkeypatch, scan_dsatur_search, generic_complete, grid, symbols, budget)
+        assert new == ref
