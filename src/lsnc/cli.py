@@ -12,7 +12,7 @@ import cmath
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .constraint import ConstraintPartition, build_constraints, constrained_pls
 from .coloring import ChromaticResult, exact_chromatic
@@ -102,15 +102,20 @@ def _chromatic(graph: RemovalGraph, budget: int) -> ChromaticResult | None:
     return result
 
 
-def _budget(text: str) -> int:
-    """--budget: a node count, so a non-negative integer."""
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {budget}")
-    return budget
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for a count of at least `low`: --budget (nodes, 0 or
+    more) and --symbols (1 or more)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {low} or more, got {value}")
+        return value
+
+    return parse
 
 
 def _dump_json(obj: Any) -> str:
@@ -342,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chromatic", help="exact chromatic number of the graph")
     add_signal_fade(sp)
     sp.add_argument("--vital-only", action="store_true")
-    sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="search node budget")
+    sp.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="search node budget")
     sp.set_defaults(func=cmd_chromatic)
 
     sp = sub.add_parser("latin", help="emit a minimum-symbol removing Latin square")
     add_signal_fade(sp)
-    sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
     sp.add_argument("--json", metavar="PATH", help="write the grid JSON here")
     sp.set_defaults(func=cmd_latin)
 
@@ -360,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("complete", help="complete a partial Latin square")
     sp.add_argument("--partial", required=True, metavar="GRID.json")
-    sp.add_argument("--symbols", required=True, type=int)
-    sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    sp.add_argument("--symbols", required=True, type=_int_at_least(1))
+    sp.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET)
     sp.add_argument("--json", metavar="PATH", help="write the grid JSON here")
     sp.set_defaults(func=cmd_complete)
 

@@ -8,6 +8,7 @@ pairs of 1-indexed labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from lsnc._numeric import cluster_complex
 from lsnc.fade_state import FadeState, as_exact_ratio, check_closed_form
@@ -31,9 +32,9 @@ class ConstraintPartition:
     m: int
     blocks: tuple[tuple[Cell, ...], ...]
 
-    @property
+    @cached_property
     def multi_indices(self) -> tuple[int, ...]:
-        """Indices of blocks with at least two cells."""
+        """Indices of blocks with at least two cells, found once."""
         return tuple(i for i, b in enumerate(self.blocks) if len(b) >= 2)
 
     def multi_blocks(self) -> tuple[tuple[Cell, ...], ...]:

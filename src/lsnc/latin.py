@@ -343,17 +343,12 @@ def generic_complete(
         return None  # a complete M x M Latin grid needs at least M symbols
     if not verify_latin(grid):
         raise ValueError("input grid violates row/column exclusion")
-    # Completion colors the rook graph: cell r*m + c is adjacent to every
-    # other cell of its row and of its column.
-    row, col = (1 << m) - 1, sum(1 << (m * r) for r in range(m))
-    rook = RemovalGraph(
+    # Completion colors the rook graph: its lines are the rows and the
+    # columns of cells, cell r*m + c being vertex r*m + c.
+    rook = RemovalGraph.from_lines(
         m * m,
-        tuple(
-            ((row << (m * r)) | (col << c)) & ~(1 << (m * r + c))
-            for r in range(m)
-            for c in range(m)
-        ),
-        tuple(range(m * m)),
+        [tuple(range(r * m, (r + 1) * m)) for r in range(m)]
+        + [tuple(range(c, m * m, m)) for c in range(m)],
     )
     symbols = range(1, max_symbols + 1)
     nodes, _ = _dsatur_search(

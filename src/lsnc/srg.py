@@ -2,15 +2,18 @@
 
 Vertices are the constraint blocks of a partition; two blocks are adjacent
 when they share a row or a column label, so proper colorings are exactly
-the symbol assignments a Latin Square may use.  Adjacency is kept as one
-bitmask per vertex: the graphs are small (n <= M^2) and coloring searches
-hammer edge queries.  The neighbor lists that searches and edge listings
-walk are unpacked from those masks once per graph and cached on it.
+the symbol assignments a Latin Square may use.  The graph is therefore the
+union of 2M cliques ("lines"), one per row label and one per column label,
+each holding the blocks that meet it.  A graph keeps the lines it was built
+from: adjacency is one bitmask per vertex, the OR of its lines' bitmaps
+(the graphs are small, n <= M^2, and coloring searches hammer edge
+queries), and the neighbor lists that searches and edge listings walk are
+the union of a vertex's lines, computed once per graph and cached on it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from lsnc.constraint import ConstraintPartition, build_constraints
@@ -32,21 +35,51 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RemovalGraph:
-    """Undirected graph over block indices with bitmask adjacency rows."""
+    """Undirected graph over block indices: every two vertices of a line
+    are adjacent.  `n`, `adj` and `vertex_block` define the graph; the
+    lines it was built from are not part of equality or hashing."""
 
     n: int
     adj: tuple[int, ...]
     vertex_block: tuple[int, ...]  # vertex -> block index in the source partition
+    lines: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+
+    @classmethod
+    def from_lines(
+        cls, n: int, lines: list[tuple[int, ...]], vertex_block: tuple[int, ...] | None = None
+    ) -> RemovalGraph:
+        """Graph whose cliques are `lines`: each line's bitmap is built once
+        and ORed into the mask of every vertex on it."""
+        masks = [0] * n
+        size = (n + 7) // 8
+        for line in lines:
+            buf = bytearray(size)
+            for v in line:
+                buf[v >> 3] |= 1 << (v & 7)
+            bits = int.from_bytes(buf, "little")
+            for v in line:
+                mask = masks[v]
+                masks[v] = mask | bits if mask else bits
+        # A vertex on any line has its own bit set; one on none has mask 0.
+        # Cleared in place, so no second set of n masks is ever alive.
+        for v, mask in enumerate(masks):
+            if mask:
+                masks[v] = mask ^ (1 << v)
+        return cls(
+            n, tuple(masks), tuple(range(n)) if vertex_block is None else vertex_block, tuple(lines)
+        )
 
     @classmethod
     def from_edges(cls, n: int, edges: list[tuple[int, int]]) -> RemovalGraph:
+        """Graph whose lines are `edges`; their two-vertex masks are set edge
+        by edge, cheaper than a bitmap per edge."""
         masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return cls(n, tuple(masks), tuple(range(n)))
+        return cls(n, tuple(masks), tuple(range(n)), tuple(edges))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -56,8 +89,18 @@ class RemovalGraph:
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending neighbors of every vertex, unpacked from `adj` once."""
-        return tuple(tuple(_bits(mask)) for mask in self.adj)
+        """Ascending neighbors of every vertex: the union of its lines, less
+        the vertex itself, computed once."""
+        lines_of: list[list[tuple[int, ...]]] = [[] for _ in range(self.n)]
+        for line in self.lines:
+            for v in line:
+                lines_of[v].append(line)
+        out = []
+        for v, lines in enumerate(lines_of):
+            near = set().union(*lines)
+            near.discard(v)
+            out.append(tuple(sorted(near)))
+        return tuple(out)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.neighbor_lists[v]
@@ -67,45 +110,34 @@ class RemovalGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+        return sum(map(int.bit_count, self.adj)) // 2
 
 
 def build_srg(partition: ConstraintPartition) -> RemovalGraph:
-    """Graph on all blocks; edges join blocks sharing a row or column."""
-    n = len(partition.blocks)
-    masks = [0] * n
-    by_row: dict[int, int] = {}
-    by_col: dict[int, int] = {}
+    """Graph on all blocks; its lines are the blocks meeting each row, then
+    the blocks meeting each column."""
+    rows: list[list[int]] = [[] for _ in range(partition.m)]
+    cols: list[list[int]] = [[] for _ in range(partition.m)]
     for i, block in enumerate(partition.blocks):
         for r, c in block:
-            by_row[r] = by_row.get(r, 0) | (1 << i)
-            by_col[c] = by_col.get(c, 0) | (1 << i)
-    for group in list(by_row.values()) + list(by_col.values()):
-        for v in _bits(group):
-            masks[v] |= group & ~(1 << v)
-    return RemovalGraph(n, tuple(masks), tuple(range(n)))
+            rows[r - 1].append(i)
+            cols[c - 1].append(i)
+    lines = [tuple(line) for line in rows + cols]
+    return RemovalGraph.from_lines(len(partition.blocks), lines)
 
 
 def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> RemovalGraph:
-    """Induced subgraph on blocks with two or more cells."""
+    """Induced subgraph on blocks with two or more cells: the graph's lines
+    restricted to those blocks."""
     keep = [v for v in range(graph.n) if len(partition.blocks[graph.vertex_block[v]]) >= 2]
     pos = {v: i for i, v in enumerate(keep)}
-    masks = [0] * len(keep)
-    for v in keep:
-        for u in _bits(graph.adj[v]):
-            if u in pos:
-                masks[pos[v]] |= 1 << pos[u]
-    return RemovalGraph(
-        len(keep), tuple(masks), tuple(graph.vertex_block[v] for v in keep)
+    lines = []
+    for line in graph.lines:
+        kept = tuple(pos[v] for v in line if v in pos)
+        if len(kept) >= 2:
+            lines.append(kept)
+    return RemovalGraph.from_lines(
+        len(keep), lines, tuple(graph.vertex_block[v] for v in keep)
     )
 
 
@@ -230,10 +262,14 @@ def _certified_clique(
     vertices = sorted({partition.block_of(cell) for cell in cells})
     if len(vertices) != len(cells):
         raise CertificateMismatchError(f"cells span {len(vertices)} blocks, expected {len(cells)}")
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            if not graph.has_edge(u, v):
-                raise CertificateMismatchError(f"blocks {u} and {v} are not adjacent")
+    clique = sum(1 << v for v in vertices)
+    for u in vertices:
+        # Adjacency is symmetric, so at the first u that misses a member v,
+        # v lies above u and (u, v) is the first non-adjacent pair.
+        missing = clique & ~(1 << u) & ~graph.adj[u]
+        if missing:
+            v = (missing & -missing).bit_length() - 1
+            raise CertificateMismatchError(f"blocks {u} and {v} are not adjacent")
     return tuple(vertices)
 
 
@@ -243,11 +279,11 @@ def greedy_clique_lower_bound(graph: RemovalGraph) -> int:
         return 0
     seed = max(range(graph.n), key=lambda v: (graph.degree(v), -v))
     clique = [seed]
-    cand = graph.adj[seed]
+    cand = graph.neighbors(seed)
     while cand:
-        v = max(_bits(cand), key=lambda v: (graph.degree(v), -v))
+        v = max(cand, key=lambda v: (graph.degree(v), -v))
         clique.append(v)
-        cand &= graph.adj[v]
+        cand = [u for u in cand if graph.has_edge(v, u)]
     return len(clique)
 
 

@@ -235,6 +235,12 @@ def test_usage_errors(capsys, tmp_path):
         assert main(["mindist", "--signal", f"custom:@{pts}", "--fade", "1+0j"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and '{"re": number, "im": number}' in err
+    # a completion needs a symbol; 0 is the empty-cell marker, not a count
+    for symbols in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["complete", "--partial", "unread.json", "--symbols", symbols])
+        assert exc.value.code == 2
+        assert f"argument --symbols: must be 1 or more, got {symbols}\n" in capsys.readouterr().err
     for removed in (["psk-sweep", "--m", "8", "--timing"],
                     ["constraints", "--signal", "qam:4", "--fade", "1+0j", "--ascii"]):
         with pytest.raises(SystemExit) as exc:

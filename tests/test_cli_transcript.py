@@ -53,6 +53,10 @@ TRANSCRIPT = [
      "a0b41b44c527b53e3fa279ba21316fad1fd6320bbab73298e40a693891edb23f"),
     ("graph --signal psk:8 --fade psk:2,4 --vital --json v.json",
      "490aad88de59bd103c66be3d0c2feab637420c19c4894ce13654190228620129"),
+    ("graph --signal qam:16 --fade -1-1j --dot g.dot --json g.json",
+     "f050d3f7df014ebb58002e1706036bffe98f66376d651082d3839063390361b0"),
+    ("graph --signal qam:64 --fade 0.5+0.5j --vital --json v.json",
+     "bca65f53b1ab01847ce7f738613178a2e7c16ae9d4b5a1c45e97f5610d03a1bb"),
     ("chromatic --signal qam:4 --fade 0.5+0.5j",
      "afac810ee93ad5aeeebb193c45936b7b0e890c20e3337f6b57e80714645c1105"),
     ("chromatic --signal qam:4 --fade 0.5+0.5j --vital-only",
@@ -91,6 +95,10 @@ TRANSCRIPT = [
      "a5d1a6033cbf2251a682da00b1793ac430353e2e11f6a49ff7f5bdc191e1eee4"),
     ("complete --partial high.json --symbols 3",
      "02e49bbb4286186b95ca5ce4bcb0fffee11cde34df69797d8b1e6b6692f2d5b1"),
+    ("complete --partial rect.json --symbols 0",
+     "7497f06350e5bc7274d8308bdb7963fb96f85bef88ff2d23e1bca033365de47f"),
+    ("complete --partial rect.json --symbols -3",
+     "613991e944ab5f82cfa7928a9d0d62e51a969f34f6cf20bcbd80024191e2eb60"),
     ("psk-sweep --m 8",
      "8eb875d6fe01cba49b5a53e972f203d99fe4eab970685e7ce2a62f15ee86b74e"),
     ("psk-sweep --m 8 --out sweep",
@@ -124,7 +132,10 @@ def run(cmd: str) -> tuple[int, str, str]:
         Path(name).write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(cmd.split())
+        try:
+            code = main(cmd.split())
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -138,4 +149,5 @@ def digest(code: int, out: str, err: str, workdir: Path) -> str:
 @pytest.mark.parametrize("cmd,sha256", TRANSCRIPT, ids=[cmd for cmd, _ in TRANSCRIPT])
 def test_cli_transcript(cmd, sha256, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
     assert digest(*run(cmd), tmp_path) == sha256

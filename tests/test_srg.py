@@ -1,21 +1,185 @@
 """Removal graphs: construction oracle, closed-form adjacency, cliques, DOT."""
 
+import hashlib
+import random
+
 import pytest
 
 from lsnc import (
     RemovalGraph,
     build_constraints,
     build_srg,
+    enumerate_singular_fade_states,
+    generic_complete,
+    make_psk,
+    make_square_qam,
     psk_constraints_closed_form,
     psk_representative,
+    psk_representatives,
     psk_vital_adjacency,
     qam_clique_certificate,
     row_clique,
     to_dot,
     vital_subgraph,
 )
+from lsnc import coloring
+from lsnc.constraint import ConstraintPartition
 from lsnc.errors import CertificateMismatchError
+from lsnc.latin import Grid
 from lsnc.srg import QAM_CLIQUE_STATES, greedy_clique_lower_bound
+
+
+# Oracles: the mask-by-mask construction the line-based graphs replaced.
+
+def bits(mask):
+    """Set bits of `mask`, ascending, one per loop turn."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def oracle_adj(partition):
+    """Adjacency masks ORed row group by row group, member by member."""
+    masks = [0] * len(partition.blocks)
+    by_row, by_col = {}, {}
+    for i, block in enumerate(partition.blocks):
+        for r, c in block:
+            by_row[r] = by_row.get(r, 0) | (1 << i)
+            by_col[c] = by_col.get(c, 0) | (1 << i)
+    for group in list(by_row.values()) + list(by_col.values()):
+        for v in bits(group):
+            masks[v] |= group & ~(1 << v)
+    return tuple(masks)
+
+
+def oracle_vital_adj(graph, partition):
+    keep = [v for v in range(graph.n) if len(partition.blocks[graph.vertex_block[v]]) >= 2]
+    pos = {v: i for i, v in enumerate(keep)}
+    masks = [0] * len(keep)
+    for v in keep:
+        for u in bits(graph.adj[v]):
+            if u in pos:
+                masks[pos[v]] |= 1 << pos[u]
+    return tuple(masks), tuple(graph.vertex_block[v] for v in keep)
+
+
+def assert_matches_oracle(graph, adj, unpack=True):
+    """`graph` has the adjacency `adj` and, when `unpack` is set, the
+    neighbor lists `bits` unpacks from it.  Unpacking costs about half a
+    microsecond a neighbor, so the largest graphs are unpacked in a sample."""
+    assert graph.n == len(adj)
+    assert graph.adj == adj
+    assert graph.edge_count == sum(bin(mask).count("1") for mask in adj) // 2
+    if unpack:
+        assert graph.neighbor_lists == tuple(tuple(bits(mask)) for mask in adj)
+
+
+def oracle_greedy_clique(graph):
+    if graph.n == 0:
+        return 0
+    seed = max(range(graph.n), key=lambda v: (graph.degree(v), -v))
+    size, cand = 1, graph.adj[seed]
+    while cand:
+        v = max(bits(cand), key=lambda v: (graph.degree(v), -v))
+        size, cand = size + 1, cand & graph.adj[v]
+    return size
+
+
+def test_qam16_graphs_match_oracle(qam16):
+    for fs in enumerate_singular_fade_states(qam16):
+        part = build_constraints(qam16, fs)
+        graph = build_srg(part)
+        assert_matches_oracle(graph, oracle_adj(part))
+        assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_psk_graphs_and_vital_subgraphs_match_oracle(m):
+    signal = make_psk(m)
+    for i, fs in enumerate(psk_representatives(m)):
+        part = build_constraints(signal, fs)
+        graph = build_srg(part)
+        assert_matches_oracle(graph, oracle_adj(part), unpack=m == 16 or i % 8 == 0)
+        vital = vital_subgraph(graph, part)
+        adj, vertex_block = oracle_vital_adj(graph, part)
+        assert_matches_oracle(vital, adj)
+        assert vital.vertex_block == vertex_block
+
+
+def test_qam64_graphs_match_oracle_and_golden_hash():
+    # The hash was taken from the mask-by-mask construction; it pins every
+    # adjacency mask of every 400th state.
+    signal = make_square_qam(64)
+    dump = []
+    for i, fs in enumerate(enumerate_singular_fade_states(signal)[::400]):
+        part = build_constraints(signal, fs)
+        graph = build_srg(part)
+        assert_matches_oracle(graph, oracle_adj(part), unpack=i % 5 == 0)
+        dump.append(",".join(map(hex, graph.adj)) + "\n")
+    assert hashlib.sha256("".join(dump).encode()).hexdigest() == (
+        "fef6bd3f80d5ca89278ca9768263a986faab55ba2f4660aedead9f874c5b8817"
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_rook_graph_matches_oracle(m, monkeypatch):
+    graphs = []
+    search = coloring._dsatur_search
+
+    def spy(graph, *args):
+        graphs.append(graph)
+        return search(graph, *args)
+
+    monkeypatch.setattr(coloring, "_dsatur_search", spy)
+    assert generic_complete(Grid.empty(m), m) is not None
+    row, col = (1 << m) - 1, sum(1 << (m * r) for r in range(m))
+    adj = tuple(
+        ((row << (m * r)) | (col << c)) & ~(1 << (m * r + c)) for r in range(m) for c in range(m)
+    )
+    [graph] = graphs
+    assert_matches_oracle(graph, adj)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_from_edges_matches_oracle(seed):
+    rng = random.Random(seed)
+    n = seed  # includes the empty graph and graphs with isolated vertices
+    edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(2 * n + 1))] if n >= 2 else []
+    graph = RemovalGraph.from_edges(n, edges)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if (u, v) in edges or (v, u) in edges:
+                adj[u] |= 1 << v
+    assert_matches_oracle(graph, tuple(adj))
+    assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
+
+
+def test_isolated_vertices_of_a_vital_subgraph():
+    # The two-cell blocks {(1,1),(2,2)} and {(3,3),(4,4)} share no row or
+    # column, so with the singletons gone both are isolated.
+    pairs = (((1, 1), (2, 2)), ((3, 3), (4, 4)))
+    singles = [((r, c),) for r in range(1, 5) for c in range(1, 5) if r != c]
+    part = ConstraintPartition(m=4, blocks=(pairs[0], *singles[:6], pairs[1], *singles[6:]))
+    graph = build_srg(part)
+    assert_matches_oracle(graph, oracle_adj(part))
+    vital = vital_subgraph(graph, part)
+    adj, vertex_block = oracle_vital_adj(graph, part)
+    assert adj == (0, 0)
+    assert_matches_oracle(vital, adj)
+    assert vital.vertex_block == vertex_block == (0, 7)
+
+
+def test_lines_are_not_part_of_equality():
+    triangle = RemovalGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    clique = RemovalGraph.from_lines(3, [(0, 1, 2)])
+    assert triangle.lines != clique.lines
+    assert triangle == clique
+    assert hash(triangle) == hash(clique)
+    assert triangle.neighbor_lists == clique.neighbor_lists == ((1, 2), (0, 2), (0, 1))
 
 
 def shares_line(block_a, block_b):
@@ -102,6 +266,16 @@ def test_row_clique_certifies_psk_lower_bound(psk8):
     graph = build_srg(part)
     clique = row_clique(graph, part)
     assert len(clique) == 8
+
+
+def test_certificate_names_the_first_non_adjacent_pair(qam4_partition, qam4_graph):
+    c = row_clique(qam4_graph, qam4_partition)
+    missing = ({c[2], c[3]}, {c[1], c[3]}, {c[1], c[2]})
+    broken = RemovalGraph.from_edges(
+        qam4_graph.n, [e for e in qam4_graph.edges() if set(e) not in missing]
+    )
+    with pytest.raises(CertificateMismatchError, match=f"^blocks {c[1]} and {c[2]} are not adjacent$"):
+        row_clique(broken, qam4_partition)
 
 
 def test_greedy_clique_bound_on_known_graph():
