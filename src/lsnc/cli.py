@@ -127,8 +127,9 @@ def _dump_json(obj: Any) -> str:
 
 def cmd_fade_states(args: argparse.Namespace) -> int:
     signal = from_spec(args.signal)
-    if signal.kind == "psk":
-        states = psk_singular_fade_states(signal.size)
+    m = signal.size
+    if signal.kind == "psk" and m >= 4 and not m & (m - 1):  # the closed form's range
+        states = psk_singular_fade_states(m)
     else:
         states = enumerate_singular_fade_states(signal)
     records = [

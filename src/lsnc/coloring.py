@@ -202,13 +202,15 @@ def exact_chromatic(
 ) -> ChromaticResult:
     """Chromatic number by DSATUR branch and bound.
 
-    `lower` seeds the lower bound (a greedy clique tightens it) and the
-    DSATUR greedy coloring the upper one.  If the node budget runs out, the
-    best coloring found so far is returned with optimal=False.
+    `lower` seeds the lower bound, and the largest line of the graph and a
+    greedy clique tighten it; the DSATUR greedy coloring seeds the upper
+    one.  If the node budget runs out, the best coloring found so far is
+    returned with optimal=False.
     """
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0)
-    lb = max(lower or 1, greedy_clique_lower_bound(graph))
+    widest = max((len(set(line)) for line in graph.lines), default=0)
+    lb = max(lower or 1, widest, greedy_clique_lower_bound(graph))
     best = greedy_color(graph).colors
     best_k = max(best)
     if best_k <= lb:

@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 from lsnc.errors import CompletionError, SearchBudgetExceeded
 
 if TYPE_CHECKING:
+    from collections import Counter
+
     from lsnc.constraint import ConstraintPartition
     from lsnc.coloring import Coloring
 
@@ -328,7 +330,8 @@ def generic_complete(
     Returns the completed grid, or None when completion is impossible.
     Cell order is most-constrained-first, then row-major; symbol order
     prefers the least used symbol (encouraging balanced squares), then the
-    smallest index.  Raises ValueError on a symbol outside 1..max_symbols
+    smallest index; of the unused symbols, which are interchangeable, only
+    the lowest is tried.  Raises ValueError on a symbol outside 1..max_symbols
     and SearchBudgetExceeded when the node budget runs out undecided.
     """
     # Imported here: lsnc.coloring imports this module.
@@ -350,11 +353,17 @@ def generic_complete(
         [tuple(range(r * m, (r + 1) * m)) for r in range(m)]
         + [tuple(range(c, m * m, m)) for c in range(m)],
     )
-    symbols = range(1, max_symbols + 1)
-    nodes, _ = _dsatur_search(
-        rook, cells, lambda _, uses: sorted(symbols, key=lambda s: (uses[s], s)), lambda _: True,
-        node_budget,
-    )
+
+    def order(_, uses: Counter) -> list[int]:
+        used = [s for _, s in sorted([(n, s) for s, n in uses.items() if n])]
+        if len(used) == max_symbols:
+            return used
+        fresh = 1
+        while uses.get(fresh):
+            fresh += 1
+        return [fresh, *used]
+
+    nodes, _ = _dsatur_search(rook, cells, order, lambda _: True, node_budget)
     if nodes > node_budget:
         raise SearchBudgetExceeded(f"completion budget {node_budget} exhausted")
     if not all(cells):

@@ -12,13 +12,13 @@ the union of a vertex's lines, computed once per graph and cached on it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from lsnc.constraint import ConstraintPartition, build_constraints
+from lsnc.constraint import ConstraintPartition, build_constraints, psk_constraints_closed_form
 from lsnc.errors import CertificateMismatchError
-from lsnc.fade_state import check_closed_form
 from lsnc.signal_set import SignalSet, make_square_qam
 
 __all__ = [
@@ -68,18 +68,6 @@ class RemovalGraph:
         return cls(
             n, tuple(masks), tuple(range(n)) if vertex_block is None else vertex_block, tuple(lines)
         )
-
-    @classmethod
-    def from_edges(cls, n: int, edges: list[tuple[int, int]]) -> RemovalGraph:
-        """Graph whose lines are `edges`; their two-vertex masks are set edge
-        by edge, cheaper than a bitmap per edge."""
-        masks = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, tuple(masks), tuple(range(n)), tuple(edges))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -142,7 +130,8 @@ def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> Remov
 
 
 def psk_vital_adjacency(m: int, k: int, l: int) -> RemovalGraph:
-    """Vital subgraph of the (k, l) representative of M-PSK, by closed form.
+    """Vital subgraph of the (k, l) representative of M-PSK, by closed form:
+    the removal graph of the closed-form constraints, vertex i being c_{i+1}.
 
     With k, l != M/2 there are 2M vertices (constraints c_1..c_2M): vertex i
     (0-indexed, i < M) is adjacent to i+-k, i+-l, M+i, M+(i+-k),
@@ -150,34 +139,7 @@ def psk_vital_adjacency(m: int, k: int, l: int) -> RemovalGraph:
     mirrors it.  With k or l = M/2 only M constraints exist and vertex i is
     adjacent to i+-p and i+M/2 for the non-M/2 parameter p.
     """
-    check_closed_form(m, k, l)
-    half = m // 2
-    edges: list[tuple[int, int]] = []
-    if k == half or l == half:
-        p = l if k == half else k
-        for i in range(m):
-            for j in ((i + p) % m, (i - p) % m, (i + half) % m):
-                edges.append((i, j))
-        return RemovalGraph.from_edges(m, [(u, v) for u, v in edges if u != v])
-    for i in range(m):
-        u = i
-        for j in ((i + k) % m, (i - k) % m, (i + l) % m, (i - l) % m):
-            edges.append((u, j))
-        for j in (
-            i,
-            (i + k) % m,
-            (i - k) % m,
-            (half + i + l) % m,
-            (half + i - l) % m,
-            (i + half) % m,
-        ):
-            edges.append((u, m + j))
-        u = m + i
-        for j in (i, (i + k) % m, (i - k) % m, (half + i + l) % m, (half + i - l) % m, (i + half) % m):
-            edges.append((u, j))
-        for j in ((i + k) % m, (i - k) % m, (i + l) % m, (i - l) % m):
-            edges.append((u, m + j))
-    return RemovalGraph.from_edges(2 * m, [(u, v) for u, v in edges if u != v])
+    return build_srg(psk_constraints_closed_form(m, k, l))
 
 
 # The eight singular fade states Theorem-1-style cliques cover, reachable
@@ -199,46 +161,34 @@ def qam_clique_certificate(m: int, s: complex = -1 - 1j) -> tuple[int, ...]:
 
     For s = -1-j the clique is the M blocks meeting row sqrt(M)+2 plus the
     block of cell (2, (M-sqrt(M)+2)/2); the other seven states of
-    QAM_CLIQUE_STATES reuse it through cell transforms.  Pairwise adjacency
-    is checked; a failure raises CertificateMismatchError.  Certifies
-    chi >= M+1, i.e. these states cost at least one extra symbol.
+    QAM_CLIQUE_STATES reuse it through the symmetry that carries -1-j
+    there.  Pairwise adjacency is checked; a failure raises
+    CertificateMismatchError.  Certifies chi >= M+1, i.e. these states cost
+    at least one extra symbol.
     """
     s_set = make_square_qam(m)
     side = math.isqrt(m)
     cells = [(side + 2, c) for c in range(1, m + 1)] + [(2, (m - side + 2) // 2)]
 
-    base = -1 - 1j
-    if min(abs(s - t) for t in QAM_CLIQUE_STATES) > 1e-9:
+    # The eight (conjugate, negate column, transpose) choices, applied in
+    # that order, carry -1-j onto the eight states; the cells move with it.
+    conj = _label_perm(s_set, lambda p: p.conjugate())
+    neg = _label_perm(s_set, lambda p: -p)
+    for do_conj, do_neg, do_transpose in itertools.product((False, True), repeat=3):
+        t, moved = -1 - 1j, cells
+        if do_conj:
+            t, moved = t.conjugate(), [(conj[r], conj[c]) for r, c in moved]
+        if do_neg:
+            t, moved = -t, [(r, neg[c]) for r, c in moved]
+        if do_transpose:
+            t, moved = 1 / t, [(c, r) for r, c in moved]
+        if abs(t - s) <= 1e-9:
+            break
+    else:
         raise ValueError(f"no clique certificate at fade state {s}")
-    # Decompose s as transforms of -1-j: transposition inverts, negation flips
-    # both sign components, conjugation flips the imaginary one.
-    transposed = abs(abs(s) - abs(base)) > 1e-9
-    pre = 1 / s if transposed else s  # one of the +-1+-j corners
-    chain = []
-    if round(pre.real) * round(pre.imag) < 0:
-        chain.append("conj")  # -1-j has positive sign product; conj flips it
-    if round(pre.real) > 0:
-        chain.append("neg")
-    if transposed:
-        chain.append("transpose")
-    cur = base
-    for op in chain:
-        cur = cur.conjugate() if op == "conj" else (-cur if op == "neg" else 1 / cur)
-    if abs(cur - s) > 1e-9:
-        raise CertificateMismatchError(f"no transform chain from {base} to {s}")
-
-    conj_perm = _label_perm(s_set, lambda p: p.conjugate())
-    neg_perm = _label_perm(s_set, lambda p: -p)
-    for op in chain:
-        if op == "conj":
-            cells = [(conj_perm[r], conj_perm[c]) for r, c in cells]
-        elif op == "neg":
-            cells = [(r, neg_perm[c]) for r, c in cells]
-        else:
-            cells = [(c, r) for r, c in cells]
 
     partition = build_constraints(s_set, s)
-    return _certified_clique(build_srg(partition), partition, cells)
+    return _certified_clique(build_srg(partition), partition, moved)
 
 
 def row_clique(graph: RemovalGraph, partition: ConstraintPartition) -> tuple[int, ...]:

@@ -82,6 +82,17 @@ def test_fade_states_json_schema(tmp_path, capsys):
     assert all(isinstance(r["k"], int) and isinstance(r["l"], int) for r in records)
 
 
+@pytest.mark.parametrize("m,count", [(2, 2), (3, 6), (6, 42)])
+def test_fade_states_of_psk_outside_the_closed_form(m, count, tmp_path, capsys):
+    # The closed form covers M a power of two >= 4; other PSK sets are
+    # enumerated by brute force and carry no (k, l).
+    out = tmp_path / "states.json"
+    assert main(["fade-states", "--signal", f"psk:{m}", "--json", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert len(records) == count
+    assert all(r["k"] is None and r["l"] is None for r in records)
+
+
 def test_constraints_json_blocks(capsys, qam4_partition):
     assert main(["constraints", "--signal", "qam:4", "--fade", "0.5+0.5j", "--json"]) == 0
     blocks = json.loads(capsys.readouterr().out)["blocks"]
@@ -103,7 +114,7 @@ def test_graph_exports_roundtrip(tmp_path, capsys, qam4_partition, qam4_graph):
     assert rc == 0
     assert capsys.readouterr().out == "vertices=12 edges=38\n"
     obj = json.loads(js.read_text())
-    rebuilt = RemovalGraph.from_edges(
+    rebuilt = RemovalGraph.from_lines(
         obj["n"], [(u - 1, v - 1) for u, v in obj["edges"]]
     )
     assert rebuilt.adj == qam4_graph.adj

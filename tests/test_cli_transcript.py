@@ -39,6 +39,8 @@ TRANSCRIPT = [
      "7692646bced5877abae4db0dfbbfb3a59705c77b23046337f976f62a26d258b9"),
     ("fade-states --signal pam:4",
      "672a53dffefcaccbb884ce4b3b826b2ea215b1e2c68809504df2f4a23ef8328f"),
+    ("fade-states --signal psk:6",
+     "eddba47a3719d07e8871a65319458e7e10165b02584e3e2bb5de4f0da7d1c5eb"),
     ("constraints --signal qam:4 --fade 0.5+0.5j",
      "e967bf5915d74a91cdd68a07d907e1f7b7e0c27ebbe87f5bc3e197277958b93e"),
     ("constraints --signal qam:4 --fade 0.5+0.5j --json",
@@ -67,6 +69,8 @@ TRANSCRIPT = [
      "ba596a4c23d34ce8b5e23b81426207a5d351281d35829b03944dec9106499520"),
     ("chromatic --signal qam:4 --fade psk:1,2",
      "ee6709799254860c0fd64c550f728293878b5690463a40fdee0f13e0329ca605"),
+    ("chromatic --signal qam:16 --fade 0.16666666666666666+0.8333333333333334j --budget 100000",
+     "6ea89e377c4c032d7bb89177cbffd8ec6fb2487e503a50dda26e780278ea2c8d"),
     ("latin --signal qam:4 --fade 0.5+0.5j",
      "fef7a42c40399e775caa5f5fe94d7d21d399c1d8be07a85082bcad1f47e98d80"),
     ("latin --signal qam:4 --fade 0.5+0.5j --json ls.json",

@@ -24,6 +24,7 @@ from lsnc import (
     verify_removes,
     xor_square,
 )
+from lsnc import coloring
 from lsnc.errors import CompletionError, SearchBudgetExceeded
 
 
@@ -217,6 +218,29 @@ class TestGenericComplete:
 
     def test_symbol_budget_below_order_returns_none(self):
         assert generic_complete(Grid.empty(4), 3) is None
+
+    def test_offers_only_the_lowest_unused_symbol(self, monkeypatch):
+        # Unused symbols are interchangeable: a cell is offered the lowest
+        # one, then the used ones by (uses, symbol).  So 9000 symbols on an
+        # empty 9x9 grid never make a list longer than 82.
+        offered = []
+        search = coloring._dsatur_search
+
+        def spy(graph, colors, order, on_leaf, budget):
+            def spied(used, uses):
+                out = list(order(used, uses))
+                offered.append((out, {s: n for s, n in uses.items() if n}))
+                return out
+
+            return search(graph, colors, spied, on_leaf, budget)
+
+        monkeypatch.setattr(coloring, "_dsatur_search", spy)
+        done = generic_complete(Grid.empty(9), 9000)
+        assert done is not None and verify_latin(done) and done.is_complete()
+        assert len(offered) == 81
+        for out, uses in offered:
+            fresh = next(s for s in itertools.count(1) if s not in uses)
+            assert out == [fresh, *sorted(uses, key=lambda s: (uses[s], s))]
 
     def test_symbol_above_symbol_count_is_rejected(self):
         g = Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])

@@ -77,6 +77,33 @@ def assert_matches_oracle(graph, adj, unpack=True):
         assert graph.neighbor_lists == tuple(tuple(bits(mask)) for mask in adj)
 
 
+def oracle_psk_vital_adj(m, k, l):
+    """Adjacency of the PSK vital subgraph, edge by edge from the closed-form
+    formula in psk_vital_adjacency's docstring."""
+    half = m // 2
+    edges = []
+    if k == half or l == half:
+        p = l if k == half else k
+        for i in range(m):
+            for j in ((i + p) % m, (i - p) % m, (i + half) % m):
+                edges.append((i, j))
+        n = m
+    else:
+        for i in range(m):
+            offsets = (i, (i + k) % m, (i - k) % m, (half + i + l) % m, (half + i - l) % m, (i + half) % m)
+            for j in ((i + k) % m, (i - k) % m, (i + l) % m, (i - l) % m):
+                edges += [(i, j), (m + i, m + j)]
+            for j in offsets:
+                edges += [(i, m + j), (m + i, j)]
+        n = 2 * m
+    masks = [0] * n
+    for u, v in edges:
+        if u != v:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return tuple(masks)
+
+
 def oracle_greedy_clique(graph):
     if graph.n == 0:
         return 0
@@ -145,10 +172,11 @@ def test_rook_graph_matches_oracle(m, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_from_edges_matches_oracle(seed):
+    # An edge is a two-vertex line.
     rng = random.Random(seed)
     n = seed  # includes the empty graph and graphs with isolated vertices
     edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(2 * n + 1))] if n >= 2 else []
-    graph = RemovalGraph.from_edges(n, edges)
+    graph = RemovalGraph.from_lines(n, edges)
     adj = [0] * n
     for u in range(n):
         for v in range(n):
@@ -174,7 +202,7 @@ def test_isolated_vertices_of_a_vital_subgraph():
 
 
 def test_lines_are_not_part_of_equality():
-    triangle = RemovalGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    triangle = RemovalGraph.from_lines(3, [(0, 1), (1, 2), (0, 2)])
     clique = RemovalGraph.from_lines(3, [(0, 1, 2)])
     assert triangle.lines != clique.lines
     assert triangle == clique
@@ -240,6 +268,21 @@ def test_closed_form_adjacency_matches_brute(m, k, l, request):
     assert cf_edges == brute_edges
 
 
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_psk_vital_adjacency_matches_edge_oracle(m):
+    reps = psk_representatives(m)
+    for fs in reps[::8] if m == 64 else reps:
+        graph = psk_vital_adjacency(m, fs.k, fs.l)
+        assert_matches_oracle(graph, oracle_psk_vital_adj(m, fs.k, fs.l))
+        assert graph.vertex_block == tuple(range(graph.n))
+
+
+@pytest.mark.parametrize("m,k,l", [(4, 1, 2), (8, 3, 3), (12, 1, 2), (8, 0, 1), (8, 1, 5)])
+def test_psk_vital_adjacency_rejects_bad_parameters(m, k, l):
+    with pytest.raises(ValueError):
+        psk_vital_adjacency(m, k, l)
+
+
 class TestQamClique:
     def test_m4_size_five(self):
         assert len(qam_clique_certificate(4, -1 - 1j)) == 5
@@ -257,8 +300,19 @@ class TestQamClique:
                 assert graph.has_edge(u, v)
 
     def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^no clique certificate at fade state"):
             qam_clique_certificate(4, 2 + 3j)
+
+    def test_cliques_match_golden_hash(self):
+        # Taken from the conj/neg/transpose chain the symmetry loop replaced.
+        lines = [
+            f"{m} {s} {' '.join(map(str, qam_clique_certificate(m, s)))}\n"
+            for m in (4, 16, 64)
+            for s in QAM_CLIQUE_STATES
+        ]
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "04680954a66d08dcb8cfbf1827316b2359641148d973075cf2c61e9540559f65"
+        )
 
 
 def test_row_clique_certifies_psk_lower_bound(psk8):
@@ -271,7 +325,7 @@ def test_row_clique_certifies_psk_lower_bound(psk8):
 def test_certificate_names_the_first_non_adjacent_pair(qam4_partition, qam4_graph):
     c = row_clique(qam4_graph, qam4_partition)
     missing = ({c[2], c[3]}, {c[1], c[3]}, {c[1], c[2]})
-    broken = RemovalGraph.from_edges(
+    broken = RemovalGraph.from_lines(
         qam4_graph.n, [e for e in qam4_graph.edges() if set(e) not in missing]
     )
     with pytest.raises(CertificateMismatchError, match=f"^blocks {c[1]} and {c[2]} are not adjacent$"):
@@ -281,7 +335,7 @@ def test_certificate_names_the_first_non_adjacent_pair(qam4_partition, qam4_grap
 def test_greedy_clique_bound_on_known_graph():
     # K4 plus a pendant vertex
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
-    g = RemovalGraph.from_edges(5, edges)
+    g = RemovalGraph.from_lines(5, edges)
     assert greedy_clique_lower_bound(g) == 4
 
 
