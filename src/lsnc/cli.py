@@ -94,10 +94,13 @@ def _partition(args: argparse.Namespace) -> ConstraintPartition:
 
 
 def _chromatic(graph: RemovalGraph, budget: int) -> ChromaticResult | None:
-    """exact_chromatic within `budget`; None, after reporting its bound, if not optimal."""
+    """exact_chromatic within `budget`; None, after reporting its bounds, if not optimal."""
     result = exact_chromatic(graph, node_budget=budget)
     if not result.optimal:
-        print(f"budget exhausted; best upper bound {result.chi}", file=sys.stderr)
+        print(
+            f"budget exhausted; chi in [{result.lower}, {result.chi}] after {result.nodes} nodes",
+            file=sys.stderr,
+        )
         return None
     return result
 

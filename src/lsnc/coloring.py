@@ -5,17 +5,23 @@ assignments, so the chromatic number is the minimum symbol count of a
 Latin Square removing the fade state.
 
 Every search here, and Latin completion in `lsnc.latin`, runs one
-backtracking kernel over the graph's bitmask adjacency with a bitmask of
-neighbor colors per vertex.  It colors next the uncolored vertex with the
-most distinct neighbor colors, then the highest degree, then the lowest
-index; the caller sets which colors to try there, in what order, and what
-to do at a full coloring.  Greedy DSATUR is the kernel's first full
-coloring, the chromatic number its best one, and an extension its first
-one that keeps the given colors.
+backtracking kernel.  It colors next the uncolored vertex with the most
+distinct neighbor colors, then the highest degree, then the lowest index;
+the caller sets which colors to try there, in what order, and what to do at
+a full coloring.  Greedy DSATUR is the kernel's first full coloring, the
+chromatic number its best one, and an extension its first one that keeps
+the given colors.
+
+The kernel's state is bitmasks over ranks, the vertices numbered by
+(degree descending, index ascending) so that ties go to the lowest rank:
+the uncolored vertices, for each color the vertices next to it, and for
+each saturation the uncolored vertices at that level.  Coloring a vertex
+moves the newly saturated part of its neighborhood up one level as whole
+masks; no step walks a neighbor list.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -46,10 +52,15 @@ class Coloring:
 
 @dataclass(frozen=True)
 class ChromaticResult:
+    """The best coloring found and its color count `chi`.  `lower` is the
+    lower bound the search started from; when not `optimal`, the chromatic
+    number lies in [lower, chi]."""
+
     chi: int
     coloring: Coloring
     optimal: bool
     nodes: int
+    lower: int
 
 
 def verify_proper(graph: RemovalGraph, coloring: Coloring) -> bool:
@@ -95,46 +106,60 @@ def _dsatur_search(
 
     The vertex entered is the uncolored one with the most distinct neighbor
     colors (its saturation), then the highest degree, then the lowest index.
-    It is found without scanning the uncolored vertices.  The vertices are
-    numbered once by (degree descending, index ascending), and level[s] is a
-    bitmask, in that numbering, of the uncolored vertices of saturation s,
-    so the vertex entered is the lowest set bit of the highest nonempty
-    level.  Coloring a vertex moves each uncolored neighbor that gains a
-    color up one level, and undoing the color moves the same neighbors back
-    down, so a step costs O(degree) rather than O(n).
+    All state is bitmasks over ranks, the vertices numbered by (degree
+    descending, index ascending) as in `RemovalGraph.ranks`:
+    - near[c] holds the vertices with a neighbor colored c, so c is free at
+      v iff v's bit is clear in near[c];
+    - level[s] holds the uncolored vertices of saturation s, so the vertex
+      entered is the lowest set bit of the highest nonempty level.
+    Coloring v with c raises R = rank_adj[v] & uncolored & ~near[c] one
+    level: walking from v's entry level, the highest nonempty one, down to
+    0, each level's part of R moves up, until R is empty.  Undoing the color
+    restores near[c] and moves R back down, walking up from level 1.  No
+    step visits a neighbor on its own.
     """
-    nbrs = graph.neighbor_lists
-    by_rank = sorted(range(graph.n), key=lambda v: (-len(nbrs[v]), v))
-    rank_bit = [0] * graph.n
-    for r, v in enumerate(by_rank):
-        rank_bit[v] = 1 << r
-    seen = [0] * graph.n  # bit c set: a colored neighbor has color c
+    by_rank, rank_adj = graph.ranks
     uses: Counter = Counter()
-    for v, c in enumerate(colors):
+    near: defaultdict[int, int] = defaultdict(int)
+    uncolored = 0
+    for r, v in enumerate(by_rank):
+        c = colors[v]
         if c:
             uses[c] += 1
-            for u in nbrs[v]:
-                seen[u] |= 1 << c
-    sat = [mask.bit_count() for mask in seen]  # saturation of each vertex
+            near[c] |= rank_adj[r]
+        else:
+            uncolored |= 1 << r
     # Saturation is at most the degree, and `top` may run one level above
     # the highest nonempty one.
-    level = [0] * (max(map(len, nbrs), default=0) + 2)
-    free = 0  # number of uncolored vertices not on the stack
-    for v, c in enumerate(colors):
-        if not c:
-            level[sat[v]] |= rank_bit[v]
-            free += 1
+    level = [0] * (max(map(int.bit_count, rank_adj), default=0) + 2)
+
+    def shift(rest: int, s: int, d: int) -> None:
+        """Move the vertices of `rest` from their level to the level d
+        above it, visiting levels s, s - d, ... until none is left."""
+        while rest:
+            moved = level[s] & rest
+            if moved:
+                level[s] ^= moved
+                level[s + d] |= moved
+                rest ^= moved
+            s -= d
+
+    # Each color of the partial coloring raises the uncolored vertices it is
+    # near; after j colors no saturation exceeds j or the degree.
+    level[0] = uncolored
+    for j, mask in enumerate(near.values()):
+        shift(mask & uncolored, min(j, len(level) - 2), 1)
     top = len(level) - 1  # no nonempty level lies above it
     # An explicit stack, so depth is not bounded by the recursion limit.  One
-    # frame per vertex the search has colored, deepest last: [vertex, colors
-    # left to try, `used` before it, uncolored neighbors its color raised].
-    # A colored vertex's `seen` and saturation stay as they were when it was
-    # entered, since no vertex entered later changes them.
+    # frame per vertex the search has colored, deepest last: [vertex, its
+    # rank bit, its rank adjacency, colors left to try, `used` before it, its
+    # entry level, its color, the vertices that color raised, near[color]
+    # before it].
     stack: list[list] = []
     used = max(colors, default=0)
     nodes = 0
     while True:
-        if not free:
+        if not uncolored:
             if on_leaf(used):
                 return nodes, False
         elif nodes > budget:
@@ -142,46 +167,40 @@ def _dsatur_search(
         else:
             while not level[top]:
                 top -= 1
-            low = level[top] & -level[top]
-            level[top] ^= low
-            free -= 1
-            stack.append([by_rank[low.bit_length() - 1], iter(order(used, uses)), used, ()])
+            vbit = level[top] & -level[top]
+            level[top] ^= vbit
+            uncolored ^= vbit
+            r = vbit.bit_length() - 1
+            todo = iter(order(used, uses))
+            stack.append([by_rank[r], vbit, rank_adj[r], todo, used, top, 0, 0, 0])
         # Move to the next untried color of the deepest vertex that has one.
         while stack:
             frame = stack[-1]
-            v, todo, used, raised = frame
-            if colors[v]:
-                uses[colors[v]] -= 1
-                bit = 1 << colors[v]
+            v, vbit, adj, todo, used, entry, c, raised, old = frame
+            if c:
+                uses[c] -= 1
                 colors[v] = 0
-                for u in raised:
-                    seen[u] ^= bit
-                    s = sat[u]
-                    sat[u] = s - 1
-                    level[s] ^= rank_bit[u]
-                    level[s - 1] |= rank_bit[u]
-            c = next((c for c in todo if not seen[v] & 1 << c), 0)
+                near[c] = old
+                shift(raised, 1, -1)
+            c = next((c for c in todo if not near[c] & vbit), 0)
             if c:
                 break
             stack.pop()
-            level[sat[v]] |= rank_bit[v]
-            free += 1
+            level[entry] |= vbit
+            uncolored |= vbit
         else:
             return nodes, False
         nodes += 1
         colors[v] = c
         uses[c] += 1
-        bit = 1 << c
-        frame[3] = raised = [u for u in nbrs[v] if not (colors[u] or seen[u] & bit)]
-        for u in raised:
-            seen[u] |= bit
-            s = sat[u]
-            sat[u] = s + 1
-            level[s] ^= rank_bit[u]
-            level[s + 1] |= rank_bit[u]
-        # v was entered from the highest nonempty level, sat[v]; a coloring
-        # step raises a saturation by at most one.
-        top = sat[v] + 1
+        old = near[c]
+        near[c] = old | adj
+        raised = adj & uncolored & ~old
+        frame[6:] = c, raised, old
+        # v was entered from the highest nonempty level; a coloring step
+        # raises a saturation by at most one.
+        shift(raised, entry, 1)
+        top = entry + 1
         used = max(used, c)
 
 
@@ -208,13 +227,13 @@ def exact_chromatic(
     returned with optimal=False.
     """
     if graph.n == 0:
-        return ChromaticResult(0, Coloring(()), True, 0)
+        return ChromaticResult(0, Coloring(()), True, 0, 0)
     widest = max((len(set(line)) for line in graph.lines), default=0)
     lb = max(lower or 1, widest, greedy_clique_lower_bound(graph))
     best = greedy_color(graph).colors
     best_k = max(best)
     if best_k <= lb:
-        return ChromaticResult(best_k, Coloring(best), True, 0)
+        return ChromaticResult(best_k, Coloring(best), True, 0, lb)
 
     colors = [0] * graph.n
 
@@ -228,7 +247,7 @@ def exact_chromatic(
     nodes, exhausted = _dsatur_search(
         graph, colors, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf, node_budget
     )
-    return ChromaticResult(best_k, Coloring(best), not exhausted, nodes)
+    return ChromaticResult(best_k, Coloring(best), not exhausted, nodes, lb)
 
 
 def extend_coloring(

@@ -7,8 +7,9 @@ union of 2M cliques ("lines"), one per row label and one per column label,
 each holding the blocks that meet it.  A graph keeps the lines it was built
 from: adjacency is one bitmask per vertex, the OR of its lines' bitmaps
 (the graphs are small, n <= M^2, and coloring searches hammer edge
-queries), and the neighbor lists that searches and edge listings walk are
-the union of a vertex's lines, computed once per graph and cached on it.
+queries).  Searches read the same masks in a second numbering, by degree
+descending then index ascending, built once per graph from the renumbered
+lines and cached on it; neighbor and edge listings unpack the masks.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, Sequence
 
 from lsnc.constraint import ConstraintPartition, build_constraints, psk_constraints_closed_form
 from lsnc.errors import CertificateMismatchError
@@ -48,26 +50,9 @@ class RemovalGraph:
     def from_lines(
         cls, n: int, lines: list[tuple[int, ...]], vertex_block: tuple[int, ...] | None = None
     ) -> RemovalGraph:
-        """Graph whose cliques are `lines`: each line's bitmap is built once
-        and ORed into the mask of every vertex on it."""
-        masks = [0] * n
-        size = (n + 7) // 8
-        for line in lines:
-            buf = bytearray(size)
-            for v in line:
-                buf[v >> 3] |= 1 << (v & 7)
-            bits = int.from_bytes(buf, "little")
-            for v in line:
-                mask = masks[v]
-                masks[v] = mask | bits if mask else bits
-        # A vertex on any line has its own bit set; one on none has mask 0.
-        # Cleared in place, so no second set of n masks is ever alive.
-        for v, mask in enumerate(masks):
-            if mask:
-                masks[v] = mask ^ (1 << v)
-        return cls(
-            n, tuple(masks), tuple(range(n)) if vertex_block is None else vertex_block, tuple(lines)
-        )
+        """Graph whose cliques are `lines`."""
+        vertex_block = tuple(range(n)) if vertex_block is None else vertex_block
+        return cls(n, _line_masks(n, lines), vertex_block, tuple(lines))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -76,29 +61,64 @@ class RemovalGraph:
         return self.adj[v].bit_count()
 
     @cached_property
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending neighbors of every vertex: the union of its lines, less
-        the vertex itself, computed once."""
-        lines_of: list[list[tuple[int, ...]]] = [[] for _ in range(self.n)]
-        for line in self.lines:
-            for v in line:
-                lines_of[v].append(line)
-        out = []
-        for v, lines in enumerate(lines_of):
-            near = set().union(*lines)
-            near.discard(v)
-            out.append(tuple(sorted(near)))
-        return tuple(out)
+    def ranks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(by_rank, rank_adj): the vertices by degree descending, then index
+        ascending, and the adjacency masks in that numbering, rank_adj[r]
+        holding bit q when by_rank[r] and by_rank[q] are adjacent.  Built
+        once, from the lines renumbered into ranks."""
+        degree = [mask.bit_count() for mask in self.adj]
+        by_rank = sorted(range(self.n), key=lambda v: (-degree[v], v))
+        rank_of = [0] * self.n
+        for r, v in enumerate(by_rank):
+            rank_of[v] = r
+        lines = [[rank_of[v] for v in line] for line in self.lines]
+        return tuple(by_rank), _line_masks(self.n, lines)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.neighbor_lists[v]
+        """Ascending neighbors of v, unpacked from its mask."""
+        return _bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, ns in enumerate(self.neighbor_lists) for v in ns if u < v]
+        """Edges (u, v), u < v, in ascending order."""
+        return [(u, u + 1 + i) for u, mask in enumerate(self.adj) for i in _bits(mask >> (u + 1))]
 
     @property
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.adj)) // 2
+
+
+def _line_masks(n: int, lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Adjacency masks of the union of the cliques `lines` on n vertices:
+    each line's bitmap is built once and ORed into the mask of every vertex
+    on it."""
+    masks = [0] * n
+    size = (n + 7) // 8
+    for line in lines:
+        buf = bytearray(size)
+        for v in line:
+            buf[v >> 3] |= 1 << (v & 7)
+        bits = int.from_bytes(buf, "little")
+        for v in line:
+            mask = masks[v]
+            masks[v] = mask | bits if mask else bits
+    # A vertex on any line has its own bit set; one on none has mask 0.
+    # Cleared in place, so no second set of n masks is ever alive.
+    for v, mask in enumerate(masks):
+        if mask:
+            masks[v] = mask ^ (1 << v)
+    return tuple(masks)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Set bits of `mask`, ascending: the places of the 1s in its binary
+    digits, least significant first, found by str.find."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return tuple(out)
 
 
 def build_srg(partition: ConstraintPartition) -> RemovalGraph:
@@ -224,17 +244,17 @@ def _certified_clique(
 
 
 def greedy_clique_lower_bound(graph: RemovalGraph) -> int:
-    """Size of a maximal clique grown greedily from a highest-degree seed."""
+    """Size of a maximal clique grown greedily: from the vertex of highest
+    degree, then lowest index, each step adds the candidate first in that
+    order and keeps only its neighbors as candidates.  In rank numbering the
+    vertex added is the lowest set bit of the candidate mask."""
     if graph.n == 0:
         return 0
-    seed = max(range(graph.n), key=lambda v: (graph.degree(v), -v))
-    clique = [seed]
-    cand = graph.neighbors(seed)
+    _, rank_adj = graph.ranks
+    size, cand = 1, rank_adj[0]
     while cand:
-        v = max(cand, key=lambda v: (graph.degree(v), -v))
-        clique.append(v)
-        cand = [u for u in cand if graph.has_edge(v, u)]
-    return len(clique)
+        size, cand = size + 1, cand & rank_adj[(cand & -cand).bit_length() - 1]
+    return size
 
 
 def to_dot(graph: RemovalGraph) -> str:

@@ -66,7 +66,7 @@ TRANSCRIPT = [
     ("chromatic --signal psk:8 --fade psk:1,3 --vital-only",
      "4b4a216ae11395453bab9021eb96998e54add73f68f0a52148cdca00f58da300"),
     ("chromatic --signal qam:16 --fade 0.5+2.5j --budget 5",
-     "ba596a4c23d34ce8b5e23b81426207a5d351281d35829b03944dec9106499520"),
+     "38f9304a4502b71d3a153b4e27c2d626914c5be756c30762c77c0dde456a6737"),
     ("chromatic --signal qam:4 --fade psk:1,2",
      "ee6709799254860c0fd64c550f728293878b5690463a40fdee0f13e0329ca605"),
     ("chromatic --signal qam:16 --fade 0.16666666666666666+0.8333333333333334j --budget 100000",
@@ -78,7 +78,7 @@ TRANSCRIPT = [
     ("latin --signal pam:4 --fade -2",
      "b632e861bfdac89b762913a9cd2ff812acfacf5b1f9d1a2545ff86f910908825"),
     ("latin --signal qam:16 --fade 0.5+2.5j --budget 5",
-     "ba596a4c23d34ce8b5e23b81426207a5d351281d35829b03944dec9106499520"),
+     "38f9304a4502b71d3a153b4e27c2d626914c5be756c30762c77c0dde456a6737"),
     ("verify --latin good.json --signal custom:@qam8.json --fade -0.5-0.5j",
      "4b710a2b0d9f269348e5bc086fb39a90cd34b1ad8cd5f82a22634d21ef87f51c"),
     ("verify --latin bad.json --signal custom:@qam8.json --fade -0.5-0.5j",

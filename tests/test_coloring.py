@@ -301,6 +301,37 @@ def test_kernel_matches_scanning_reference(seed, order):
         )
 
 
+@pytest.mark.parametrize("row1", [False, True], ids=["empty", "row1"])
+@pytest.mark.parametrize("fade", [0.5 - 2.5j, -1 - 1j, -3 + 0j, -0.5 - 0.5j])
+def test_kernel_matches_scanning_reference_on_qam16(qam16, fade, row1):
+    # Real-size graphs: up to 220 vertices, so rank masks wider than 200
+    # bits, and degrees up to 64, so more than 16 saturation levels.
+    part = build_constraints(qam16, fade)
+    graph = build_srg(part)
+    precolored = [0] * graph.n
+    if row1:
+        for c in range(1, 17):
+            precolored[part.block_of((1, c))] = c
+    orders = (ORDERS["greedy"], lambda *_: range(1, 17), ORDERS["least-used"])
+    for order in orders:
+        args = (graph, precolored, order, 10**9, 300)
+        assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
+            scan_dsatur_search, *args
+        )
+
+
+def test_kernel_with_more_given_colors_than_levels():
+    # Six disjoint edges, one end of each given its own color: six colors
+    # reach uncolored vertices, but degree 1 allows only three levels.
+    graph = RemovalGraph.from_lines(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    precolored = [0 if v % 2 else v // 2 + 1 for v in range(12)]
+    for order in ORDERS.values():
+        args = (graph, precolored, order, 10**9, 10**6)
+        assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
+            scan_dsatur_search, *args
+        )
+
+
 @pytest.mark.parametrize("budget", [0, 5, 60, 10**6])
 def test_exact_chromatic_matches_scanning_reference(budget, monkeypatch, qam4):
     graphs = [random_graph(14, 0.5, seed) for seed in range(6)]

@@ -68,13 +68,26 @@ def oracle_vital_adj(graph, partition):
 
 def assert_matches_oracle(graph, adj, unpack=True):
     """`graph` has the adjacency `adj` and, when `unpack` is set, the
-    neighbor lists `bits` unpacks from it.  Unpacking costs about half a
-    microsecond a neighbor, so the largest graphs are unpacked in a sample."""
+    neighbors and edges `bits` unpacks from it.  Unpacking costs about half
+    a microsecond a neighbor, so the largest graphs are unpacked in a
+    sample."""
     assert graph.n == len(adj)
     assert graph.adj == adj
     assert graph.edge_count == sum(bin(mask).count("1") for mask in adj) // 2
     if unpack:
-        assert graph.neighbor_lists == tuple(tuple(bits(mask)) for mask in adj)
+        expected = tuple(tuple(bits(mask)) for mask in adj)
+        assert tuple(graph.neighbors(v) for v in range(graph.n)) == expected
+        assert graph.edges() == [(u, v) for u, ns in enumerate(expected) for v in ns if u < v]
+
+
+def assert_ranks_match(graph):
+    """`graph.ranks` numbers the vertices by (degree descending, index
+    ascending), and rank q is in rank r's mask iff their vertices are
+    adjacent."""
+    by_rank, rank_adj = graph.ranks
+    assert list(by_rank) == sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    for v, mask in zip(by_rank, rank_adj):
+        assert sorted(by_rank[q] for q in bits(mask)) == bits(graph.adj[v])
 
 
 def oracle_psk_vital_adj(m, k, l):
@@ -105,14 +118,18 @@ def oracle_psk_vital_adj(m, k, l):
 
 
 def oracle_greedy_clique(graph):
+    """The list-based greedy clique the rank-mask one replaced: candidate
+    lists filtered edge by edge, the next vertex chosen by a scan."""
     if graph.n == 0:
         return 0
     seed = max(range(graph.n), key=lambda v: (graph.degree(v), -v))
-    size, cand = 1, graph.adj[seed]
+    clique = [seed]
+    cand = graph.neighbors(seed)
     while cand:
-        v = max(bits(cand), key=lambda v: (graph.degree(v), -v))
-        size, cand = size + 1, cand & graph.adj[v]
-    return size
+        v = max(cand, key=lambda v: (graph.degree(v), -v))
+        clique.append(v)
+        cand = [u for u in cand if graph.has_edge(v, u)]
+    return len(clique)
 
 
 def test_qam16_graphs_match_oracle(qam16):
@@ -121,6 +138,10 @@ def test_qam16_graphs_match_oracle(qam16):
         graph = build_srg(part)
         assert_matches_oracle(graph, oracle_adj(part))
         assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
+        vital = vital_subgraph(graph, part)
+        assert greedy_clique_lower_bound(vital) == oracle_greedy_clique(vital)
+        assert_ranks_match(graph)
+        assert_ranks_match(vital)
 
 
 @pytest.mark.parametrize("m", [16, 32])
@@ -183,6 +204,19 @@ def test_from_edges_matches_oracle(seed):
             if (u, v) in edges or (v, u) in edges:
                 adj[u] |= 1 << v
     assert_matches_oracle(graph, tuple(adj))
+    assert_ranks_match(graph)
+    assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_greedy_clique_matches_oracle_on_random_lines(seed):
+    # Random cliques of random sizes, so degrees tie and cliques overlap.
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    sizes = [rng.randint(1, min(n, 8)) for _ in range(rng.randrange(3 * n))]
+    lines = [tuple(rng.sample(range(n), k)) for k in sizes]
+    graph = RemovalGraph.from_lines(n, lines)
+    assert_ranks_match(graph)
     assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
 
 
@@ -207,7 +241,9 @@ def test_lines_are_not_part_of_equality():
     assert triangle.lines != clique.lines
     assert triangle == clique
     assert hash(triangle) == hash(clique)
-    assert triangle.neighbor_lists == clique.neighbor_lists == ((1, 2), (0, 2), (0, 1))
+    for graph in (triangle, clique):
+        assert tuple(map(graph.neighbors, range(3))) == ((1, 2), (0, 2), (0, 1))
+        assert graph.edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 def shares_line(block_a, block_b):
