@@ -1,12 +1,17 @@
-"""Tolerance-based clustering of complex values.
+"""Exact cyclotomic integers, and tolerance-based clustering of complex values.
 
 Square-QAM and PAM constellations live on the Gaussian integers, so at a
 rational fade state their superposed values are grouped exactly, on
-integer keys (`lsnc.constraint.superpose`).  PSK points are irrational;
-those, and any irrational fade, go through this floating-point clustering
-instead.
+integer keys (`lsnc.constraint.superpose`).  M-PSK points are powers of
+zeta = e^{j*pi/M} and live in Z[zeta]; at a fade that denotes a ratio of
+two binomials zeta^a - zeta^b (every singular state does) their values are
+grouped exactly too, on the packed vectors of `zeta_powers`.  Custom sets
+off the integer grid, and fades that denote no such number, go through
+the floating-point clustering of `cluster_complex`.
 """
 from __future__ import annotations
+
+from functools import cache
 
 from lsnc.errors import AmbiguousGroupingError
 
@@ -65,3 +70,46 @@ def cluster_complex(values: list[complex]) -> list[list[int]]:
             reps.append(v)
             groups.append([idx])
     return groups
+
+
+@cache
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first:
+    x^n - 1 divided by the cyclotomic polynomials of n's proper divisors."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            div = _cyclotomic(d)
+            # long division by the monic `div`; the remainder is zero
+            quot = [0] * (len(poly) - len(div) + 1)
+            for i in reversed(range(len(quot))):
+                quot[i] = c = poly[i + len(div) - 1]
+                for j, dj in enumerate(div):
+                    poly[i + j] -= c * dj
+            poly = quot
+    return tuple(poly)
+
+
+@cache
+def zeta_powers(m: int) -> tuple[int, ...]:
+    """zeta^e for e = 0..2M-1, zeta = e^{j*pi/M}, each packed into one int.
+
+    zeta^e is an integer vector over 1, zeta, ..., zeta^{phi(2M)-1}, reduced
+    mod the cyclotomic polynomial Phi_2M (x^M + 1 when M is a power of two).
+    Its coefficients are packed as signed digits of `width` bits, the sum of
+    c_i * 2^(width*i), so adding packed ints adds the vectors.  The width
+    leaves room for any signed sum of four powers: with every |c_i| <= h,
+    such a sum has digits of size at most 4h < 2^(width-1), and balanced
+    digits that small are unique, so two such sums are equal ints exactly
+    when they are equal elements of Z[zeta].
+    """
+    phi = _cyclotomic(2 * m)
+    vec = [1] + [0] * (len(phi) - 2)
+    vecs = []
+    for _ in range(2 * m):
+        vecs.append(vec)
+        # times zeta: shift up, then replace zeta^deg by -(phi - zeta^deg)
+        top, vec = vec[-1], [0] + vec[:-1]
+        vec = [c - top * p for c, p in zip(vec, phi)]
+    width = (8 * max(abs(c) for v in vecs for c in v)).bit_length()
+    return tuple(sum(c << (width * i) for i, c in enumerate(v)) for v in vecs)

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from lsnc._numeric import cluster_complex
-from lsnc.fade_state import FadeState, as_exact_ratio, check_closed_form
+from lsnc._numeric import cluster_complex, zeta_powers
+from lsnc.fade_state import FadeState, as_exact_ratio, as_psk_ratio, check_closed_form
 from lsnc.latin import Grid
-from lsnc.signal_set import SignalSet
+from lsnc.signal_set import SignalSet, make_psk
 
 __all__ = ["ConstraintPartition", "build_constraints", "constrained_pls", "psk_constraints_closed_form"]
 
@@ -47,19 +47,28 @@ class ConstraintPartition:
         raise KeyError(f"cell {cell} not in any block")
 
 
-def superpose(s_set: SignalSet, s: complex | FadeState) -> tuple[dict[tuple, list[Cell]], int]:
+def superpose(
+    s_set: SignalSet, s: complex | FadeState
+) -> tuple[dict[object, list[Cell]], int | None]:
     """Cells of S x S grouped by the value of x_A + s*x_B.
 
-    Returns (groups, den): the cells of the group keyed (re, im) share the
-    value complex(re / den, im / den).  Groups come in order of their first
-    cell and hold their cells in row-major order.  Grouping is exact
-    whenever the signal set lives on the integer grid and s denotes a small
-    rational.  Otherwise it is by floating-point clustering, den is 1 and a
-    key is its group's first value, which the others match within MERGE_TOL.
+    Returns (groups, den).  Groups come in order of their first cell and
+    hold their cells in row-major order.  Grouping is exact in two cases:
+
+    - The signal set lives on the integer grid and s denotes a small
+      rational.  The cells of the group keyed (re, im) share the value
+      complex(re / den, im / den).
+    - The signal set is `psk:M` and s denotes a ratio of two binomials
+      zeta^a - zeta^b, zeta = e^{j*pi/M} (see `as_psk_ratio`; every
+      singular state does).  Keys are packed elements of Z[zeta]
+      (`zeta_powers`) and den is None.
+
+    Otherwise grouping is by floating-point clustering, den is 1 and a key
+    is its group's first value, which the others match within MERGE_TOL.
     """
     m = s_set.size
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
-    groups: dict[tuple, list[Cell]] = {}
+    groups: dict[object, list[Cell]] = {}
     if g is not None:
         # With integer points and g = (a + bj)/d, the key d*x_A + (a + bj)*x_B
         # is x_A + g*x_B scaled by d: cells share a key exactly when they
@@ -72,6 +81,21 @@ def superpose(s_set: SignalSet, s: complex | FadeState) -> tuple[dict[tuple, lis
             for c, (ur, ui) in enumerate(g_col, 1):
                 groups.setdefault((dxr + ur, dxi + ui), []).append((r, c))
         return groups, d
+    is_psk = s_set.kind == "psk" and s_set.points == make_psk(m).points
+    ratio = as_psk_ratio(m, s) if is_psk else None
+    if ratio is not None:
+        # s = zeta^e * d_u / d_t with d_k = zeta^k - zeta^-k, and point i is
+        # zeta^(2i-1), so the key d_t*x_A + zeta^e*d_u*x_B is x_A + s*x_B
+        # scaled by d_t.  A row's part plus a column's part is a signed sum
+        # of four powers of zeta, which `zeta_powers` keys exactly.
+        e, u, t = ratio
+        pw, n = zeta_powers(m), 2 * m
+        rows = [pw[(i + t) % n] - pw[(i - t) % n] for i in range(1, n, 2)]
+        cols = [pw[(i + e + u) % n] - pw[(i + e - u) % n] for i in range(1, n, 2)]
+        for r, rk in enumerate(rows, 1):
+            for c, ck in enumerate(cols, 1):
+                groups.setdefault(rk + ck, []).append((r, c))
+        return groups, None
     sv = complex(s)
     cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
     supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]

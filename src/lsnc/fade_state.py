@@ -7,11 +7,14 @@ the ratios -(x_A - x_A')/(x_B - x_B') over pairs of constellation points.
 """
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from lsnc._numeric import cluster_complex
+from lsnc._numeric import cluster_complex, zeta_powers
 from lsnc.signal_set import SignalSet
 
 __all__ = [
@@ -83,6 +86,59 @@ def as_exact_ratio(s: complex | FadeState) -> tuple[int, int, int] | None:
     # denominators the triple is already reduced.
     q = math.lcm(fr.denominator, fi.denominator)
     return fr.numerator * (q // fr.denominator), fi.numerator * (q // fi.denominator), q
+
+
+@cache
+def _psk_radii(m: int) -> tuple[tuple[float, ...], tuple[tuple[int, int], ...]]:
+    """The radii sin(u*pi/M)/sin(t*pi/M), u, t = 1..M/2, in increasing order,
+    and their (u, t) pairs.
+
+    Radii closer than 1e-9 are checked to be one number, exactly: with
+    d_k = zeta^k - zeta^-k = 2j*sin(k*pi/M), the radii of (u, t) and
+    (u', t') are equal when d_u*d_t' == d_u'*d_t in Z[zeta].  So a value
+    within RECONSTRUCT_TOL of one radius denotes that radius.
+    """
+    entries = sorted(
+        (math.sin(u * math.pi / m) / math.sin(t * math.pi / m), u, t)
+        for u in range(1, m // 2 + 1)
+        for t in range(1, m // 2 + 1)
+    )
+    pw, n = zeta_powers(m), 2 * m
+
+    def d_times_d(u: int, t: int) -> int:
+        return pw[(u + t) % n] - pw[(u - t) % n] - pw[(t - u) % n] + pw[(-u - t) % n]
+
+    for (r0, u0, t0), (r1, u1, t1) in zip(entries, entries[1:]):
+        if r1 - r0 < 1e-9 and d_times_d(u0, t1) != d_times_d(u1, t0):
+            raise AssertionError(f"radii of {(u0, t0)} and {(u1, t1)} are too close to tell apart")
+    return tuple(r for r, _, _ in entries), tuple((u, t) for _, u, t in entries)
+
+
+def as_psk_ratio(m: int, s: complex | FadeState) -> tuple[int, int, int] | None:
+    """(e, u, t) with s = zeta^e * sin(u*pi/M)/sin(t*pi/M), zeta = e^{j*pi/M},
+    when the fade lies within RECONSTRUCT_TOL of such a number.
+
+    That number is -n/d for the binomials n = zeta^(e-u) - zeta^(e+u) and
+    d = zeta^t - zeta^-t.  Every singular state of M-PSK is one: with point
+    i at zeta^(2i-1), a difference of two points is zeta^(i+i'-1) * d_(i-i'),
+    so a ratio of two differences is a power of zeta times d_k/d_k', and
+    d_k = -d_-k = d_(M-k) brings k and k' into 1..M/2.
+    """
+    s = complex(s)
+    radii, pairs = _psk_radii(m)
+    # A part past every radius (or inf, or nan) denotes nothing; checking
+    # the parts first also keeps a huge fade away from abs, which overflows.
+    if not (abs(s.real) <= radii[-1] + 1 and abs(s.imag) <= radii[-1] + 1):
+        return None
+    r = abs(s)
+    # the nearest radius is one of the two that r falls between
+    i = bisect.bisect_left(radii, r)
+    if i == len(radii) or (i > 0 and r - radii[i - 1] < radii[i] - r):
+        i -= 1
+    e = round(cmath.phase(s) * m / math.pi) % (2 * m)
+    if abs(s - cmath.rect(radii[i], e * math.pi / m)) > RECONSTRUCT_TOL:
+        return None
+    return (e, *pairs[i])
 
 
 def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
@@ -213,6 +269,12 @@ def effective_constellation(
     from lsnc.constraint import superpose
 
     groups, den = superpose(s_set, s)
+    if den is None:
+        # Exact PSK keys: a group's value is its first cell's, computed as
+        # the float path computes it.
+        sv, pts = complex(s), s_set.points
+        firsts = (pts[r - 1] + sv * pts[c - 1] for r, c in (cells[0] for cells in groups.values()))
+        groups, den = dict.fromkeys((v.real, v.imag) for v in firsts), 1
     # Exact keys can lie beyond the float range; their quotients cannot.
     try:
         pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)

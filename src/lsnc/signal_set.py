@@ -2,8 +2,10 @@
 
 Square QAM and PAM live on the Gaussian integers and carry exact
 coordinates alongside the float ones, so everything downstream can group
-superposed values without tolerances.  PSK points are irrational and stay
-in floating point.
+superposed values without tolerances.  M-PSK points are irrational and
+keep only float coordinates; point i is zeta^(2i-1), zeta = e^{j*pi/M},
+which `lsnc.constraint.superpose` uses to group their superposed values
+exactly in Z[zeta].
 """
 from __future__ import annotations
 

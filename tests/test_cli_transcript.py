@@ -127,6 +127,19 @@ TRANSCRIPT = [
      "fd3cd1b61bb68ccd67143639d0d02a3e652d99d6f5f3a79a895c1f647a9e4c62"),
     ("mindist --signal qam:4 --fade 1e308+1e308j",
      "3d3b26cf3febeb9766ab989ffcae2c7b5f0e1b714daa76d2a2619a67c633a0b7"),
+    # PSK at exact states, off every state, and past the float range
+    ("constraints --signal psk:6 --fade -2 --json",
+     "c75678b8caf8f627886bb718b67edf9c2fbe39368f44690ffb3d2aaac079a79c"),
+    ("mindist --signal psk:16 --fade psk:3,1",
+     "3a1ff91f039809674fe13b027b93a8160f536ebfb282e661c88d076ca5e41cfc"),
+    ("mindist --signal psk:8 --fade 0",
+     "6f7aaef5ee72f2c16daa1dd2d2313a0812f1dc996c91c88d1a5da0d7fb8e4922"),
+    ("constraints --signal psk:8 --fade 0.4142135723730951",
+     "849b0b55588eb290df3c0db48bbe9cee6c20c74fe758c5089f42bc1e8c995847"),
+    ("mindist --signal psk:8 --fade inf",
+     "e83b18fa7407bcaf7a76a9cde59617296f556b67b8fd3e7b18df26a54b97be08"),
+    ("mindist --signal psk:8 --fade 1e308+1e308j",
+     "c5712bff3315a257ffc071a985cb67e1f5aa32ef9bef00b19f08b11408d03226"),
 ]
 
 

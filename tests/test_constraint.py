@@ -1,13 +1,20 @@
 """Constraint partitions against a brute-force grouping oracle."""
 
+import cmath
 import hashlib
+import math
+import random
+from functools import cache
 
 import pytest
 
+import lsnc.constraint
 from lsnc import (
     build_constraints,
     constrained_pls,
+    effective_constellation,
     enumerate_singular_fade_states,
+    is_singular,
     make_custom,
     make_pam,
     make_psk,
@@ -15,9 +22,12 @@ from lsnc import (
     psk_constraints_closed_form,
     psk_representative,
     psk_representatives,
+    psk_singular_fade_states,
 )
 from lsnc._numeric import cluster_complex
-from lsnc.fade_state import as_exact_ratio
+from lsnc.errors import AmbiguousGroupingError
+from lsnc.signal_set import SignalSet
+from lsnc.fade_state import _canon, _psk_radii, _sort_key, as_exact_ratio, as_psk_ratio
 from lsnc.fixtures import load_grid
 
 from conftest import SKEW_POINTS, gadd, gmul, gq
@@ -174,3 +184,174 @@ def test_partitions_match_golden_hash(name, step, sha256):
         states = enumerate_singular_fade_states(signal)[::step]
     dump = "".join(f"{build_constraints(signal, fs).blocks!r}\n" for fs in states)
     assert hashlib.sha256(dump.encode()).hexdigest() == sha256
+
+
+# Exact Z[zeta] keys for M-PSK against the float grouping they replace.
+
+def float_grouping(signal, s, effective=True):
+    """Blocks and (if asked) effective constellation of x_A + s*x_B by float
+    clustering, as `superpose` grouped every PSK fade before exact keys."""
+    m = signal.size
+    sv = complex(s)
+    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
+    vals = [signal.points[r - 1] + sv * signal.points[c - 1] for r, c in cells]
+    groups = cluster_complex(vals)
+    blocks = tuple(tuple(cells[i] for i in g) for g in groups)
+    if not effective:
+        return blocks, None
+    pts = tuple(sorted((_canon(vals[g[0]]) for g in groups), key=_sort_key))
+    if len(groups) < len(vals):
+        return blocks, (pts, 0.0)
+    dmin = min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
+    return blocks, (pts, dmin)
+
+
+@cache
+def psk_states(name):
+    """(signal, fade states) of one built-in PSK state family."""
+    kind, m = name.rsplit("-", 1)
+    m = int(m)
+    if kind == "brute":
+        states = enumerate_singular_fade_states(make_psk(m))
+    elif kind == "closed":
+        states = psk_singular_fade_states(m)
+    else:
+        states = psk_representatives(m)[:: 8 if m == 64 else 1]
+    return make_psk(m), states
+
+
+PSK_FAMILIES = (
+    [f"brute-{m}" for m in range(2, 13)]
+    + ["closed-8", "closed-16", "reps-32", "reps-64"]
+)
+
+
+def refuse_float_clustering(monkeypatch):
+    """Make `superpose` fail if it falls back to float clustering."""
+
+    def refuse(values):
+        raise AssertionError(f"float clustering of {len(values)} values")
+
+    monkeypatch.setattr(lsnc.constraint, "cluster_complex", refuse)
+
+
+@pytest.mark.parametrize("name", PSK_FAMILIES)
+def test_psk_exact_keys_match_float_grouping(name, monkeypatch):
+    # brute-N: every brute-force state of N-PSK; closed-N: every closed-form
+    # state; reps-32: every representative; reps-64: every 8th one.  The
+    # reference clusters through its own import of cluster_complex; lsnc
+    # must not cluster at all.
+    signal, states = psk_states(name)
+    refuse_float_clustering(monkeypatch)
+    for fs in states:
+        assert as_psk_ratio(signal.size, fs) is not None, fs
+        blocks, expected = float_grouping(signal, fs.value, effective=signal.size <= 32)
+        assert build_constraints(signal, fs.value).blocks == blocks, fs
+        assert is_singular(signal, fs), fs
+        if expected is not None:
+            assert expected[1] == 0.0
+            assert effective_constellation(signal, fs) == expected, fs
+
+
+def test_float_clustering_spy_is_live(monkeypatch, psk8):
+    refuse_float_clustering(monkeypatch)
+    build_constraints(psk8, psk_representative(8, 1, 3).value)
+    for s in (0.3 + 0.1j, psk_representative(8, 1, 3).value + 1e-8):
+        with pytest.raises(AssertionError, match="float clustering of 64 values"):
+            build_constraints(psk8, s)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 12, 16])
+def test_psk_effective_constellation_at_regular_fades(m):
+    # Random fades take the float path; the zeta^e*sin(u*pi/M)/sin(t*pi/M)
+    # that are not singular take the exact one and have every cell apart.
+    signal = make_psk(m)
+    rng = random.Random(m)
+    fades = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)]
+    radii, _ = _psk_radii(m)
+    exact = (cmath.rect(r, e * math.pi / m) for r in radii for e in range(2 * m))
+    regular_exact = [s for s in exact if not is_singular(signal, s)][:: 4 * m][:5]
+    assert regular_exact and all(as_psk_ratio(m, s) is not None for s in regular_exact)
+    for s in fades + regular_exact:
+        blocks, expected = float_grouping(signal, s)
+        assert expected[1] > 0, s
+        assert effective_constellation(signal, s) == expected, s
+        assert build_constraints(signal, s).blocks == blocks, s
+
+
+def test_psk_kind_with_other_points_keeps_the_float_path(psk8):
+    # Exact keys assume point i is zeta^(2i-1); a set merely tagged "psk"
+    # with its points in another order is grouped by its own values.
+    reordered = SignalSet(psk8.points[::-1], "psk")
+    for fs in psk_representatives(8):
+        assert build_constraints(reordered, fs.value).blocks == float_grouping(reordered, fs.value)[0]
+
+
+def radius(m, u, t):
+    return math.sin(u * math.pi / m) / math.sin(t * math.pi / m)
+
+
+def _near(s, eps):
+    return [s + eps, s - eps, s + eps * 1j, s - eps * 1j]
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_psk_fade_a_hair_from_a_state_keeps_its_partition(m):
+    signal = make_psk(m)
+    for fs in psk_representatives(m) + psk_singular_fade_states(m)[::7]:
+        expected = build_constraints(signal, fs.value).blocks
+        e, u, t = as_psk_ratio(m, fs.value)
+        for s in _near(fs.value, 1e-13):
+            e2, u2, t2 = as_psk_ratio(m, s)
+            assert e2 == e and radius(m, u2, t2) == pytest.approx(radius(m, u, t), abs=1e-12)
+            assert build_constraints(signal, s).blocks == expected, s
+
+
+def test_psk_fade_1e8_off_a_state_is_ambiguous(psk8):
+    s = psk_representative(8, 1, 3).value
+    assert complex(0.4142135723730951) == s + 1e-8
+    for fs in psk_representatives(8):
+        for near in _near(fs.value, 1e-8):
+            assert as_psk_ratio(8, near) is None
+            with pytest.raises(AmbiguousGroupingError):
+                build_constraints(psk8, near)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [0j, complex("nan"), complex("inf"), 1e308 + 1e308j, complex(1e308, 0), complex(0, -1e308),
+     complex(1.5e308, -1.5e308), complex(float("nan"), 1), complex(1, float("-inf")), 1e300 + 0j],
+    ids=repr,
+)
+def test_psk_fade_that_denotes_nothing_keeps_the_float_path(s, psk8):
+    assert as_psk_ratio(8, s) is None  # and no OverflowError from abs or round
+    try:
+        blocks, expected = float_grouping(psk8, s)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            effective_constellation(psk8, s)
+        assert str(info.value) == str(exc)
+        with pytest.raises(ValueError) as info:
+            build_constraints(psk8, s)
+        assert str(info.value) == str(exc)
+        return
+    assert build_constraints(psk8, s).blocks == blocks
+    assert effective_constellation(psk8, s) == expected
+
+
+@pytest.mark.parametrize("m", [3, 8, 12, 16, 64])
+def test_psk_ratio_lookup_on_either_side_of_a_table_entry(m):
+    # A fade just below a tabled radius falls before it in the sorted table,
+    # one just above falls after it; both must find it.  A fade on the
+    # negative real axis sits on the phase cut at +-pi.
+    radii, _ = _psk_radii(m)
+    for r in radii:
+        for e in {0, 1, m - 1, m, m + 1, 2 * m - 1}:
+            for dr in (-1e-13, 0.0, 1e-13):
+                s = cmath.rect(r + dr, e * math.pi / m)
+                found = as_psk_ratio(m, s)
+                assert found is not None, (r, dr, e)
+                e2, u, t = found
+                assert e2 == e and radius(m, u, t) == pytest.approx(r, abs=1e-12)
+        for im in (0.0, -0.0, 1e-13, -1e-13):
+            assert as_psk_ratio(m, complex(-r, im))[0] == m

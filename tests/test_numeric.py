@@ -1,6 +1,8 @@
-"""Tolerance-aware clustering of complex values."""
+"""Tolerance-aware clustering of complex values, and packed cyclotomic integers."""
 
 import cmath
+import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from lsnc._numeric import (
     GUARD_TOL,
     MERGE_TOL,
     AmbiguousGroupingError,
+    _cyclotomic,
     cluster_complex,
+    zeta_powers,
 )
 
 
@@ -87,3 +91,36 @@ def test_cluster_matches_brute_force(values):
     assert grouping_or_error(cluster_complex, values) == grouping_or_error(
         brute_force_cluster, values
     )
+
+
+@pytest.mark.parametrize(
+    "n,coeffs",
+    [(1, (-1, 1)), (2, (1, 1)), (4, (1, 0, 1)), (6, (1, -1, 1)), (12, (1, 0, -1, 0, 1)),
+     (16, (1, 0, 0, 0, 0, 0, 0, 0, 1)), (18, (1, 0, 0, -1, 0, 0, 1)),
+     (30, (1, 1, 0, -1, -1, -1, 0, 1, 1))],
+)
+def test_cyclotomic_polynomials(n, coeffs):
+    assert _cyclotomic(n) == coeffs
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+def test_cyclotomic_roots_and_degree(m):
+    phi = _cyclotomic(2 * m)
+    assert len(phi) - 1 == sum(math.gcd(k, 2 * m) == 1 for k in range(1, 2 * m + 1))
+    zeta = cmath.exp(1j * math.pi / m)
+    assert abs(sum(c * zeta**i for i, c in enumerate(phi))) < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9])
+def test_packed_sums_of_four_powers_are_equal_exactly_when_their_values_are(m):
+    # Every signed sum zeta^a - zeta^b + zeta^c - zeta^d, the shape of a
+    # PSK cell key: equal ints must mean equal values, and distinct ints
+    # values that no tolerance confuses.
+    pw = zeta_powers(m)
+    z = [cmath.exp(1j * math.pi * e / m) for e in range(2 * m)]
+    value_of = {}
+    for a, b, c, d in product(range(2 * m), repeat=4):
+        v = z[a] - z[b] + z[c] - z[d]
+        assert abs(value_of.setdefault(pw[a] - pw[b] + pw[c] - pw[d], v) - v) < 1e-9
+    values = list(value_of.values())
+    assert len(cluster_complex(values)) == len(values)
