@@ -198,13 +198,32 @@ def _kuhn(nbrs: Sequence[int], n_right: int) -> list[int]:
     """Maximum bipartite matching by Kuhn's augmenting paths.
 
     Left vertex u may take right vertex v when bit v of nbrs[u] is set.
-    Left vertices are matched in index order, and each path search tries
-    the lowest unvisited right vertex first, so the matching is a fixed
-    function of the adjacency.  Returns, per right vertex, its left vertex
-    or -1.
+    A greedy pass seeds the matching: in index order, u takes the lowest
+    free right vertex numbered u or above, else the lowest free one.  Then
+    an augmenting-path search runs from each left vertex the pass left
+    unmatched, in index order, trying the lowest unvisited right vertex
+    first.  Augmenting from any start reaches a maximum matching (Berge),
+    and the matching is a fixed function of the adjacency.  Returns, per
+    right vertex, its left vertex or -1.
     """
     match = [-1] * n_right
-    for root in range(len(nbrs)):
+    taken = 0
+    roots: list[int] = []  # left vertices the seed leaves unmatched
+    for u, nb in enumerate(nbrs):
+        cand = nb & ~taken
+        if not cand:
+            roots.append(u)
+            continue
+        # On a cyclic rectangle (column c holds c, c+1, ..., c+r-1 mod M)
+        # this gives every column c + r mod M at once; the PSK sweep's
+        # rectangles leave about one column per row to augment.
+        top = cand >> u << u
+        if top:
+            cand = top
+        low = cand & -cand
+        taken |= low
+        match[low.bit_length() - 1] = u
+    for root in roots:
         avail = -1  # right vertices this search has not visited
         path = [root]  # left vertices of the alternating path
         via: list[int] = []  # via[i]: right vertex path[i] takes, matched to path[i+1]
@@ -246,7 +265,12 @@ class SdrResult:
 
 def find_sdr(family: Sequence[Sequence[Hashable]]) -> SdrResult:
     """Distinct representatives, one per set, or a subfamily violating
-    Hall's condition (indices S with |union of S's sets| < |S|)."""
+    Hall's condition (indices S with |union of S's sets| < |S|).
+
+    Elements are numbered from 0 by first appearance, and the sets are
+    matched by `_kuhn`: set i (from 0) first takes its lowest free element
+    numbered i or above, else its lowest free one, and augmenting paths
+    finish the matching.  The violator is read off that maximum matching."""
     elements: list[Hashable] = []
     index: dict[Hashable, int] = {}
     nbrs: list[int] = []
@@ -290,7 +314,14 @@ def find_sdr(family: Sequence[Sequence[Hashable]]) -> SdrResult:
 
 def complete_rows_hall(grid: Grid) -> Grid:
     """Extend a Latin rectangle (r complete rows, other rows empty) to a
-    full Latin Square on symbols 1..M, row by row via perfect matchings."""
+    full Latin Square on symbols 1..M, row by row via perfect matchings.
+
+    Each row is one `_kuhn` matching of columns to their missing symbols:
+    column c (from 1) first takes its lowest missing symbol numbered c or
+    above, else its lowest missing one, and augmenting paths match the
+    rest.  A
+    Latin rectangle always has such a matching (Hall); input that is not
+    one raises ValueError."""
     m = grid.m
     r = 0
     full = set(range(1, m + 1))
@@ -306,7 +337,10 @@ def complete_rows_hall(grid: Grid) -> Grid:
     free = [(1 << m) - 1] * m
     for row in rows[:r]:
         for c, s in enumerate(row):
-            free[c] &= ~(1 << (s - 1))
+            bit = 1 << (s - 1)
+            if not free[c] & bit:
+                raise ValueError(f"symbol {s} repeats in column {c + 1}")
+            free[c] ^= bit
     for i in range(r, m):
         # columns on the left, their free symbols on the right
         match = _kuhn(free, m)

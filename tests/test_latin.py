@@ -26,6 +26,7 @@ from lsnc import (
 )
 from lsnc import coloring
 from lsnc.errors import CompletionError, SearchBudgetExceeded
+from lsnc.latin import _kuhn
 
 
 def random_latin_square(m, seed):
@@ -190,6 +191,49 @@ class TestHallCompletion:
         with pytest.raises(ValueError):
             complete_rows_hall(bad)
 
+    @pytest.mark.parametrize("rows", [[[1, 2, 3], [1, 3, 2], [0, 0, 0]], [[1, 2], [1, 2]]])
+    def test_rejects_column_repeats(self, rows):
+        # complete rows that are not a Latin rectangle are bad input, not
+        # a failed completion
+        with pytest.raises(ValueError, match="symbol 1 repeats in column 1"):
+            complete_rows_hall(Grid.from_lists(rows))
+
+
+def brute_max_matching(nbrs, u=0, used=0):
+    """Size of a maximum matching of left vertices u.. avoiding `used`."""
+    if u == len(nbrs):
+        return 0
+    best = brute_max_matching(nbrs, u + 1, used)
+    free = nbrs[u] & ~used
+    while free:
+        low = free & -free
+        free ^= low
+        best = max(best, 1 + brute_max_matching(nbrs, u + 1, used | low))
+    return best
+
+
+class TestKuhn:
+    @given(st.integers(0, 7), st.integers(0, 7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_returns_a_maximum_matching(self, n_left, n_right, data):
+        # any shape: imperfect graphs, more left than right, more right than left
+        nbrs = data.draw(st.lists(st.integers(0, 2**n_right - 1), min_size=n_left, max_size=n_left))
+        match = _kuhn(nbrs, n_right)
+        assert len(match) == n_right
+        pairs = [(u, v) for v, u in enumerate(match) if u >= 0]
+        assert len({u for u, _ in pairs}) == len(pairs)
+        assert all(nbrs[u] >> v & 1 for u, v in pairs)
+        assert len(pairs) == brute_max_matching(nbrs)
+
+    def test_augmenting_path_reroutes_the_seed(self):
+        # The seed gives 0 -> 0 and 1 -> 1, leaving 2 (which can only take 1)
+        # unmatched; the path 2 -> 1 ~ 1 -> 0 ~ 0 -> 2 reroutes both.
+        assert _kuhn([0b111, 0b011, 0b010], 3) == [1, 2, 0]
+
+    def test_seed_prefers_right_vertices_at_or_above_the_left_index(self):
+        # 1 skips free 0 for 1; 2 has nothing at or above 2 and takes 0
+        assert _kuhn([0b100, 0b011, 0b011], 3) == [2, 1, 0]
+
 
 class TestGenericComplete:
     def test_completes_partial_square(self):
@@ -251,12 +295,20 @@ class TestGenericComplete:
 
 
 # Reference implementations for the matching and candidate-cell kernels:
-# plain lists and sets, in the visiting order the kernels promise.
+# plain lists and sets, in the seed and visiting order the kernels promise.
 
 
 def reference_matching(nbrs):
-    """Kuhn's augmenting paths over sorted neighbour lists: right -> left."""
+    """Kuhn's augmenting paths over neighbour lists: right -> left.
+
+    A greedy pass first gives u the first free v >= u in its list, else
+    its first free v; then Kuhn runs from the vertices it left unmatched.
+    On sorted lists this is the kernels' order."""
     match = {}
+    for u, vs in enumerate(nbrs):
+        free = [v for v in vs if v not in match]
+        if free:
+            match[next((v for v in free if v >= u), free[0])] = u
 
     def augment(u, seen):
         for v in nbrs[u]:
@@ -268,8 +320,10 @@ def reference_matching(nbrs):
                 return True
         return False
 
+    seeded = set(match.values())
     for u in range(len(nbrs)):
-        augment(u, set())
+        if u not in seeded:
+            augment(u, set())
     return match
 
 

@@ -125,8 +125,9 @@ def test_sixteen_psk_sweep_is_clean():
 @pytest.mark.parametrize(
     "m,sha256",
     [
-        (8, "6aa550ff36ba9e81c7535fb7cf0f25c51a07b09d8256114d797c15b18d34e41a"),
-        (16, "2542bc4248a72c39849d7a33b02d03339b9be946fda3b720d86dcac4c5e566fa"),
+        (8, "ea0b5e0c6e93b3945d148201e60a5426fa5f106e4b67b8632604357614edeb76"),
+        (16, "25d33c87da7089527fd9ee57bfe27baa7a733aa522f82fb22f5c17210ac9de55"),
+        (32, "9fd4cb34da2b894c55ad0caa94e108db98e95955ab663af57f426174290c6cba"),
     ],
 )
 def test_sweep_matches_golden_dump(m, sha256):
