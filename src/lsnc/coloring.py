@@ -1,4 +1,4 @@
-"""Vertex coloring: DSATUR greedy, exact branch-and-bound, and extension.
+"""Vertex coloring: DSATUR greedy, the chromatic number, and extension.
 
 Proper colorings of a removal graph are exactly the valid symbol
 assignments, so the chromatic number is the minimum symbol count of a
@@ -8,9 +8,10 @@ Every search here, and Latin completion in `lsnc.latin`, runs one
 backtracking kernel.  It colors next the uncolored vertex with the most
 distinct neighbor colors, then the highest degree, then the lowest index;
 the caller sets which colors to try there, in what order, and what to do at
-a full coloring.  Greedy DSATUR is the kernel's first full coloring, the
-chromatic number its best one, and an extension its first one that keeps
-the given colors.
+a full coloring.  Greedy DSATUR is the kernel's first full coloring and an
+extension its first one that keeps the given colors.  The chromatic number
+is the first k, counting up from a lower bound, at which the kernel finds a
+k-coloring: each k below it is refuted by an exhausted search.
 
 The kernel's state is bitmasks over ranks, the vertices numbered by
 (degree descending, index ascending) so that ties go to the lowest rank:
@@ -52,8 +53,9 @@ class Coloring:
 
 @dataclass(frozen=True)
 class ChromaticResult:
-    """The best coloring found and its color count `chi`.  `lower` is the
-    lower bound the search started from; when not `optimal`, the chromatic
+    """A proper coloring and its color count `chi`.  `lower` is a certified
+    lower bound: the bound the search started from, raised by one for each
+    k it refuted.  When `optimal`, lower == chi; otherwise the chromatic
     number lies in [lower, chi]."""
 
     chi: int
@@ -204,10 +206,13 @@ def _dsatur_search(
         used = max(used, c)
 
 
-def greedy_color(graph: RemovalGraph) -> Coloring:
+def greedy_color(graph: RemovalGraph, partial: Sequence[int] = ()) -> Coloring:
     """DSATUR greedy coloring: the first leaf of the search, each vertex
-    taking its smallest free color.  Uses at most max-degree + 1 colors."""
-    colors = [0] * graph.n
+    taking its smallest free color.  The nonzero entries of `partial`, a
+    proper partial coloring with one entry per vertex if given, are kept.
+    Uses at most max-degree + 1 colors, or the partial's largest color if
+    that is more."""
+    colors = list(partial) or [0] * graph.n
     # Color used + 1 is always free, so the search never backtracks and
     # spends one node per vertex.
     _dsatur_search(graph, colors, lambda used, _: range(1, used + 2), lambda _: True, graph.n)
@@ -219,35 +224,35 @@ def exact_chromatic(
     lower: int | None = None,
     node_budget: int = DEFAULT_BUDGET,
 ) -> ChromaticResult:
-    """Chromatic number by DSATUR branch and bound.
+    """Chromatic number by ascending k-colorability decisions.
 
-    `lower` seeds the lower bound, and the largest line of the graph and a
-    greedy clique tighten it; the DSATUR greedy coloring seeds the upper
-    one.  If the node budget runs out, the best coloring found so far is
-    returned with optimal=False.
+    The start bound lb is the largest of `lower`, the widest line of the
+    graph and a greedy clique.  For k = lb, lb + 1, ... the kernel searches
+    for a k-coloring; the colors not yet used are interchangeable, so only
+    the lowest of them is tried.  The first k with a coloring is the
+    chromatic number, every smaller k having been refuted by an exhausted
+    search.  All decisions share `node_budget`; if it runs out, the partial
+    coloring of the current decision is filled by greedy DSATUR, which is
+    optimal only if it needs no more than k colors.
     """
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0, 0)
     widest = max((len(set(line)) for line in graph.lines), default=0)
-    lb = max(lower or 1, widest, greedy_clique_lower_bound(graph))
-    best = greedy_color(graph).colors
-    best_k = max(best)
-    if best_k <= lb:
-        return ChromaticResult(best_k, Coloring(best), True, 0, lb)
-
-    colors = [0] * graph.n
-
-    def on_leaf(used: int) -> bool:
-        nonlocal best, best_k
-        if used < best_k:
-            best, best_k = tuple(colors), used
-        return best_k <= lb
-
-    # Only colorings better than best_k are worth extending.
-    nodes, exhausted = _dsatur_search(
-        graph, colors, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf, node_budget
-    )
-    return ChromaticResult(best_k, Coloring(best), not exhausted, nodes, lb)
+    k = max(lower or 1, widest, greedy_clique_lower_bound(graph))
+    nodes = 0
+    while True:
+        colors = [0] * graph.n
+        spent, stopped = _dsatur_search(
+            graph, colors, lambda used, _: range(1, min(used + 1, k) + 1), lambda _: True,
+            node_budget - nodes,
+        )
+        nodes += spent
+        if stopped:
+            colors = greedy_color(graph, colors).colors
+        if stopped or all(colors):
+            chi = max(colors)
+            return ChromaticResult(chi, Coloring(tuple(colors)), chi <= k, nodes, k)
+        k += 1  # exhausted: no k-coloring
 
 
 def extend_coloring(

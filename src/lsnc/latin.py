@@ -364,9 +364,12 @@ def generic_complete(
     Returns the completed grid, or None when completion is impossible.
     Cell order is most-constrained-first, then row-major; symbol order
     prefers the least used symbol (encouraging balanced squares), then the
-    smallest index; of the unused symbols, which are interchangeable, only
-    the lowest is tried.  Raises ValueError on a symbol outside 1..max_symbols
-    and SearchBudgetExceeded when the node budget runs out undecided.
+    smallest index.  Of the unused symbols, which are interchangeable, only
+    the lowest is tried: first while fewer than M symbols are in use, and
+    after the used ones once M are, so that extra symbols are opened only
+    where M do not suffice.  Raises ValueError on a symbol outside
+    1..max_symbols and SearchBudgetExceeded when the node budget runs out
+    undecided.
     """
     # Imported here: lsnc.coloring imports this module.
     from lsnc.coloring import _dsatur_search
@@ -395,7 +398,7 @@ def generic_complete(
         fresh = 1
         while uses.get(fresh):
             fresh += 1
-        return [fresh, *used]
+        return [fresh, *used] if len(used) < m else [*used, fresh]
 
     nodes, _ = _dsatur_search(rook, cells, order, lambda _: True, node_budget)
     if nodes > node_budget:

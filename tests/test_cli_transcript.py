@@ -71,6 +71,8 @@ TRANSCRIPT = [
      "ee6709799254860c0fd64c550f728293878b5690463a40fdee0f13e0329ca605"),
     ("chromatic --signal qam:16 --fade 0.16666666666666666+0.8333333333333334j --budget 100000",
      "6ea89e377c4c032d7bb89177cbffd8ec6fb2487e503a50dda26e780278ea2c8d"),
+    ("chromatic --signal qam:16 --fade -1-1j --budget 2000",
+     "c7ceba243e9fb7df40915bc8c75b693c53ad401caa866d9256f3181095977e3e"),
     ("latin --signal qam:4 --fade 0.5+0.5j",
      "fef7a42c40399e775caa5f5fe94d7d21d399c1d8be07a85082bcad1f47e98d80"),
     ("latin --signal qam:4 --fade 0.5+0.5j --json ls.json",

@@ -1,4 +1,5 @@
-"""Coloring: DSATUR greedy, exact branch and bound, partial extension."""
+"""Coloring: DSATUR greedy, chromatic number by ascending decisions,
+partial extension."""
 
 import hashlib
 import itertools
@@ -18,10 +19,13 @@ from lsnc import (
     extend_coloring,
     generic_complete,
     greedy_color,
+    make_psk,
+    row_clique,
     verify_proper,
 )
 from lsnc import coloring
 from lsnc.errors import SearchBudgetExceeded
+from lsnc.srg import greedy_clique_lower_bound
 
 
 def complete_graph(n):
@@ -48,6 +52,27 @@ def brute_chromatic(graph):
     return 0
 
 
+def subset_chromatic(graph):
+    """Chromatic number as the fewest independent sets covering the
+    vertices, by dynamic programming over vertex subsets."""
+    full = (1 << graph.n) - 1
+    independent = [
+        not any(graph.adj[v] & s for v in range(graph.n) if s >> v & 1) for s in range(full + 1)
+    ]
+    best = [0] + [graph.n] * full
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = s ^ low
+        sub = rest
+        while True:  # every independent subset of s holding its lowest vertex
+            if independent[sub | low]:
+                best[s] = min(best[s], best[rest & ~sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return best[full]
+
+
 def random_graph(n, p, seed):
     rng = random.Random(seed)
     edges = [
@@ -67,6 +92,11 @@ def test_greedy_is_always_proper():
         g = random_graph(12, 0.4, seed)
         col = greedy_color(g)
         assert verify_proper(g, col)
+        # Started from part of that coloring, it keeps the part.
+        partial = [c if v % 3 else 0 for v, c in enumerate(col.colors)]
+        filled = greedy_color(g, partial)
+        assert verify_proper(g, filled)
+        assert all(f == c for f, c in zip(filled.colors, partial) if c)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -110,12 +140,12 @@ def test_exact_matches_exhaustive_oracle(seed):
     [
         (0.5 - 2.5j, 200_000, (16, True, 566)),
         (0.5 - 2.5j, 300, (17, False, 301)),
-        (2 + 0j, 300, (17, False, 301)),
-        (-1 - 1j, 300, (19, False, 301)),
-        (-1.2 + 0.6j, 300, (16, True, 0)),
+        (2 + 0j, 300, (16, True, 184)),
+        (-1 - 1j, 300, (17, True, 170)),
+        (-1.2 + 0.6j, 300, (16, True, 209)),
         (-3 + 0j, 300, (16, True, 171)),
         (-3 - 2j, 300, (16, True, 296)),
-        (-0.5 - 0.5j, 300, (17, True, 159)),
+        (-0.5 - 0.5j, 300, (17, True, 172)),
     ],
 )
 def test_exact_search_order_on_qam16(qam16, fade, budget, expected):
@@ -169,7 +199,7 @@ def test_exact_search_effort_on_qam16_states(qam16):
         lines.append(f"{res.chi} {res.optimal} {res.nodes}\n")
     assert len(lines) == 49
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-        "f5fe0c5a1ac6eb25ed99661586356b6edb513ab6bfe65c9c45d93913abb65b11"
+        "fc132a16abf713fe4b8ac1d61568d8d9b1056fa2aad02be6077622df9c54448b"
     )
 
 
@@ -177,7 +207,83 @@ def test_exact_respects_budget():
     g = random_graph(24, 0.5, 99)
     res = exact_chromatic(g, node_budget=3)
     assert not res.optimal
-    assert verify_proper(g, res.coloring)  # still returns its best coloring
+    assert verify_proper(g, res.coloring)  # the greedy fill of the partial coloring
+
+
+@pytest.mark.parametrize("budget", [0, 5, 60])
+def test_exact_bounds_bracket_the_chromatic_number(budget):
+    # Within any budget, `lower` is certified and `chi` is a proper
+    # coloring's color count; they meet exactly when the result is optimal.
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 8), rng.choice([0.3, 0.5, 0.7, 0.9]), seed)
+        res = exact_chromatic(g, node_budget=budget)
+        chi = subset_chromatic(g)
+        assert res.lower <= chi <= res.chi
+        assert (res.lower == res.chi == chi) == res.optimal
+        assert verify_proper(g, res.coloring) and res.coloring.k == res.chi
+
+
+def reference_descending_chromatic(graph, lower=None, node_budget=10**7):
+    """The chromatic-number search before the ascending ladder: a greedy
+    DSATUR coloring as the first upper bound, then branch and bound for
+    colorings with fewer colors than the best found, on one shared kernel
+    run.  Its `lower` is only the start bound."""
+    if graph.n == 0:
+        return coloring.ChromaticResult(0, Coloring(()), True, 0, 0)
+    widest = max((len(set(line)) for line in graph.lines), default=0)
+    lb = max(lower or 1, widest, greedy_clique_lower_bound(graph))
+    best = greedy_color(graph).colors
+    best_k = max(best)
+    if best_k <= lb:
+        return coloring.ChromaticResult(best_k, Coloring(best), True, 0, lb)
+    colors = [0] * graph.n
+
+    def on_leaf(used):
+        nonlocal best, best_k
+        if used < best_k:
+            best, best_k = tuple(colors), used
+        return best_k <= lb
+
+    nodes, exhausted = coloring._dsatur_search(
+        graph, colors, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf, node_budget
+    )
+    return coloring.ChromaticResult(best_k, Coloring(best), not exhausted, nodes, lb)
+
+
+def test_ascending_ladder_dominates_descending_search_on_qam16(qam16):
+    # All 388 16-QAM states at 300 nodes from the row clique: the ladder
+    # decides every state the descending search decides, with the same
+    # chromatic number, and its bounds are never looser in sum.
+    ours, ref = [], []
+    for fs in enumerate_singular_fade_states(qam16):
+        part = build_constraints(qam16, fs.value)
+        graph = build_srg(part)
+        clique = len(row_clique(graph, part))
+        ours.append(exact_chromatic(graph, lower=clique, node_budget=300))
+        ref.append(reference_descending_chromatic(graph, lower=clique, node_budget=300))
+    assert len(ours) == 388
+    for new, old in zip(ours, ref):
+        assert new.lower >= old.lower
+        if old.optimal:
+            assert new.optimal and new.chi == old.chi
+        if new.optimal:
+            assert old.lower <= new.chi <= old.chi
+    assert sum(r.chi for r in ours) <= sum(r.chi for r in ref) == 6561
+    assert sum(r.optimal for r in ours) > sum(r.optimal for r in ref) == 181
+
+
+@pytest.mark.parametrize("m, chis", [(3, {3: 6}), (5, {5: 30}), (6, {6: 18, 7: 24}), (7, {7: 98})])
+def test_psk_chromatic_numbers_off_the_powers_of_two(m, chis):
+    # 3-, 5- and 7-PSK remove every singular state with M symbols; 6-PSK
+    # needs a seventh on 24 of its 42 states.
+    signal = make_psk(m)
+    found = Counter()
+    for fs in enumerate_singular_fade_states(signal):
+        res = exact_chromatic(build_srg(build_constraints(signal, fs.value)), node_budget=2000)
+        assert res.optimal
+        found[res.chi] += 1
+    assert found == chis
 
 
 class TestExtendColoring:
@@ -371,14 +477,21 @@ def test_generic_complete_matches_scanning_reference(seed, monkeypatch):
 @pytest.mark.parametrize("seed", range(10))
 def test_generic_complete_matches_offering_every_symbol(seed, monkeypatch):
     # Offering every unused symbol at each cell, not just the lowest, finds
-    # the same completion with the same node counts.
+    # the same completion with the same node counts.  Unused symbols come
+    # before the used ones while fewer than m are in use, after them then.
     m = 3 + seed % 4
     grid = random_partial_latin(m, 0.2 + 0.05 * seed, seed)
     kernel = coloring._dsatur_search
     for symbols, budget in ((m, 10**6), (m + 2, 10**6), (m + 1, 20)):
 
         def every_symbol(graph, colors, _, on_leaf, budget, symbols=symbols):
-            order = lambda _, uses: sorted(range(1, symbols + 1), key=lambda s: (uses[s], s))
+            def order(_, uses):
+                used = sum(1 for s in range(1, symbols + 1) if uses[s])
+                fresh_first = used < m
+                return sorted(
+                    range(1, symbols + 1), key=lambda s: ((uses[s] > 0) == fresh_first, uses[s], s)
+                )
+
             return kernel(graph, colors, order, on_leaf, budget)
 
         new = run_with_kernel(monkeypatch, kernel, generic_complete, grid, symbols, budget)

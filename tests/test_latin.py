@@ -265,8 +265,10 @@ class TestGenericComplete:
 
     def test_offers_only_the_lowest_unused_symbol(self, monkeypatch):
         # Unused symbols are interchangeable: a cell is offered the lowest
-        # one, then the used ones by (uses, symbol).  So 9000 symbols on an
-        # empty 9x9 grid never make a list longer than 82.
+        # one, then the used ones by (uses, symbol), while fewer than 9 are
+        # in use, and the lowest unused one last after that.  So 9000
+        # symbols on an empty 9x9 grid never make a list longer than 82,
+        # and the square opens only a few symbols beyond 9.
         offered = []
         search = coloring._dsatur_search
 
@@ -284,7 +286,9 @@ class TestGenericComplete:
         assert len(offered) == 81
         for out, uses in offered:
             fresh = next(s for s in itertools.count(1) if s not in uses)
-            assert out == [fresh, *sorted(uses, key=lambda s: (uses[s], s))]
+            used = sorted(uses, key=lambda s: (uses[s], s))
+            assert out == ([fresh, *used] if len(used) < 9 else [*used, fresh])
+        assert max(map(max, done.rows)) == 11
 
     def test_symbol_above_symbol_count_is_rejected(self):
         g = Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])
