@@ -1,8 +1,9 @@
 """Exact cyclotomic integers, and tolerance-based clustering of complex values.
 
-Square-QAM and PAM constellations live on the Gaussian integers, so at a
-rational fade state their superposed values are grouped exactly, on
-integer keys (`lsnc.constraint.superpose`).  M-PSK points are powers of
+Square-QAM and PAM constellations live on the Gaussian integers, Z[zeta]
+for zeta = j, so at a rational fade state their superposed values are
+grouped exactly, on integer pairs packed as two signed digits
+(`lsnc.constraint.superpose`).  M-PSK points are powers of
 zeta = e^{j*pi/M} and live in Z[zeta]; at a fade that denotes a ratio of
 two binomials zeta^a - zeta^b (every singular state does) their values are
 grouped exactly too, on the packed vectors of `zeta_powers`.  Custom sets

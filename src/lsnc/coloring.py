@@ -234,6 +234,11 @@ def exact_chromatic(
     search.  All decisions share `node_budget`; if it runs out, the partial
     coloring of the current decision is filled by greedy DSATUR, which is
     optimal only if it needs no more than k colors.
+
+    `lower` must be certified (a clique size, say): every k below the start
+    bound counts as refuted, and the result returns it as proved.  A wrong
+    one shows only when a coloring with fewer than k colors turns up, and
+    that raises ValueError.
     """
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0, 0)
@@ -251,7 +256,11 @@ def exact_chromatic(
             colors = greedy_color(graph, colors).colors
         if stopped or all(colors):
             chi = max(colors)
-            return ChromaticResult(chi, Coloring(tuple(colors)), chi <= k, nodes, k)
+            if chi < k:
+                raise ValueError(
+                    f"lower={lower} is not a lower bound: the graph has a {chi}-coloring"
+                )
+            return ChromaticResult(chi, Coloring(tuple(colors)), chi == k, nodes, k)
         k += 1  # exhausted: no k-coloring
 
 

@@ -7,8 +7,10 @@ pairs of 1-indexed labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import Sequence
 
 from lsnc._numeric import cluster_complex, zeta_powers
 from lsnc.fade_state import FadeState, as_exact_ratio, as_psk_ratio, check_closed_form
@@ -27,10 +29,21 @@ class ConstraintPartition:
     build_constraints orders blocks by their (sorted) first cell; the PSK
     closed form keeps its own c_1, c_2, ... indexing, which downstream
     constructions rely on.
+
+    `labels` is the label grid: the block index of every cell, row-major
+    (cell (r, c) at (r-1)*M + c-1), -1 where no block covers the cell, as
+    in the closed form, which holds only the multi-cell blocks.
+    `superpose` emits it with the blocks; otherwise it is filled from the
+    blocks.  It takes no part in equality.
     """
 
     m: int
     blocks: tuple[tuple[Cell, ...], ...]
+    labels: tuple[int, ...] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.labels is None:
+            object.__setattr__(self, "labels", tuple(_label_grid(self.m, self.blocks)))
 
     @cached_property
     def multi_indices(self) -> tuple[int, ...]:
@@ -41,46 +54,91 @@ class ConstraintPartition:
         return tuple(self.blocks[i] for i in self.multi_indices)
 
     def block_of(self, cell: Cell) -> int:
-        for i, b in enumerate(self.blocks):
-            if cell in b:
+        """Index of the block holding `cell`, read off the label grid."""
+        r, c = cell
+        m = self.m
+        if 1 <= r <= m and 1 <= c <= m:
+            i = self.labels[(r - 1) * m + c - 1]
+            if i >= 0:
                 return i
         raise KeyError(f"cell {cell} not in any block")
+
+    def fill(self, values: Sequence[int]) -> Grid:
+        """Grid with every cell of block i set to values[i]; cells no block
+        covers stay empty."""
+        m, by_label = self.m, [*values, 0]  # label -1 picks the trailing 0
+        flat = [by_label[i] for i in self.labels]
+        return Grid.from_lists([flat[i:i + m] for i in range(0, m * m, m)])
+
+
+def _label_grid(m: int, blocks: Sequence[Sequence[Cell]]) -> list[int]:
+    """Block index of every cell, row-major; -1 on cells in no block."""
+    labels = [-1] * (m * m)
+    for i, block in enumerate(blocks):
+        for r, c in block:
+            labels[(r - 1) * m + c - 1] = i
+    return labels
+
+
+@lru_cache(maxsize=8)
+def _cells(m: int) -> tuple[Cell, ...]:
+    """The cells of S x S in row-major order, shared by every grouping at
+    one of the last few M used."""
+    return tuple((r, c) for r in range(1, m + 1) for c in range(1, m + 1))
+
+
+def _group(m: int, rows: list[int], cols: list[int]) -> tuple[list[list[Cell]], list[int]]:
+    """Blocks and labels of the cells keyed rows[r-1] + cols[c-1]: equal
+    keys in one block, blocks in order of their first cell."""
+    index: dict[int, int] = {}
+    labels = [index.setdefault(rk + ck, len(index)) for rk in rows for ck in cols]
+    blocks: list[list[Cell]] = [[] for _ in index]
+    for cell, i in zip(_cells(m), labels):
+        blocks[i].append(cell)
+    return blocks, labels
 
 
 def superpose(
     s_set: SignalSet, s: complex | FadeState
-) -> tuple[dict[object, list[Cell]], int | None]:
+) -> tuple[list[list[Cell]], list[int], tuple[int, int, int] | None]:
     """Cells of S x S grouped by the value of x_A + s*x_B.
 
-    Returns (groups, den).  Groups come in order of their first cell and
-    hold their cells in row-major order.  Grouping is exact in two cases:
+    Returns (blocks, labels, g).  Blocks come in order of their first cell
+    and hold their cells in row-major order; labels is the block index of
+    every cell, row-major (see ConstraintPartition.labels).  Grouping is
+    exact in two cases, on one int key per cell, the sum of a row's int and
+    a column's int, and both go through one grouping loop:
 
     - The signal set lives on the integer grid and s denotes a small
-      rational.  The cells of the group keyed (re, im) share the value
-      complex(re / den, im / den).
+      rational g = (a + bj)/d, returned as the triple (a, b, d).  The key
+      is the integer pair d*x_A + (a + bj)*x_B packed as two signed digits.
     - The signal set is `psk:M` and s denotes a ratio of two binomials
       zeta^a - zeta^b, zeta = e^{j*pi/M} (see `as_psk_ratio`; every
       singular state does).  Keys are packed elements of Z[zeta]
-      (`zeta_powers`) and den is None.
+      (`zeta_powers`) and g is None.
 
-    Otherwise grouping is by floating-point clustering, den is 1 and a key
-    is its group's first value, which the others match within MERGE_TOL.
+    Otherwise grouping is by floating-point clustering and g is None: the
+    cells of a block match its first cell's value within MERGE_TOL.
     """
     m = s_set.size
     g = as_exact_ratio(s) if s_set.exact_points is not None else None
-    groups: dict[object, list[Cell]] = {}
     if g is not None:
         # With integer points and g = (a + bj)/d, the key d*x_A + (a + bj)*x_B
         # is x_A + g*x_B scaled by d: cells share a key exactly when they
-        # share a value.
+        # share a value.  The pair is an element of Z[zeta] for zeta = j,
+        # packed as in `zeta_powers`: re + im * 2^w.  Both parts of a row's
+        # pair plus a column's pair are at most `bound` < 2^(w-1) in size, so
+        # their balanced digits are unique and equal ints are equal pairs.
         a, b, d = g
         pts = s_set.exact_points
-        g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in pts]
-        for r, (xr, xi) in enumerate(pts, 1):
-            dxr, dxi = d * xr, d * xi
-            for c, (ur, ui) in enumerate(g_col, 1):
-                groups.setdefault((dxr + ur, dxi + ui), []).append((r, c))
-        return groups, d
+        rows = [(d * xr, d * xi) for xr, xi in pts]
+        cols = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in pts]
+        bound = max(map(abs, chain(*rows)), default=0) + max(map(abs, chain(*cols)), default=0)
+        w = bound.bit_length() + 1
+        blocks, labels = _group(
+            m, [x + (y << w) for x, y in rows], [x + (y << w) for x, y in cols]
+        )
+        return blocks, labels, g
     is_psk = s_set.kind == "psk" and s_set.points == make_psk(m).points
     ratio = as_psk_ratio(m, s) if is_psk else None
     if ratio is not None:
@@ -92,36 +150,28 @@ def superpose(
         pw, n = zeta_powers(m), 2 * m
         rows = [pw[(i + t) % n] - pw[(i - t) % n] for i in range(1, n, 2)]
         cols = [pw[(i + e + u) % n] - pw[(i + e - u) % n] for i in range(1, n, 2)]
-        for r, rk in enumerate(rows, 1):
-            for c, ck in enumerate(cols, 1):
-                groups.setdefault(rk + ck, []).append((r, c))
-        return groups, None
-    sv = complex(s)
-    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
+        blocks, labels = _group(m, rows, cols)
+        return blocks, labels, None
+    sv, cells = complex(s), _cells(m)
     supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]
-    for grp in cluster_complex(supers):
-        v = supers[grp[0]]
-        groups[v.real, v.imag] = [cells[i] for i in grp]
-    return groups, 1
+    blocks = [[cells[idx] for idx in grp] for grp in cluster_complex(supers)]
+    return blocks, _label_grid(m, blocks), None
 
 
 def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPartition:
     """Partition of S x S by the value of x_A + s*x_B, one block per
-    `superpose` group."""
-    groups, _ = superpose(s_set, s)
-    blocks = tuple(map(tuple, groups.values()))
-    return ConstraintPartition(m=s_set.size, blocks=blocks)
+    `superpose` group, with its label grid."""
+    blocks, labels, _ = superpose(s_set, s)
+    return ConstraintPartition(m=s_set.size, blocks=tuple(map(tuple, blocks)), labels=tuple(labels))
 
 
 def constrained_pls(partition: ConstraintPartition) -> Grid:
     """The constrained partial Latin Square: multi-cell block i (in block
     order) is pre-filled with symbol i+1; singleton cells stay empty."""
-    m = partition.m
-    rows = [[0] * m for _ in range(m)]
+    symbols = [0] * len(partition.blocks)
     for sym, bi in enumerate(partition.multi_indices, 1):
-        for r, c in partition.blocks[bi]:
-            rows[r - 1][c - 1] = sym
-    return Grid.from_lists(rows)
+        symbols[bi] = sym
+    return partition.fill(symbols)
 
 
 def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:

@@ -268,13 +268,24 @@ def effective_constellation(
     # Imported here: lsnc.constraint imports this module.
     from lsnc.constraint import superpose
 
-    groups, den = superpose(s_set, s)
-    if den is None:
-        # Exact PSK keys: a group's value is its first cell's, computed as
-        # the float path computes it.
-        sv, pts = complex(s), s_set.points
-        firsts = (pts[r - 1] + sv * pts[c - 1] for r, c in (cells[0] for cells in groups.values()))
-        groups, den = dict.fromkeys((v.real, v.imag) for v in firsts), 1
+    blocks, _, g = superpose(s_set, s)
+    firsts = [block[0] for block in blocks]
+    if g is not None:
+        # Integer points at g = (a + bj)/d: a group's value is its first
+        # cell's d*x_A + (a + bj)*x_B over den = d, in integers.
+        a, b, den = g
+        pts = s_set.exact_points
+        groups = dict.fromkeys(
+            (den * xr + a * yr - b * yi, den * xi + a * yi + b * yr)
+            for (xr, xi), (yr, yi) in ((pts[r - 1], pts[c - 1]) for r, c in firsts)
+        )
+    else:
+        # Exact PSK keys and float clusters: a group's value is its first
+        # cell's, in floats.  Two exact groups may round to one float.
+        sv, pts, den = complex(s), s_set.points, 1
+        groups = dict.fromkeys(
+            (v.real, v.imag) for v in (pts[r - 1] + sv * pts[c - 1] for r, c in firsts)
+        )
     # Exact keys can lie beyond the float range; their quotients cannot.
     try:
         pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)
@@ -305,5 +316,5 @@ def is_singular(s_set: SignalSet, s: complex | FadeState) -> bool:
     """True when the effective constellation collapses below M^2 points."""
     from lsnc.constraint import superpose
 
-    groups, _ = superpose(s_set, s)
-    return len(groups) < s_set.size**2
+    blocks, _, _ = superpose(s_set, s)
+    return len(blocks) < s_set.size**2

@@ -131,11 +131,7 @@ def from_coloring(partition: ConstraintPartition, coloring: Coloring) -> Grid:
             f"coloring covers {len(coloring.colors)} vertices, "
             f"partition has {len(partition.blocks)} blocks"
         )
-    rows = [[0] * partition.m for _ in range(partition.m)]
-    for i, block in enumerate(partition.blocks):
-        for r, c in block:
-            rows[r - 1][c - 1] = coloring.colors[i]
-    grid = Grid.from_lists(rows)
+    grid = partition.fill(coloring.colors)
     if not grid.is_complete() or not verify_latin(grid):
         raise ValueError("coloring is not a proper coloring of the removal graph")
     return grid

@@ -123,14 +123,16 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 def build_srg(partition: ConstraintPartition) -> RemovalGraph:
     """Graph on all blocks; its lines are the blocks meeting each row, then
-    the blocks meeting each column."""
-    rows: list[list[int]] = [[] for _ in range(partition.m)]
-    cols: list[list[int]] = [[] for _ in range(partition.m)]
-    for i, block in enumerate(partition.blocks):
-        for r, c in block:
-            rows[r - 1].append(i)
-            cols[c - 1].append(i)
-    lines = [tuple(line) for line in rows + cols]
+    the blocks meeting each column, ascending.  Row r's line is the sorted
+    labels of row r of the partition's label grid, and column c's line the
+    sorted labels of its stride-M slice from c, less the -1 of cells no
+    block covers."""
+    m, labels = partition.m, partition.labels
+    grid_lines = [labels[i:i + m] for i in range(0, m * m, m)] + [labels[c::m] for c in range(m)]
+    lines = []
+    for grid_line in grid_lines:
+        line = sorted(grid_line)
+        lines.append(tuple(line[line.count(-1):]))
     return RemovalGraph.from_lines(len(partition.blocks), lines)
 
 

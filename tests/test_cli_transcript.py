@@ -142,6 +142,13 @@ TRANSCRIPT = [
      "e83b18fa7407bcaf7a76a9cde59617296f556b67b8fd3e7b18df26a54b97be08"),
     ("mindist --signal psk:8 --fade 1e308+1e308j",
      "c5712bff3315a257ffc071a985cb67e1f5aa32ef9bef00b19f08b11408d03226"),
+    # 64-QAM block lookup and exact effective constellations
+    ("clique --signal qam:64 --fade -1-1j",
+     "8f362e379a012f3f46170893f681a528fa9059aa191037d4fa2e65f771660da5"),
+    ("mindist --signal qam:64 --fade -1-1j",
+     "f3285ce03823782c8d78c4c15089547a539b89a6d2b59f64ed45b48340b72ec3"),
+    ("mindist --signal qam:16 --fade 0.5+0.5j",
+     "10fc96d86c2ec0f7667d2da7437cad3ae6b38de7853707359523afd7c0cd3721"),
 ]
 
 

@@ -110,6 +110,18 @@ def test_exact_on_odd_cycle_and_petersen():
     assert exact_chromatic(PETERSEN).chi == 3
 
 
+def test_lower_above_chi_is_rejected():
+    # A valid lower bound is returned as certified; one above chi is caught
+    # by the first decision's leaf, which then uses fewer than k colours.
+    g = cycle(4)
+    with pytest.raises(ValueError, match="lower=3 is not a lower bound: the graph has a 2-coloring"):
+        exact_chromatic(g, lower=3)
+    with pytest.raises(ValueError, match="lower=3"):
+        exact_chromatic(g, lower=3, node_budget=0)
+    res = exact_chromatic(g, lower=2)
+    assert (res.chi, res.lower, res.optimal) == (2, 2, True)
+
+
 def test_search_depth_is_not_bounded_by_recursion_limit():
     # Each search level colors one vertex: 2001 levels is deeper than
     # Python's default recursion limit of 1000.

@@ -27,7 +27,15 @@ from lsnc import (
 from lsnc._numeric import cluster_complex
 from lsnc.errors import AmbiguousGroupingError
 from lsnc.signal_set import SignalSet
-from lsnc.fade_state import _canon, _psk_radii, _sort_key, as_exact_ratio, as_psk_ratio
+from lsnc.fade_state import (
+    RECONSTRUCT_DEN,
+    FadeState,
+    _canon,
+    _psk_radii,
+    _sort_key,
+    as_exact_ratio,
+    as_psk_ratio,
+)
 from lsnc.fixtures import load_grid
 
 from conftest import SKEW_POINTS, gadd, gmul, gq
@@ -80,8 +88,21 @@ def test_blocks_sorted_by_first_cell(qam4_partition):
 def test_block_lookup(qam4_partition):
     bi = qam4_partition.block_of((1, 3))
     assert (3, 2) in qam4_partition.blocks[bi]
-    with pytest.raises(KeyError):
-        qam4_partition.block_of((9, 9))
+    # Off the grid: no index of the label grid may wrap round or be read.
+    for cell in [(9, 9), (0, 1), (1, 0), (-1, 2), (5, 1), (1, 5)]:
+        with pytest.raises(KeyError):
+            qam4_partition.block_of(cell)
+    # A closed form covers only its multi-cell blocks; label -1 is no block.
+    part = psk_constraints_closed_form(8, 1, 4)
+    covered = {cell for block in part.blocks for cell in block}
+    uncovered = [(r, c) for r in range(1, 9) for c in range(1, 9) if (r, c) not in covered]
+    assert len(uncovered) == 48
+    for cell in uncovered:
+        with pytest.raises(KeyError):
+            part.block_of(cell)
+    assert [part.block_of(cell) for block in part.blocks for cell in block] == [
+        i for i, block in enumerate(part.blocks) for _ in block
+    ]
 
 
 def test_constrained_pls_matches_figure(qam4_partition):
@@ -184,6 +205,104 @@ def test_partitions_match_golden_hash(name, step, sha256):
         states = enumerate_singular_fade_states(signal)[::step]
     dump = "".join(f"{build_constraints(signal, fs).blocks!r}\n" for fs in states)
     assert hashlib.sha256(dump.encode()).hexdigest() == sha256
+
+
+# Packed Z[i] keys and the label grid against the tuple keys they replace.
+
+def tuple_key_blocks(signal, s):
+    """Blocks keyed by the (re, im) pair d*x_A + (a + bj)*x_B, as `superpose`
+    grouped integer-grid sets before packed keys."""
+    a, b, d = as_exact_ratio(s)
+    pts = signal.exact_points
+    g_col = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in pts]
+    groups = {}
+    for r, (xr, xi) in enumerate(pts, 1):
+        for c, (ur, ui) in enumerate(g_col, 1):
+            groups.setdefault((d * xr + ur, d * xi + ui), []).append((r, c))
+    return tuple(map(tuple, groups.values()))
+
+
+def assert_labels(part):
+    """Cell (r, c) of block i has label i at (r-1)*M + c-1; every other cell
+    has -1."""
+    m, labels = part.m, part.labels
+    assert len(labels) == m * m
+    for i, block in enumerate(part.blocks):
+        for r, c in block:
+            assert labels[(r - 1) * m + c - 1] == i, (i, r, c)
+    assert sum(lab >= 0 for lab in labels) == sum(map(len, part.blocks))
+    assert min(labels, default=-1) >= -1
+
+
+def exact_fade(a, b, q):
+    """The fade (a + bj)/q with its exact triple, reduced."""
+    g = math.gcd(a, b, q)
+    a, b, q = a // g, b // g, q // g
+    return FadeState(value=complex(a / q, b / q), exact_value=(a, b, q))
+
+
+def random_fades(seed, count):
+    """Exact fades (a + bj)/q with q up to RECONSTRUCT_DEN."""
+    rng = random.Random(seed)
+    fades = []
+    for _ in range(count):
+        q = rng.choice([rng.randint(1, 60), rng.randint(1, RECONSTRUCT_DEN)])
+        fades.append(exact_fade(rng.randint(-4 * q, 4 * q), rng.randint(-4 * q, 4 * q), q))
+    return fades
+
+
+# Large q: the digits of the packed pair run to tens of bits.
+LARGE_Q_FADES = [
+    exact_fade(-29, 22, 53),
+    exact_fade(29, -22, 53),
+    exact_fade(-999_983, 1, RECONSTRUCT_DEN),
+    exact_fade(3, 7 * RECONSTRUCT_DEN, RECONSTRUCT_DEN - 1),
+    exact_fade(-(10**30) - 1, 10**30, 10**30 + 7),
+]
+
+
+@pytest.mark.parametrize(
+    "name,step", [("qam4", 1), ("qam16", 1), ("pam4", 1), ("qam64", 7), ("skew", 1)],
+    ids=["qam4-all", "qam16-all", "pam4-all", "qam64-every-7th", "skew-all"],
+)
+def test_packed_keys_match_tuple_keys(name, step):
+    # Square QAM and PAM points have odd coordinates, so two keys differ by
+    # even amounts and would stay apart with a digit one bit narrower; the
+    # skew set's states are where a digit at its bound matters.
+    signal = make_pam(4) if name == "pam4" else EXACT_SIGNALS[name]
+    states = enumerate_singular_fade_states(signal)[::step]
+    stride = 1 + len(states) // 40  # labels of a sample
+    for i, fs in enumerate(states):
+        part = build_constraints(signal, fs)
+        assert part.blocks == tuple_key_blocks(signal, fs), fs
+        if i % stride == 0:
+            assert_labels(part)
+
+
+@pytest.mark.parametrize("name", ["qam4", "qam16", "pam4", "pam8", "skew", "qam64"])
+def test_packed_keys_at_large_q_and_random_rationals(name):
+    signal = make_pam(4) if name == "pam4" else EXACT_SIGNALS[name]
+    fades = LARGE_Q_FADES + random_fades(name, 20 if name == "qam64" else 200)
+    for fs in fades:
+        part = build_constraints(signal, fs)
+        assert part.blocks == tuple_key_blocks(signal, fs), fs.exact_value
+        assert_labels(part)
+        if max(map(abs, fs.exact_value)) <= 8 * RECONSTRUCT_DEN:
+            # The same number as a plain complex reconstructs to the triple.
+            assert build_constraints(signal, fs.value).blocks == part.blocks
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_labels_of_closed_forms_and_float_groupings(m):
+    # Closed forms hold only their multi-cell blocks: every other cell is -1.
+    for k in range(1, m // 2 + 1):
+        for l in range(1, m // 2 + 1):
+            if k != l:
+                assert_labels(psk_constraints_closed_form(m, k, l))
+    signal = make_psk(m)
+    for fs in psk_representatives(m)[:: m // 2]:
+        assert_labels(build_constraints(signal, fs))
+    assert_labels(build_constraints(signal, 0.3 + 0.1j))  # float clustering
 
 
 # Exact Z[zeta] keys for M-PSK against the float grouping they replace.

@@ -55,6 +55,19 @@ def oracle_adj(partition):
     return tuple(masks)
 
 
+def oracle_lines(partition):
+    """Lines appended cell by cell, block by block, as `build_srg` built
+    them before reading the label grid: each row's blocks, then each
+    column's."""
+    rows = [[] for _ in range(partition.m)]
+    cols = [[] for _ in range(partition.m)]
+    for i, block in enumerate(partition.blocks):
+        for r, c in block:
+            rows[r - 1].append(i)
+            cols[c - 1].append(i)
+    return tuple(tuple(line) for line in rows + cols)
+
+
 def oracle_vital_adj(graph, partition):
     keep = [v for v in range(graph.n) if len(partition.blocks[graph.vertex_block[v]]) >= 2]
     pos = {v: i for i, v in enumerate(keep)}
@@ -137,6 +150,7 @@ def test_qam16_graphs_match_oracle(qam16):
         part = build_constraints(qam16, fs)
         graph = build_srg(part)
         assert_matches_oracle(graph, oracle_adj(part))
+        assert graph.lines == oracle_lines(part)
         assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
         vital = vital_subgraph(graph, part)
         assert greedy_clique_lower_bound(vital) == oracle_greedy_clique(vital)
@@ -151,6 +165,7 @@ def test_psk_graphs_and_vital_subgraphs_match_oracle(m):
         part = build_constraints(signal, fs)
         graph = build_srg(part)
         assert_matches_oracle(graph, oracle_adj(part), unpack=m == 16 or i % 8 == 0)
+        assert graph.lines == oracle_lines(part)
         vital = vital_subgraph(graph, part)
         adj, vertex_block = oracle_vital_adj(graph, part)
         assert_matches_oracle(vital, adj)
@@ -166,6 +181,7 @@ def test_qam64_graphs_match_oracle_and_golden_hash():
         part = build_constraints(signal, fs)
         graph = build_srg(part)
         assert_matches_oracle(graph, oracle_adj(part), unpack=i % 5 == 0)
+        assert graph.lines == oracle_lines(part)
         dump.append(",".join(map(hex, graph.adj)) + "\n")
     assert hashlib.sha256("".join(dump).encode()).hexdigest() == (
         "fef6bd3f80d5ca89278ca9768263a986faab55ba2f4660aedead9f874c5b8817"
@@ -228,6 +244,7 @@ def test_isolated_vertices_of_a_vital_subgraph():
     part = ConstraintPartition(m=4, blocks=(pairs[0], *singles[:6], pairs[1], *singles[6:]))
     graph = build_srg(part)
     assert_matches_oracle(graph, oracle_adj(part))
+    assert graph.lines == oracle_lines(part)
     vital = vital_subgraph(graph, part)
     adj, vertex_block = oracle_vital_adj(graph, part)
     assert adj == (0, 0)
@@ -310,6 +327,8 @@ def test_psk_vital_adjacency_matches_edge_oracle(m):
     for fs in reps[::8] if m == 64 else reps:
         graph = psk_vital_adjacency(m, fs.k, fs.l)
         assert_matches_oracle(graph, oracle_psk_vital_adj(m, fs.k, fs.l))
+        # Closed forms leave cells uncovered; their -1 labels are on no line.
+        assert graph.lines == oracle_lines(psk_constraints_closed_form(m, fs.k, fs.l))
         assert graph.vertex_block == tuple(range(graph.n))
 
 
