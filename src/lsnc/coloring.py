@@ -15,9 +15,9 @@ k-coloring: each k below it is refuted by an exhausted search.
 
 The kernel's state is bitmasks over ranks, the vertices numbered by
 (degree descending, index ascending) so that ties go to the lowest rank:
-the uncolored vertices, for each color the vertices next to it, and for
-each saturation the uncolored vertices at that level.  Coloring a vertex
-moves the newly saturated part of its neighborhood up one level as whole
+the uncolored vertices, for each color the vertices next to it, and one
+mask per bit of the saturation counters.  Coloring a vertex adds one to the
+newly saturated part of its neighborhood by a ripple carry through those
 masks; no step walks a neighbor list.
 """
 from __future__ import annotations
@@ -112,13 +112,13 @@ def _dsatur_search(
     descending, index ascending) as in `RemovalGraph.ranks`:
     - near[c] holds the vertices with a neighbor colored c, so c is free at
       v iff v's bit is clear in near[c];
-    - level[s] holds the uncolored vertices of saturation s, so the vertex
-      entered is the lowest set bit of the highest nonempty level.
-    Coloring v with c raises R = rank_adj[v] & uncolored & ~near[c] one
-    level: walking from v's entry level, the highest nonempty one, down to
-    0, each level's part of R moves up, until R is empty.  Undoing the color
-    restores near[c] and moves R back down, walking up from level 1.  No
-    step visits a neighbor on its own.
+    - plane[p] holds bit p of the saturation of every uncolored vertex.
+    Narrowing the uncolored vertices through the planes from the highest,
+    keeping those with bit p set if any have it, leaves the most saturated
+    ones, and the vertex entered is the lowest rank among them.  Coloring v
+    with c adds one to R = rank_adj[v] & uncolored & ~near[c] by a carry
+    rippling up the planes; undoing it restores near[c] and subtracts one
+    from R with a borrow.  No step visits a neighbor on its own.
     """
     by_rank, rank_adj = graph.ranks
     uses: Counter = Counter()
@@ -131,32 +131,18 @@ def _dsatur_search(
             near[c] |= rank_adj[r]
         else:
             uncolored |= 1 << r
-    # Saturation is at most the degree, and `top` may run one level above
-    # the highest nonempty one.
-    level = [0] * (max(map(int.bit_count, rank_adj), default=0) + 2)
-
-    def shift(rest: int, s: int, d: int) -> None:
-        """Move the vertices of `rest` from their level to the level d
-        above it, visiting levels s, s - d, ... until none is left."""
-        while rest:
-            moved = level[s] & rest
-            if moved:
-                level[s] ^= moved
-                level[s + d] |= moved
-                rest ^= moved
-            s -= d
-
-    # Each color of the partial coloring raises the uncolored vertices it is
-    # near; after j colors no saturation exceeds j or the degree.
-    level[0] = uncolored
-    for j, mask in enumerate(near.values()):
-        shift(mask & uncolored, min(j, len(level) - 2), 1)
-    top = len(level) - 1  # no nonempty level lies above it
+    # A saturation is at most the degree.
+    plane = [0] * max(map(int.bit_count, rank_adj), default=0).bit_length()
+    # Each color of the partial coloring adds one to the vertices it is near.
+    for carry in near.values():
+        p = 0
+        while carry:
+            plane[p], carry = plane[p] ^ carry, plane[p] & carry
+            p += 1
     # An explicit stack, so depth is not bounded by the recursion limit.  One
     # frame per vertex the search has colored, deepest last: [vertex, its
     # rank bit, its rank adjacency, colors left to try, `used` before it, its
-    # entry level, its color, the vertices that color raised, near[color]
-    # before it].
+    # color, the vertices that color raised, near[color] before it].
     stack: list[list] = []
     used = max(colors, default=0)
     nodes = 0
@@ -167,29 +153,36 @@ def _dsatur_search(
         elif nodes > budget:
             return nodes, True
         else:
-            while not level[top]:
-                top -= 1
-            vbit = level[top] & -level[top]
-            level[top] ^= vbit
+            cand = uncolored
+            for b in reversed(plane):
+                b &= cand
+                if b:
+                    cand = b
+            vbit = cand & -cand
             uncolored ^= vbit
             r = vbit.bit_length() - 1
             todo = iter(order(used, uses))
-            stack.append([by_rank[r], vbit, rank_adj[r], todo, used, top, 0, 0, 0])
+            stack.append([by_rank[r], vbit, rank_adj[r], todo, used, 0, 0, 0])
         # Move to the next untried color of the deepest vertex that has one.
         while stack:
             frame = stack[-1]
-            v, vbit, adj, todo, used, entry, c, raised, old = frame
+            v, vbit, adj, todo, used, c, raised, old = frame
             if c:
                 uses[c] -= 1
                 colors[v] = 0
                 near[c] = old
-                shift(raised, 1, -1)
-            c = next((c for c in todo if not near[c] & vbit), 0)
-            if c:
-                break
-            stack.pop()
-            level[entry] |= vbit
-            uncolored |= vbit
+                p = 0
+                while raised:  # subtract one, borrowing where a bit was 0
+                    plane[p], raised = plane[p] ^ raised, raised & ~plane[p]
+                    p += 1
+            for c in todo:
+                if not near[c] & vbit:
+                    break
+            else:
+                stack.pop()
+                uncolored |= vbit
+                continue
+            break
         else:
             return nodes, False
         nodes += 1
@@ -198,12 +191,13 @@ def _dsatur_search(
         old = near[c]
         near[c] = old | adj
         raised = adj & uncolored & ~old
-        frame[6:] = c, raised, old
-        # v was entered from the highest nonempty level; a coloring step
-        # raises a saturation by at most one.
-        shift(raised, entry, 1)
-        top = entry + 1
-        used = max(used, c)
+        frame[5:] = c, raised, old
+        p = 0
+        while raised:  # add one, carrying where a bit was 1
+            plane[p], raised = plane[p] ^ raised, plane[p] & raised
+            p += 1
+        if c > used:
+            used = c
 
 
 def greedy_color(graph: RemovalGraph, partial: Sequence[int] = ()) -> Coloring:
@@ -226,24 +220,22 @@ def exact_chromatic(
 ) -> ChromaticResult:
     """Chromatic number by ascending k-colorability decisions.
 
-    The start bound lb is the largest of `lower`, the widest line of the
-    graph and a greedy clique.  For k = lb, lb + 1, ... the kernel searches
-    for a k-coloring; the colors not yet used are interchangeable, so only
-    the lowest of them is tried.  The first k with a coloring is the
+    The start bound is the larger of the widest line of the graph and a
+    greedy clique, both cliques.  For k = that bound, k + 1, ... the kernel
+    searches for a k-coloring; the colors not yet used are interchangeable,
+    so only the lowest of them is tried.  The first k with a coloring is the
     chromatic number, every smaller k having been refuted by an exhausted
     search.  All decisions share `node_budget`; if it runs out, the partial
     coloring of the current decision is filled by greedy DSATUR, which is
     optimal only if it needs no more than k colors.
 
-    `lower` must be certified (a clique size, say): every k below the start
-    bound counts as refuted, and the result returns it as proved.  A wrong
-    one shows only when a coloring with fewer than k colors turns up, and
-    that raises ValueError.
+    `lower`, a bound the caller claims, is only checked: a coloring with
+    fewer than `lower` colors raises ValueError.
     """
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0, 0)
     widest = max((len(set(line)) for line in graph.lines), default=0)
-    k = max(lower or 1, widest, greedy_clique_lower_bound(graph))
+    k = max(1, widest, greedy_clique_lower_bound(graph))
     nodes = 0
     while True:
         colors = [0] * graph.n
@@ -256,7 +248,7 @@ def exact_chromatic(
             colors = greedy_color(graph, colors).colors
         if stopped or all(colors):
             chi = max(colors)
-            if chi < k:
+            if lower and chi < lower:
                 raise ValueError(
                     f"lower={lower} is not a lower bound: the graph has a {chi}-coloring"
                 )

@@ -8,6 +8,7 @@ state's partition is filled with a single common symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from lsnc.errors import CompletionError, SearchBudgetExceeded
@@ -17,6 +18,7 @@ if TYPE_CHECKING:
 
     from lsnc.constraint import ConstraintPartition
     from lsnc.coloring import Coloring
+    from lsnc.srg import RemovalGraph
 
 __all__ = [
     "Grid",
@@ -351,6 +353,20 @@ def complete_rows_hall(grid: Grid) -> Grid:
     return out
 
 
+@lru_cache(maxsize=8)
+def _rook_graph(m: int) -> RemovalGraph:
+    """The graph completion colors, cell r*m + c being vertex r*m + c: its
+    lines are the rows and the columns.  Kept, with its ranks, for the last
+    few M used."""
+    from lsnc.srg import RemovalGraph  # not at the top: lsnc.srg imports this module
+
+    return RemovalGraph.from_lines(
+        m * m,
+        [tuple(range(r * m, (r + 1) * m)) for r in range(m)]
+        + [tuple(range(c, m * m, m)) for c in range(m)],
+    )
+
+
 def generic_complete(
     grid: Grid, max_symbols: int, node_budget: int = DEFAULT_BUDGET
 ) -> Grid | None:
@@ -369,7 +385,6 @@ def generic_complete(
     """
     # Imported here: lsnc.coloring imports this module.
     from lsnc.coloring import _dsatur_search
-    from lsnc.srg import RemovalGraph
 
     m = grid.m
     cells = [v for row in grid.rows for v in row]
@@ -379,13 +394,6 @@ def generic_complete(
         return None  # a complete M x M Latin grid needs at least M symbols
     if not verify_latin(grid):
         raise ValueError("input grid violates row/column exclusion")
-    # Completion colors the rook graph: its lines are the rows and the
-    # columns of cells, cell r*m + c being vertex r*m + c.
-    rook = RemovalGraph.from_lines(
-        m * m,
-        [tuple(range(r * m, (r + 1) * m)) for r in range(m)]
-        + [tuple(range(c, m * m, m)) for c in range(m)],
-    )
 
     def order(_, uses: Counter) -> list[int]:
         used = [s for _, s in sorted([(n, s) for s, n in uses.items() if n])]
@@ -396,7 +404,7 @@ def generic_complete(
             fresh += 1
         return [fresh, *used] if len(used) < m else [*used, fresh]
 
-    nodes, _ = _dsatur_search(rook, cells, order, lambda _: True, node_budget)
+    nodes, _ = _dsatur_search(_rook_graph(m), cells, order, lambda _: True, node_budget)
     if nodes > node_budget:
         raise SearchBudgetExceeded(f"completion budget {node_budget} exhausted")
     if not all(cells):

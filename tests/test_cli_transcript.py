@@ -81,6 +81,8 @@ TRANSCRIPT = [
      "b632e861bfdac89b762913a9cd2ff812acfacf5b1f9d1a2545ff86f910908825"),
     ("latin --signal qam:16 --fade 0.5+2.5j --budget 5",
      "38f9304a4502b71d3a153b4e27c2d626914c5be756c30762c77c0dde456a6737"),
+    ("latin --signal qam:16 --fade -1-1j --budget 2000",
+     "89d0c7cf01b907ec508b0aea7982f9bedee1e7acc402fff9ae415f96b757bdd7"),
     ("verify --latin good.json --signal custom:@qam8.json --fade -0.5-0.5j",
      "4b710a2b0d9f269348e5bc086fb39a90cd34b1ad8cd5f82a22634d21ef87f51c"),
     ("verify --latin bad.json --signal custom:@qam8.json --fade -0.5-0.5j",

@@ -111,8 +111,8 @@ def test_exact_on_odd_cycle_and_petersen():
 
 
 def test_lower_above_chi_is_rejected():
-    # A valid lower bound is returned as certified; one above chi is caught
-    # by the first decision's leaf, which then uses fewer than k colours.
+    # The caller's lower bound is only checked: a coloring with fewer colors
+    # raises, with or without a budget stop.
     g = cycle(4)
     with pytest.raises(ValueError, match="lower=3 is not a lower bound: the graph has a 2-coloring"):
         exact_chromatic(g, lower=3)
@@ -120,6 +120,27 @@ def test_lower_above_chi_is_rejected():
         exact_chromatic(g, lower=3, node_budget=0)
     res = exact_chromatic(g, lower=2)
     assert (res.chi, res.lower, res.optimal) == (2, 2, True)
+
+
+def test_lower_is_not_trusted_when_a_leaf_uses_exactly_that_many_colors():
+    # Here a search for a 4-coloring would find one first, so starting the
+    # ladder at the caller's lower=4 would report chi = 4 as optimal.  Cut
+    # off by the budget, the run only brackets chi between its own bound
+    # and the greedy fill.
+    g = RemovalGraph.from_lines(
+        10,
+        [(0, 1), (0, 2), (0, 6), (1, 4), (1, 9), (2, 3), (2, 5), (2, 6),
+         (3, 8), (3, 9), (4, 5), (4, 7), (4, 8), (5, 7), (7, 8), (8, 9)],
+    )
+    assert subset_chromatic(g) == 3
+    with pytest.raises(ValueError, match="lower=4 is not a lower bound: the graph has a 3-coloring"):
+        exact_chromatic(g, lower=4)
+    res = exact_chromatic(g, lower=4, node_budget=0)
+    assert (res.chi, res.lower, res.optimal) == (4, 3, False)
+    for lower in (None, 2, 3):
+        res = exact_chromatic(g, lower=lower)
+        assert (res.chi, res.lower, res.optimal) == (3, 3, True)
+        assert verify_proper(g, res.coloring)
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit():
@@ -436,6 +457,30 @@ def test_kernel_matches_scanning_reference_on_qam16(qam16, fade, row1):
         assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
             scan_dsatur_search, *args
         )
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["empty", "pinned"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_kernel_matches_scanning_reference_across_plane_boundaries(n, pinned):
+    # On K_n every uncolored vertex's saturation climbs by one per colored
+    # vertex, up to n - 1, so the counters carry into every plane there is.
+    # With n - 1 colors and only the lowest unused one tried, each vertex
+    # has one choice until the last has none; the search then undoes every
+    # color, borrowing back down to where it began.  Budgets of n // 2
+    # stop it halfway up.
+    graph = complete_graph(n)
+    precolored = [v + 1 if pinned and v < n // 2 else 0 for v in range(n)]
+    orders = (
+        ORDERS["greedy"],
+        lambda used, _: range(1, min(used + 1, n - 1) + 1),
+        ORDERS["least-used"],
+    )
+    for order in orders:
+        for stop_after, budget in ((1, 10**6), (10**9, n // 2), (10**9, 10**6)):
+            args = (graph, precolored, order, stop_after, budget)
+            assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
+                scan_dsatur_search, *args
+            )
 
 
 def test_kernel_with_more_given_colors_than_levels():
