@@ -24,6 +24,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .fade_state import (
+    check_construction_order,
     enumerate_singular_fade_states,
     psk_representative,
     psk_representatives,
@@ -262,6 +263,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_psk_sweep(args: argparse.Namespace) -> int:
     m = args.m
+    check_construction_order(m)
     signal = from_spec(f"psk:{m}")
     out_dir = Path(args.out) if args.out else None
     if out_dir:

@@ -197,18 +197,19 @@ def psk_singular_fade_states(m: int) -> tuple[FadeState, ...]:
     """
     _check_power_of_two(m)
     circles: list[tuple[float, int, int, bool]] = []  # radius, k, l, same_parity
-    for k in range(1, m // 2 + 1):
-        for l in range(1, m // 2 + 1):
-            r = math.sin(k * math.pi / m) / math.sin(l * math.pi / m)
-            same = (k - l) % 2 == 0
-            for r0, _, _, same0 in circles:
-                if abs(r - r0) < 1e-9:
-                    if same0 != same:
-                        raise AssertionError("circle with conflicting phase parity")
-                    break
-            else:
-                circles.append((r, k, l, same))
-    expected = (m * m // 4 - m // 2 + 1)
+    radii, pairs = _psk_radii(m)
+    for i, (r, (k, l)) in enumerate(zip(radii, pairs)):
+        same = (k - l) % 2 == 0
+        if i and r - radii[i - 1] < 1e-9:
+            # One circle (_psk_radii proves the radii equal), tagged with its
+            # smallest (k, l) at that pair's own radius.
+            if circles[-1][3] != same:
+                raise AssertionError("circle with conflicting phase parity")
+            if (k, l) < circles[-1][1:3]:
+                circles[-1] = (r, k, l, same)
+        else:
+            circles.append((r, k, l, same))
+    expected = m * m // 4 - m // 2 + 1
     if len(circles) != expected:
         raise AssertionError(f"{len(circles)} circles, expected {expected}")
     states = []
@@ -221,11 +222,17 @@ def psk_singular_fade_states(m: int) -> tuple[FadeState, ...]:
     return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
 
 
+def check_construction_order(m: int) -> None:
+    """Reject an M the PSK constructions do not cover: they need a power of
+    two >= 8."""
+    if m < 8 or m & (m - 1):
+        raise ValueError(f"constructions need M a power of two >= 8, got {m}")
+
+
 def check_closed_form(m: int, k: int, l: int) -> None:
     """Reject parameters outside the PSK closed forms: M a power of two
     >= 8, 1 <= k, l <= M/2 and k != l."""
-    if m < 8 or m & (m - 1):
-        raise ValueError(f"constructions need M a power of two >= 8, got {m}")
+    check_construction_order(m)
     if not (1 <= k <= m // 2 and 1 <= l <= m // 2) or k == l:
         raise ValueError(f"need 1 <= k,l <= M/2 and k != l, got ({k},{l})")
 

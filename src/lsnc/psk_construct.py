@@ -2,10 +2,13 @@
 
 Each representative fade state (k, l) classifies into one of six cases by
 the 2-adic structure of k and l.  The vital subgraph gets a fixed 4- or
-8-coloring, the resulting partial grid is topped up with one or two
-closed-form cells per row, and the rest is completed either along empty
-diagonals or through the symbol/row interchange + SDR + Latin-rectangle
-route.  Runtime asserts back every "cannot happen" claim the construction
+8-coloring, and `removal_square` copies the resulting partial grid once
+into one working list of rows.  Every closed-form step writes into those
+rows in place: the one or two top-up cells per row, and then either the
+fill of the empty diagonals or the symbol/row interchange + SDR +
+Latin-rectangle route, which builds the one `Grid` that `lsnc.latin`'s
+helpers take.  The case is dispatched once, so the steps do not re-check
+it.  Runtime asserts back every "cannot happen" claim the construction
 relies on.
 """
 from __future__ import annotations
@@ -35,9 +38,6 @@ __all__ = [
     "classify",
     "vital_coloring",
     "vital_pfls",
-    "diagonal_complete",
-    "appendix_a_complete",
-    "appendix_b_complete",
     "removal_square",
     "remove_all_psk",
 ]
@@ -179,49 +179,49 @@ def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
     return grid, part, coloring
 
 
-def diagonal_complete(grid: Grid) -> Grid:
-    """Fill the M-4 empty wrap-around diagonals with fresh symbols.
+def _diagonal_complete(rows: list[list[int]]) -> Grid:
+    """Fill the M-4 empty wrap-around diagonals of a 4-symbol partial grid
+    with fresh symbols, in place, and return the finished square.
 
-    Works for the 4-symbol partial grids whose empty cells are invariant
-    under the shift (r, c) -> (r+1, c+1): the diagonal through (1, c) is
-    filled with one new symbol.  Anything else raises PatternMismatchError.
+    The empty cells must be invariant under the shift (r, c) -> (r+1, c+1):
+    the diagonal through (1, c) is filled with one new symbol.  Anything else
+    raises PatternMismatchError.
     """
-    m = grid.m
-    if grid.symbols() - set(range(1, 5)):
+    m = len(rows)
+    if {v for row in rows for v in row} - set(range(5)):
         raise PatternMismatchError("diagonal completion expects symbols 1..4")
-    for r in range(1, m + 1):
-        if sum(1 for c in range(1, m + 1) if grid.at(r, c)) != 4:
+    for r, row in enumerate(rows, 1):
+        if m - row.count(0) != 4:
             raise PatternMismatchError(f"row {r} does not have exactly 4 filled cells")
-    empty_cols = [c for c in range(1, m + 1) if not grid.at(1, c)]
-    rows = [list(row) for row in grid.rows]
-    for idx, c in enumerate(empty_cols):
-        sym = 5 + idx
-        for b in range(m):
-            r, cc = 1 + b, (c - 1 + b) % m + 1
-            if rows[r - 1][cc - 1]:
+    empty_cols = [c for c, v in enumerate(rows[0]) if not v]
+    for sym, c in enumerate(empty_cols, 5):
+        for r, row in enumerate(rows):
+            cc = (c + r) % m
+            if row[cc]:
                 raise PatternMismatchError(
-                    f"empty cells are not diagonal-shift invariant at {(r, cc)}"
+                    f"empty cells are not diagonal-shift invariant at {(r + 1, cc + 1)}"
                 )
-            rows[r - 1][cc - 1] = sym
-    out = Grid.from_lists(rows)
-    if not out.is_complete() or not verify_latin(out):
+            row[cc] = sym
+    square = Grid.from_lists(rows)
+    if not square.is_complete() or not verify_latin(square):
         raise CompletionError("diagonal completion produced an invalid square")
-    return out
+    return square
 
 
 def _fill_cell(rows: list[list[int]], r: int, c: int, sym: int) -> None:
     if rows[r - 1][c - 1]:
         raise CompletionError(f"fill target {(r, c)} is not empty")
-    if sym in rows[r - 1] or any(rows[i][c - 1] == sym for i in range(len(rows))):
+    if sym in rows[r - 1] or any(row[c - 1] == sym for row in rows):
         raise CompletionError(f"symbol {sym} conflicts at {(r, c)}")
     rows[r - 1][c - 1] = sym
 
 
-def _rectangle_complete(l1: Grid, n_rect: int) -> Grid:
+def _rectangle_complete(rows: list[list[int]], n_rect: int) -> Grid:
     """Interchange symbol/row, finish the n_rect-row rectangle via an SDR,
     extend to a Latin Square, and interchange back."""
-    m = l1.m
-    rect = interchange_symbol_row(l1)
+    m = len(rows)
+    l1 = Grid.from_lists(rows)
+    rect = interchange_symbol_row(l1).to_lists()
     # Rectangle row r may take symbol j at (r, c) exactly when cell (j, c)
     # of l1 may take symbol r, so only the n_rect rectangle rows are scanned.
     by_sym: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(m + 1)]
@@ -232,7 +232,7 @@ def _rectangle_complete(l1: Grid, n_rect: int) -> Grid:
     fill_syms: list[int] = []
     for j in range(1, m + 1):
         by_row = by_sym[j]
-        missing = [r for r in range(1, n_rect + 1) if j not in rect.rows[r - 1]]
+        missing = [r for r in range(1, n_rect + 1) if j not in rect[r - 1]]
         if sorted(by_row) != missing:
             raise CompletionError(
                 f"symbol {j} has no admissible cell in a row that lacks it"
@@ -243,58 +243,45 @@ def _rectangle_complete(l1: Grid, n_rect: int) -> Grid:
     sdr = find_sdr(family)
     if not sdr.ok:
         raise CompletionError(f"no SDR; Hall violator {sdr.violating}")
-    rows = [list(row) for row in rect.rows]
     for (r, c), j in zip(sdr.representatives, fill_syms):
-        _fill_cell(rows, r, c, j)
-    filled = Grid.from_lists(rows)
+        _fill_cell(rect, r, c, j)
     for r in range(n_rect):
-        if 0 in filled.rows[r]:
+        if 0 in rect[r]:
             raise CompletionError(f"rectangle row {r + 1} still has empty cells")
-    full = complete_rows_hall(filled)
-    return interchange_symbol_row(full)
+    return interchange_symbol_row(complete_rows_hall(Grid.from_lists(rect)))
 
 
-def appendix_a_complete(grid: Grid, case: PskCase, coloring: Coloring) -> Grid:
-    """Complete a Sin-case partial grid (M constraints, 4 symbols) to an
-    M-symbol Latin Square.
+def _top_up_sin(rows: list[list[int]], case: PskCase, coloring: Coloring) -> None:
+    """Appendix A: fill one closed-form cell per row of a Sin-case partial
+    grid (M constraints, 4 symbols) in place.
 
-    `coloring` is the vital coloring the grid was filled from.  One
-    closed-form cell per row is filled with the symbol of the constraint
-    half a turn away, then the grid goes through the
-    interchange/SDR/rectangle route.
+    Row i's cell gets the symbol of the constraint half a turn away in
+    `coloring`, the vital coloring the grid was filled from.
     """
-    if case.tag not in (SIN_ODD, SIN_EVEN):
-        raise ValueError(f"appendix A handles Sin cases only, got {case.tag}")
     m, k, half = case.m, case.bk, case.m // 2
-    rows = [list(row) for row in grid.rows]
     for i in range(m):
         if k % 2:
             col = (i - m // 4 - (k - 1) // 2) % m + 1
         else:
             col = (i - m // 4 - k // 2 + (1 << _val2(k))) % m + 1
         _fill_cell(rows, i + 1, col, coloring.colors[(i + half) % m])
-    return _rectangle_complete(Grid.from_lists(rows), 4)
 
 
-def appendix_b_complete(grid: Grid, case: PskCase) -> Grid:
-    """Complete a DiffPower/Mixed partial grid (2M constraints, 8 symbols)
-    to an M-symbol Latin Square.
+def _top_up_pairs(rows: list[list[int]], case: PskCase) -> None:
+    """Appendix B: fill two closed-form cells per row of a DiffPower/Mixed
+    partial grid (2M constraints, 8 symbols) in place.
 
-    Two closed-form cells per row are filled: one with the unique symbol of
-    {1..4} absent from the cell's row and column, one likewise from {5..8};
-    then the interchange/SDR/rectangle route finishes the job.
+    One cell takes the unique symbol of {1..4} absent from its row and
+    column, the other likewise from {5..8}.
     """
-    if case.tag not in (DIFF_POWER, MIXED):
-        raise ValueError(f"appendix B handles DiffPower/Mixed only, got {case.tag}")
     m, k, l, half = case.m, case.bk, case.bl, case.m // 2
     if case.tag == MIXED:
         d1, d2 = (k + 1 - l) // 2, (k + 1 + l) // 2
     else:
         d1, d2 = (k - l) // 2, (k + l) // 2
-    rows = [list(row) for row in grid.rows]
 
     def zeta_fill(r: int, c: int, sym_range: range) -> None:
-        present = set(rows[r - 1]) | {rows[i][c - 1] for i in range(m)}
+        present = set(rows[r - 1]) | {row[c - 1] for row in rows}
         absent = [s for s in sym_range if s not in present]
         if len(absent) != 1:
             raise CompletionError(
@@ -306,19 +293,21 @@ def appendix_b_complete(grid: Grid, case: PskCase) -> Grid:
         zeta_fill(i + 1, (i - d1) % m + 1, range(1, 5))
     for i in range(m):
         zeta_fill(i + 1, (i + half - d2) % m + 1, range(5, 9))
-    return _rectangle_complete(Grid.from_lists(rows), 8)
 
 
 def removal_square(m: int, k: int, l: int) -> Grid:
     """M-symbol Latin Square removing the (k, l) representative of M-PSK."""
     case = classify(m, k, l)
     pfls, _, coloring = vital_pfls(case)
+    rows = pfls.to_lists()
     if case.tag in (BOTH_ODD, SAME_POWER):
-        square = diagonal_complete(pfls)
+        square = _diagonal_complete(rows)
     elif case.tag in (SIN_ODD, SIN_EVEN):
-        square = appendix_a_complete(pfls, case, coloring)
+        _top_up_sin(rows, case, coloring)
+        square = _rectangle_complete(rows, 4)
     else:
-        square = appendix_b_complete(pfls, case)
+        _top_up_pairs(rows, case)
+        square = _rectangle_complete(rows, 8)
     if case.transposed:
         square = transpose(square)
     if case.rotate:

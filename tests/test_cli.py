@@ -202,6 +202,16 @@ def test_psk_sweep_outputs(tmp_path, capsys):
         assert grid.symbol_count == 8
 
 
+@pytest.mark.parametrize("m", [4, 6, 12, 24, 3, 0])
+def test_psk_sweep_reports_its_own_rule(m, tmp_path, capsys):
+    # PSK sets outside the sweep's M are still valid signal sets; the sweep
+    # names its own rule, and leaves no output directory behind.
+    out = tmp_path / "sweep"
+    assert main(["psk-sweep", "--m", str(m), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: constructions need M a power of two >= 8, got {m}\n"
+    assert not out.exists()
+
+
 def test_psk_sweep_is_byte_deterministic(tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):

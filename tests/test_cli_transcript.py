@@ -41,6 +41,8 @@ TRANSCRIPT = [
      "672a53dffefcaccbb884ce4b3b826b2ea215b1e2c68809504df2f4a23ef8328f"),
     ("fade-states --signal psk:6",
      "eddba47a3719d07e8871a65319458e7e10165b02584e3e2bb5de4f0da7d1c5eb"),
+    ("fade-states --signal psk:16",
+     "075dc9e9a9d4150db000cbcaa8f07a07050e02150420b325b7cade8ee599bd12"),
     ("constraints --signal qam:4 --fade 0.5+0.5j",
      "e967bf5915d74a91cdd68a07d907e1f7b7e0c27ebbe87f5bc3e197277958b93e"),
     ("constraints --signal qam:4 --fade 0.5+0.5j --json",

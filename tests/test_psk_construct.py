@@ -1,6 +1,7 @@
 """Closed-form PSK constructions: case routing, vital colorings, completions."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from lsnc import (
     verify_proper,
     verify_removes,
 )
+from lsnc.errors import CompletionError, PatternMismatchError
 from lsnc.fixtures import load_grid
 from lsnc.gridio import dumps_grid
 from lsnc.psk_construct import (
@@ -22,6 +24,10 @@ from lsnc.psk_construct import (
     SAME_POWER,
     SIN_EVEN,
     SIN_ODD,
+    _diagonal_complete,
+    _fill_cell,
+    _rectangle_complete,
+    _top_up_pairs,
     classify,
     remove_all_psk,
     removal_square,
@@ -135,3 +141,75 @@ def test_sweep_matches_golden_dump(m, sha256):
     # shows even where the squares still verify.
     dump = "".join(f"{key}\n{dumps_grid(g)}" for key, g in sorted(remove_all_psk(m).items()))
     assert hashlib.sha256(dump.encode()).hexdigest() == sha256
+
+
+def diagonal_rows(m=8):
+    # Row r holds 1..4 at columns r..r+3 (mod M): the shape the diagonal fill takes.
+    rows = [[0] * m for _ in range(m)]
+    for r in range(m):
+        for j in range(4):
+            rows[r][(r + j) % m] = j + 1
+    return rows
+
+
+def test_diagonal_fill_completes_shift_invariant_rows():
+    square = _diagonal_complete(diagonal_rows())
+    assert square.is_complete() and verify_latin(square) and square.symbol_count == 8
+
+
+@pytest.mark.parametrize(
+    "cell,sym,error,message",
+    [
+        ((2, 6), 1, PatternMismatchError, "row 3 does not have exactly 4 filled cells"),
+        ((0, 0), 5, PatternMismatchError, "diagonal completion expects symbols 1..4"),
+        # row 1 equal to row 0 keeps 4 filled cells but breaks the shift
+        (None, None, PatternMismatchError, "not diagonal-shift invariant at (2, 1)"),
+        ((0, 1), 1, CompletionError, "diagonal completion produced an invalid square"),
+    ],
+)
+def test_diagonal_fill_guards(cell, sym, error, message):
+    rows = diagonal_rows()
+    if cell is None:
+        rows[1] = list(rows[0])
+    else:
+        rows[cell[0]][cell[1]] = sym
+    with pytest.raises(error, match=re.escape(message)):
+        _diagonal_complete(rows)
+
+
+@pytest.mark.parametrize(
+    "r,c,sym,message",
+    [
+        (1, 1, 2, "fill target (1, 1) is not empty"),
+        (2, 1, 1, "symbol 1 conflicts at (2, 1)"),  # column
+        (1, 2, 1, "symbol 1 conflicts at (1, 2)"),  # row
+    ],
+)
+def test_fill_cell_guards(r, c, sym, message):
+    rows = [[1, 0], [0, 0]]
+    with pytest.raises(CompletionError, match=re.escape(message)):
+        _fill_cell(rows, r, c, sym)
+    assert rows == [[1, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("row0,admits", [([0, 1, 2, 0, 0, 0, 0, 0], 2), ([0, 1, 2, 3, 4, 0, 0, 0], 0)])
+def test_pair_top_up_needs_one_absent_symbol(row0, admits):
+    case = classify(8, 1, 2)  # Mixed: row i's first top-up cell is (i+1, i+1)
+    rows = [row0] + [[0] * 8 for _ in range(7)]
+    with pytest.raises(CompletionError, match=re.escape(f"cell (1, 1) admits {admits} symbols")):
+        _top_up_pairs(rows, case)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # symbol 1 can go nowhere in row 1, and row 1 lacks it
+        ([[2, 3, 4, 0], [0, 0, 0, 1], [0] * 4, [0] * 4],
+         "symbol 1 has no admissible cell in a row that lacks it"),
+        # rows 1 and 2 both need symbol 1 in their one empty cell, column 4
+        ([[2, 3, 4, 0], [3, 4, 2, 0], [0] * 4, [0] * 4], "no SDR; Hall violator (0, 1)"),
+    ],
+)
+def test_rectangle_completion_guards(rows, message):
+    with pytest.raises(CompletionError, match=re.escape(message)):
+        _rectangle_complete(rows, 1)
