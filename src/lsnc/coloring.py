@@ -13,16 +13,23 @@ extension its first one that keeps the given colors.  The chromatic number
 is the first k, counting up from a lower bound, at which the kernel finds a
 k-coloring: each k below it is refuted by an exhausted search.
 
+Each caller also gives the kernel its palette, the largest color the
+search may meet, and the kernel's per-color state is two plain lists of
+that length.  Callers keep the palette small whatever k or the given
+colors ask: greedy needs max-degree + 1 colors, an extension never goes
+past n + (the largest given color), and completion relabels large given
+symbols.
+
 The kernel's state is bitmasks over ranks, the vertices numbered by
 (degree descending, index ascending) so that ties go to the lowest rank:
 the uncolored vertices, for each color the vertices next to it, and one
-mask per bit of the saturation counters.  Coloring a vertex adds one to the
-newly saturated part of its neighborhood by a ripple carry through those
-masks; no step walks a neighbor list.
+mask per bit of the saturation counters, which the palette and the max
+degree both bound.  Coloring a vertex adds one to the newly saturated part
+of its neighborhood by a ripple carry through those masks; no step walks a
+neighbor list.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -92,19 +99,23 @@ def _first_conflict(graph: RemovalGraph, colors: Sequence[int]) -> tuple[int, in
 def _dsatur_search(
     graph: RemovalGraph,
     colors: list[int],
-    order: Callable[[int, Counter], Iterable[int]],
+    palette: int,
+    order: Callable[[int, list[int]], Iterable[int]],
     on_leaf: Callable[[int], bool],
     budget: int,
 ) -> tuple[int, bool]:
     """Color every 0 entry of `colors` by most-constrained-first backtracking.
 
-    On entering a vertex, order(used, uses) gives the colors to try there:
-    `used` is the largest color placed so far and uses[c] the number of
-    vertices colored c.  Colors already on a neighbor are skipped, and each
-    color tried is one node.  At a full coloring on_leaf(used) is called;
-    True stops the search and leaves that coloring in `colors`.  Entering an
-    uncolored vertex after more than `budget` nodes also stops it.  Returns
-    (nodes, whether the budget stopped the search).
+    `palette` is the largest color the search may meet: every given color
+    and every color `order` yields lies in 1..palette.  On entering a vertex,
+    order(used, uses) gives the colors to try there: `used` is the largest
+    color placed so far and uses[c], a list of palette + 1 counts, the number
+    of vertices colored c (uses[c] is 0 above `used`).  Colors already on a
+    neighbor are skipped, and each color tried is one node.  At a full
+    coloring on_leaf(used) is called; True stops the search and leaves that
+    coloring in `colors`.  Entering an uncolored vertex after more than
+    `budget` nodes also stops it, leaving the partial coloring of the path
+    searched.  Returns (nodes, whether the budget stopped the search).
 
     The vertex entered is the uncolored one with the most distinct neighbor
     colors (its saturation), then the highest degree, then the lowest index.
@@ -112,7 +123,9 @@ def _dsatur_search(
     descending, index ascending) as in `RemovalGraph.ranks`:
     - near[c] holds the vertices with a neighbor colored c, so c is free at
       v iff v's bit is clear in near[c];
-    - plane[p] holds bit p of the saturation of every uncolored vertex.
+    - plane[p] holds bit p of the saturation of every uncolored vertex.  A
+      saturation is at most the degree and at most the palette, so there
+      are min(palette, max degree).bit_length() planes.
     Narrowing the uncolored vertices through the planes from the highest,
     keeping those with bit p set if any have it, leaves the most saturated
     ones, and the vertex entered is the lowest rank among them.  Coloring v
@@ -120,9 +133,9 @@ def _dsatur_search(
     rippling up the planes; undoing it restores near[c] and subtracts one
     from R with a borrow.  No step visits a neighbor on its own.
     """
-    by_rank, rank_adj = graph.ranks
-    uses: Counter = Counter()
-    near: defaultdict[int, int] = defaultdict(int)
+    by_rank, rank_adj, max_degree = graph.ranks
+    uses = [0] * (palette + 1)
+    near = [0] * (palette + 1)
     uncolored = 0
     for r, v in enumerate(by_rank):
         c = colors[v]
@@ -131,10 +144,9 @@ def _dsatur_search(
             near[c] |= rank_adj[r]
         else:
             uncolored |= 1 << r
-    # A saturation is at most the degree.
-    plane = [0] * max(map(int.bit_count, rank_adj), default=0).bit_length()
+    plane = [0] * min(palette, max_degree).bit_length()
     # Each color of the partial coloring adds one to the vertices it is near.
-    for carry in near.values():
+    for carry in near:
         p = 0
         while carry:
             plane[p], carry = plane[p] ^ carry, plane[p] & carry
@@ -207,9 +219,12 @@ def greedy_color(graph: RemovalGraph, partial: Sequence[int] = ()) -> Coloring:
     Uses at most max-degree + 1 colors, or the partial's largest color if
     that is more."""
     colors = list(partial) or [0] * graph.n
-    # Color used + 1 is always free, so the search never backtracks and
-    # spends one node per vertex.
-    _dsatur_search(graph, colors, lambda used, _: range(1, used + 2), lambda _: True, graph.n)
+    # The first free color is at most the degree + 1, so the search never
+    # backtracks, spends one node per vertex and tries no color above that.
+    palette = max(graph.ranks[2] + 1, max(colors, default=0))
+    _dsatur_search(
+        graph, colors, palette, lambda used, _: range(1, used + 2), lambda _: True, graph.n
+    )
     return Coloring(tuple(colors))
 
 
@@ -239,9 +254,10 @@ def exact_chromatic(
     nodes = 0
     while True:
         colors = [0] * graph.n
+        # Only the lowest unused color is offered: colors 1..used + 1, up to k.
+        offers = [range(1, min(used + 1, k) + 1) for used in range(k + 1)]
         spent, stopped = _dsatur_search(
-            graph, colors, lambda used, _: range(1, min(used + 1, k) + 1), lambda _: True,
-            node_budget - nodes,
+            graph, colors, k, lambda used, _: offers[used], lambda _: True, node_budget - nodes
         )
         nodes += spent
         if stopped:
@@ -266,7 +282,11 @@ def extend_coloring(
 
     Returns the extension, or None when the search space is exhausted
     (proof of infeasibility).  Raises on an improper or out-of-range
-    partial, and SearchBudgetExceeded if the budget ends the search early.
+    partial, and SearchBudgetExceeded, saying how far the search got, if the
+    budget ends the search early.  The colors offered stop at n + (the
+    largest given color): every vertex has a free color in 1..n, so with k
+    at least that the search never backtracks and never tries a color
+    above n.
     """
     colors = [0] * graph.n
     for v, c in partial.items():
@@ -279,9 +299,13 @@ def extend_coloring(
     if conflict:
         raise ValueError(f"partial coloring is improper on edge {conflict}")
 
-    nodes, _ = _dsatur_search(
-        graph, colors, lambda *_: range(1, k + 1), lambda _: True, node_budget
-    )
+    palette = min(k, graph.n + max(colors, default=0))
+    offer = range(1, palette + 1)
+    free = colors.count(0)
+    nodes, _ = _dsatur_search(graph, colors, palette, lambda *_: offer, lambda _: True, node_budget)
     if nodes > node_budget:
-        raise SearchBudgetExceeded(f"extension budget {node_budget} exhausted")
+        raise SearchBudgetExceeded(
+            f"extension budget {node_budget} exhausted after {nodes} nodes with "
+            f"{free - colors.count(0)} of {free} free vertices colored"
+        )
     return Coloring(tuple(colors)) if all(colors) else None

@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 from lsnc.errors import CompletionError, SearchBudgetExceeded
 
 if TYPE_CHECKING:
-    from collections import Counter
-
     from lsnc.constraint import ConstraintPartition
     from lsnc.coloring import Coloring
     from lsnc.srg import RemovalGraph
@@ -380,8 +378,14 @@ def generic_complete(
     the lowest is tried: first while fewer than M symbols are in use, and
     after the used ones once M are, so that extra symbols are opened only
     where M do not suffice.  Raises ValueError on a symbol outside
-    1..max_symbols and SearchBudgetExceeded when the node budget runs out
-    undecided.
+    1..max_symbols and SearchBudgetExceeded, saying how far the search got,
+    when the node budget runs out undecided.
+
+    An unused symbol offered is at most M^2, one more than the cells that
+    can be filled before the last, so given symbols above M^2 + 1 are
+    relabelled in order onto M^2 + 2, ... for the search and back after it.
+    The order is the same, and no state grows with the symbol values or
+    with max_symbols.
     """
     # Imported here: lsnc.coloring imports this module.
     from lsnc.coloring import _dsatur_search
@@ -395,18 +399,31 @@ def generic_complete(
     if not verify_latin(grid):
         raise ValueError("input grid violates row/column exclusion")
 
-    def order(_, uses: Counter) -> list[int]:
-        used = [s for _, s in sorted([(n, s) for s, n in uses.items() if n])]
+    top = m * m + 1
+    high = sorted({s for s in cells if s > top})
+    if high:
+        label = {s: t for t, s in enumerate(high, top + 1)}
+        cells = [label.get(s, s) for s in cells]
+
+    def order(largest: int, uses: list[int]) -> list[int]:
+        # No symbol above the largest in place has a nonzero count.
+        used = sorted([s for s in range(1, largest + 1) if uses[s]], key=uses.__getitem__)
         if len(used) == max_symbols:
             return used
-        fresh = 1
-        while uses.get(fresh):
-            fresh += 1
+        fresh = uses.index(0, 1)
         return [fresh, *used] if len(used) < m else [*used, fresh]
 
-    nodes, _ = _dsatur_search(_rook_graph(m), cells, order, lambda _: True, node_budget)
+    free = cells.count(0)
+    nodes, _ = _dsatur_search(
+        _rook_graph(m), cells, max([m * m, *cells]), order, lambda _: True, node_budget
+    )
     if nodes > node_budget:
-        raise SearchBudgetExceeded(f"completion budget {node_budget} exhausted")
+        raise SearchBudgetExceeded(
+            f"completion budget {node_budget} exhausted after {nodes} nodes with "
+            f"{free - cells.count(0)} of {free} empty cells filled"
+        )
     if not all(cells):
         return None
+    if high:
+        cells = [high[s - top - 1] if s > top else s for s in cells]
     return Grid.from_lists([cells[r * m:(r + 1) * m] for r in range(m)])

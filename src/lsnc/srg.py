@@ -61,18 +61,21 @@ class RemovalGraph:
         return self.adj[v].bit_count()
 
     @cached_property
-    def ranks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(by_rank, rank_adj): the vertices by degree descending, then index
-        ascending, and the adjacency masks in that numbering, rank_adj[r]
-        holding bit q when by_rank[r] and by_rank[q] are adjacent.  Built
-        once, from the lines renumbered into ranks."""
-        degree = [mask.bit_count() for mask in self.adj]
-        by_rank = sorted(range(self.n), key=lambda v: (-degree[v], v))
+    def ranks(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(by_rank, rank_adj, max_degree): the vertices by degree
+        descending, then index ascending, the adjacency masks in that
+        numbering, rank_adj[r] holding bit q when by_rank[r] and by_rank[q]
+        are adjacent, and the largest degree (0 with no vertex).  Built once,
+        from the lines renumbered into ranks."""
+        degree = list(map(int.bit_count, self.adj))
+        # Stable: equal degrees keep ascending index even in reverse.
+        by_rank = sorted(range(self.n), key=degree.__getitem__, reverse=True)
         rank_of = [0] * self.n
         for r, v in enumerate(by_rank):
             rank_of[v] = r
         lines = [[rank_of[v] for v in line] for line in self.lines]
-        return tuple(by_rank), _line_masks(self.n, lines)
+        max_degree = degree[by_rank[0]] if by_rank else 0
+        return tuple(by_rank), _line_masks(self.n, lines), max_degree
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Ascending neighbors of v, unpacked from its mask."""
@@ -252,7 +255,7 @@ def greedy_clique_lower_bound(graph: RemovalGraph) -> int:
     vertex added is the lowest set bit of the candidate mask."""
     if graph.n == 0:
         return 0
-    _, rank_adj = graph.ranks
+    rank_adj = graph.ranks[1]
     size, cand = 1, rank_adj[0]
     while cand:
         size, cand = size + 1, cand & rank_adj[(cand & -cand).bit_length() - 1]

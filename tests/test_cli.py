@@ -187,6 +187,22 @@ def test_complete_rejects_symbol_above_symbol_count(tmp_path, capsys):
     assert "symbol 5 outside 1..3" in capsys.readouterr().err
 
 
+def test_complete_with_a_huge_given_symbol(tmp_path, capsys):
+    grid = tmp_path / "g.json"
+    grid.write_text(dumps_grid(Grid.from_lists([[10**9, 0, 0], [0, 0, 0], [0, 0, 0]])))
+    assert main(["complete", "--partial", str(grid), "--symbols", "1000000000"]) == 0
+    assert capsys.readouterr().out == (
+        "+------------+------------+------------+\n"
+        "| 1000000000 |          1 |          2 |\n"
+        "+------------+------------+------------+\n"
+        "|          1 |          2 | 1000000000 |\n"
+        "+------------+------------+------------+\n"
+        "|          2 | 1000000000 |          1 |\n"
+        "+------------+------------+------------+\n"
+        "symbols=3\n"
+    )
+
+
 def test_psk_sweep_outputs(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["psk-sweep", "--m", "8", "--out", str(out)]) == 0

@@ -236,6 +236,36 @@ def test_exact_search_effort_on_qam16_states(qam16):
     )
 
 
+def test_full_answers_on_every_qam16_state(qam16):
+    # Every answer on all 388 16-QAM states: (chi, optimal, nodes, coloring)
+    # of exact_chromatic at 300 nodes, and the outcome and coloring of a
+    # 16-symbol extension of row 1 at 300 nodes.
+    def joined(colors):
+        return ",".join(map(str, colors))
+
+    chi_lines, extend_lines = [], []
+    for fs in enumerate_singular_fade_states(qam16):
+        part = build_constraints(qam16, fs.value)
+        graph = build_srg(part)
+        res = exact_chromatic(graph, node_budget=300)
+        chi_lines.append(f"{res.chi} {res.optimal} {res.nodes} {joined(res.coloring.colors)}\n")
+        pre = {part.block_of((1, c)): c for c in range(1, 17)}
+        try:
+            col = extend_coloring(graph, pre, 16, 300)
+        except SearchBudgetExceeded:
+            extend_lines.append("budget\n")
+        else:
+            extend_lines.append("no\n" if col is None else f"yes {joined(col.colors)}\n")
+    assert len(chi_lines) == 388
+    assert Counter(line.split()[0] for line in extend_lines) == {"yes": 241, "no": 8, "budget": 139}
+    assert hashlib.sha256("".join(chi_lines).encode()).hexdigest() == (
+        "c1273610b0ac7f1f3f3e4cf3ace790d573568c376a518b331bec491526647243"
+    )
+    assert hashlib.sha256("".join(extend_lines).encode()).hexdigest() == (
+        "266d2905fa2c7bc4aa36d8aaeeed8f566b075cabf00813b4944211a51faa1130"
+    )
+
+
 def test_exact_respects_budget():
     g = random_graph(24, 0.5, 99)
     res = exact_chromatic(g, node_budget=3)
@@ -279,7 +309,8 @@ def reference_descending_chromatic(graph, lower=None, node_budget=10**7):
         return best_k <= lb
 
     nodes, exhausted = coloring._dsatur_search(
-        graph, colors, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf, node_budget
+        graph, colors, best_k - 1, lambda used, _: range(1, min(used + 1, best_k - 1) + 1), on_leaf,
+        node_budget,
     )
     return coloring.ChromaticResult(best_k, Coloring(best), not exhausted, nodes, lb)
 
@@ -350,20 +381,67 @@ class TestExtendColoring:
         with pytest.raises(SearchBudgetExceeded):
             extend_coloring(g, {0: 1}, 3, node_budget=2)
 
+    def test_budget_message_says_how_far_the_search_got(self, qam16, monkeypatch):
+        # The kernel stops on entering a vertex after 301 nodes; the
+        # message counts the vertices colored on the path it was on, as the
+        # scanning reference leaves them too.
+        part = build_constraints(qam16, -3 - 1j)
+        graph = build_srg(part)
+        pre = {part.block_of((1, c)): c for c in range(1, 17)}
+        args = (extend_coloring, graph, pre, 16, 300)
+        message, _ = run_with_kernel(monkeypatch, coloring._dsatur_search, *args)
+        assert message == (
+            "extension budget 300 exhausted after 301 nodes with 94 of 168 free vertices colored"
+        )
+        assert run_with_kernel(monkeypatch, scan_dsatur_search, *args)[0] == message
 
-def scan_dsatur_search(graph, colors, order, on_leaf, budget):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_huge_k_is_the_palette_n_plus_the_largest_given_color(self, seed, monkeypatch):
+        # With k >= n + P every vertex has a free color among 1..n, so the
+        # search never backtracks: k = 10**9 gives what k = n + P gives, and
+        # the kernel is handed the palette n + P, not k.
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(2, 14), rng.choice([0.3, 0.6, 0.9]), seed)
+        pre = {v: c for v, c in enumerate(greedy_color(g).colors) if rng.random() < 0.4}
+        pre[0] = g.n + 3 + seed  # a given color above every degree, used nowhere else
+        top = g.n + max(pre.values())
+        palettes = []
+        search = coloring._dsatur_search
+
+        def spy(graph, colors, palette, *args):
+            palettes.append(palette)
+            assert palette <= top  # checked before anything is allocated
+            return search(graph, colors, palette, *args)
+
+        monkeypatch.setattr(coloring, "_dsatur_search", spy)
+        col = extend_coloring(g, pre, 10**9)
+        assert col == extend_coloring(g, pre, top) == extend_coloring(g, pre, top + 7)
+        assert verify_proper(g, col) and all(col.colors[v] == c for v, c in pre.items())
+        assert all(c <= g.n for v, c in enumerate(col.colors) if v not in pre)
+        assert palettes == [top, top, top]
+
+
+def scan_dsatur_search(graph, colors, palette, order, on_leaf, budget):
     """Reference kernel: the same search, choosing each vertex by a scan of
-    every uncolored one.  The kernel in lsnc must pick the same vertices."""
+    every uncolored one.  The kernel in lsnc must pick the same vertices.
+    A color above palette, given or offered, raises IndexError."""
     nbrs = [graph.neighbors(v) for v in range(graph.n)]
     degree = [len(ns) for ns in nbrs]
     seen = [0] * graph.n
-    uses = Counter()
+    uses = [0] * (palette + 1)
     for v, c in enumerate(colors):
         if c:
             uses[c] += 1
             for u in nbrs[v]:
                 seen[u] |= 1 << c
     free = [v for v in range(graph.n) if not colors[v]]
+
+    def tried(todo):
+        for c in todo:
+            if not 1 <= c <= palette:
+                raise IndexError(f"color {c} outside 1..{palette}")
+            yield c
+
     stack = []
     used = max(colors, default=0)
     nodes = 0
@@ -386,7 +464,7 @@ def scan_dsatur_search(graph, colors, order, on_leaf, budget):
                 colors[v] = 0
                 for u in added:
                     seen[u] ^= bit
-            c = next((c for c in todo if not seen[v] & 1 << c), 0)
+            c = next((c for c in tried(todo) if not seen[v] & 1 << c), 0)
             if c:
                 break
             stack.pop()
@@ -405,7 +483,10 @@ def scan_dsatur_search(graph, colors, order, on_leaf, budget):
 
 def kernel_trace(kernel, graph, colors, order, stop_after, budget):
     """(nodes, exhausted, final colors, every leaf seen) of one kernel run
-    that stops at its stop_after-th full coloring."""
+    that stops at its stop_after-th full coloring.  `order` is a pair
+    (order, palette of the given colors)."""
+    order, palette = order
+    palette = palette(list(colors))
     colors = list(colors)
     leaves = []
 
@@ -413,14 +494,22 @@ def kernel_trace(kernel, graph, colors, order, stop_after, budget):
         leaves.append((used, tuple(colors)))
         return len(leaves) >= stop_after
 
-    nodes, exhausted = kernel(graph, colors, order, on_leaf, budget)
+    nodes, exhausted = kernel(graph, colors, palette, order, on_leaf, budget)
     return nodes, exhausted, colors, leaves
 
 
+def at_most(k):
+    """The palette of an order that offers no color above k: k, or the
+    largest given color if that is more."""
+    return lambda colors: max(k, *colors)
+
+
+# Each order with the palette it needs: the greedy order can offer one
+# color more than the largest so far at each uncolored vertex.
 ORDERS = {
-    "greedy": lambda used, _: range(1, used + 2),
-    "four": lambda *_: range(1, 5),
-    "least-used": lambda _, uses: sorted(range(1, 6), key=lambda c: (uses[c], c)),
+    "greedy": (lambda used, _: range(1, used + 2), lambda colors: max(colors) + colors.count(0)),
+    "four": (lambda *_: range(1, 5), at_most(4)),
+    "least-used": (lambda _, uses: sorted(range(1, 6), key=lambda c: (uses[c], c)), at_most(5)),
 }
 
 
@@ -451,7 +540,7 @@ def test_kernel_matches_scanning_reference_on_qam16(qam16, fade, row1):
     if row1:
         for c in range(1, 17):
             precolored[part.block_of((1, c))] = c
-    orders = (ORDERS["greedy"], lambda *_: range(1, 17), ORDERS["least-used"])
+    orders = (ORDERS["greedy"], (lambda *_: range(1, 17), at_most(16)), ORDERS["least-used"])
     for order in orders:
         args = (graph, precolored, order, 10**9, 300)
         assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
@@ -472,7 +561,7 @@ def test_kernel_matches_scanning_reference_across_plane_boundaries(n, pinned):
     precolored = [v + 1 if pinned and v < n // 2 else 0 for v in range(n)]
     orders = (
         ORDERS["greedy"],
-        lambda used, _: range(1, min(used + 1, n - 1) + 1),
+        (lambda used, _: range(1, min(used + 1, n - 1) + 1), at_most(n - 1)),
         ORDERS["least-used"],
     )
     for order in orders:
@@ -481,6 +570,47 @@ def test_kernel_matches_scanning_reference_across_plane_boundaries(n, pinned):
             assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
                 scan_dsatur_search, *args
             )
+
+
+def test_kernel_caps_planes_at_the_palette():
+    # A hub of degree 40 whose leaves are given colors 1..4 in turn: with a
+    # palette of 4 the hub's saturation is 4, the top of 3 planes where the
+    # degree alone would allow 6.  The hub then has no free color, and each
+    # order that offers only 1..4 refutes the extension.
+    graph = RemovalGraph.from_lines(42, [(0, v) for v in range(1, 41)] + [(0, 41)])
+    precolored = [0] + [1 + v % 4 for v in range(40)] + [0]
+    orders = (
+        ORDERS["four"],
+        ORDERS["greedy"],
+        (lambda used, _: range(1, min(used, 4) + 1), at_most(4)),
+    )
+    for order in orders:
+        for stop_after, budget in ((1, 10**6), (10**9, 10**6), (10**9, 1)):
+            args = (graph, precolored, order, stop_after, budget)
+            assert kernel_trace(coloring._dsatur_search, *args) == kernel_trace(
+                scan_dsatur_search, *args
+            )
+    assert extend_coloring(graph, dict(enumerate(precolored[1:41], 1)), 4) is None
+    assert extend_coloring(graph, dict(enumerate(precolored[1:41], 1)), 5).colors[0] == 5
+
+
+@pytest.mark.parametrize(
+    "graph, partial, expected",
+    [
+        (cycle(6), [9, 0, 0, 12, 0, 0], (9, 1, 2, 12, 1, 2)),
+        (
+            RemovalGraph.from_lines(12, [(2 * i, 2 * i + 1) for i in range(6)]),
+            [0 if v % 2 else 40 + v for v in range(12)],
+            (40, 1, 42, 1, 44, 1, 46, 1, 48, 1, 50, 1),
+        ),
+    ],
+    ids=["cycle", "matching"],
+)
+def test_greedy_keeps_given_colors_above_the_max_degree(graph, partial, expected, monkeypatch):
+    # The palette is the largest given color when that exceeds degree + 1.
+    assert greedy_color(graph, partial).colors == expected
+    ref, _ = run_with_kernel(monkeypatch, scan_dsatur_search, greedy_color, graph, partial)
+    assert ref.colors == expected
 
 
 def test_kernel_with_more_given_colors_than_levels():
@@ -541,7 +671,7 @@ def test_generic_complete_matches_offering_every_symbol(seed, monkeypatch):
     kernel = coloring._dsatur_search
     for symbols, budget in ((m, 10**6), (m + 2, 10**6), (m + 1, 20)):
 
-        def every_symbol(graph, colors, _, on_leaf, budget, symbols=symbols):
+        def every_symbol(graph, colors, palette, _, on_leaf, budget, symbols=symbols):
             def order(_, uses):
                 used = sum(1 for s in range(1, symbols + 1) if uses[s])
                 fresh_first = used < m
@@ -549,7 +679,7 @@ def test_generic_complete_matches_offering_every_symbol(seed, monkeypatch):
                     range(1, symbols + 1), key=lambda s: ((uses[s] > 0) == fresh_first, uses[s], s)
                 )
 
-            return kernel(graph, colors, order, on_leaf, budget)
+            return kernel(graph, colors, palette, order, on_leaf, budget)
 
         new = run_with_kernel(monkeypatch, kernel, generic_complete, grid, symbols, budget)
         ref = run_with_kernel(monkeypatch, every_symbol, generic_complete, grid, symbols, budget)

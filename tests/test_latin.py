@@ -257,8 +257,11 @@ class TestGenericComplete:
 
     def test_budget_exhaustion_raises(self):
         g = Grid.empty(9)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded) as info:
             generic_complete(g, 9, node_budget=5)
+        assert str(info.value) == (
+            "completion budget 5 exhausted after 6 nodes with 6 of 81 empty cells filled"
+        )
 
     def test_symbol_budget_below_order_returns_none(self):
         assert generic_complete(Grid.empty(4), 3) is None
@@ -272,13 +275,14 @@ class TestGenericComplete:
         offered = []
         search = coloring._dsatur_search
 
-        def spy(graph, colors, order, on_leaf, budget):
+        def spy(graph, colors, palette, order, on_leaf, budget):
+            assert palette == 81  # the counts are one list of 82
             def spied(used, uses):
                 out = list(order(used, uses))
-                offered.append((out, {s: n for s, n in uses.items() if n}))
+                offered.append((out, {s: n for s, n in enumerate(uses) if n}))
                 return out
 
-            return search(graph, colors, spied, on_leaf, budget)
+            return search(graph, colors, palette, spied, on_leaf, budget)
 
         monkeypatch.setattr(coloring, "_dsatur_search", spy)
         done = generic_complete(Grid.empty(9), 9000)
@@ -289,6 +293,50 @@ class TestGenericComplete:
             used = sorted(uses, key=lambda s: (uses[s], s))
             assert out == ([fresh, *used] if len(used) < 9 else [*used, fresh])
         assert max(map(max, done.rows)) == 11
+
+    def spy_palettes(self, monkeypatch, bound):
+        """Record each palette the kernel is handed, failing before the
+        kernel allocates anything if one exceeds `bound`."""
+        palettes = []
+        search = coloring._dsatur_search
+
+        def spy(graph, colors, palette, *args):
+            palettes.append(palette)
+            assert palette <= bound
+            return search(graph, colors, palette, *args)
+
+        monkeypatch.setattr(coloring, "_dsatur_search", spy)
+        return palettes
+
+    def test_huge_given_symbol_and_symbol_count(self, monkeypatch):
+        # A given symbol of 10**9 is searched as 11 = 3^2 + 2 and mapped
+        # back: the square is the one a given 5 gives, with 10**9 for 5.
+        palettes = self.spy_palettes(monkeypatch, 11)
+        g = Grid.from_lists([[10**9, 0, 0], [0, 0, 0], [0, 0, 0]])
+        done = generic_complete(g, 10**9)
+        assert done.rows == ((10**9, 1, 2), (1, 2, 10**9), (2, 10**9, 1))
+        assert generic_complete(Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]]), 10**9).rows == (
+            (5, 1, 2), (1, 2, 5), (2, 5, 1)
+        )
+        assert palettes == [11, 9]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_large_given_symbols_are_searched_in_their_order(self, seed, monkeypatch):
+        # Given symbols above M^2 + 1 are relabelled in order, so spreading
+        # them out changes nothing but their values: symbol s given as
+        # M^2 + s completes as M^2 + s*K does, fresh symbols (at most M^2)
+        # being the same.  Every palette stays within 2 M^2 + 1.
+        m = (2, 4, 8)[seed % 3]
+        base = random_partial(m, seed, keep=0.35)
+        self.spy_palettes(monkeypatch, 2 * m * m + 1)
+        results = []
+        for spread in (1, 7, 10**8):
+            shift = {s: m * m + s * spread for s in range(1, m + 1)}
+            grid = Grid.from_lists([[shift.get(v, 0) for v in row] for row in base.rows])
+            done = generic_complete(grid, 10**9)
+            back = {t: s for s, t in shift.items()}
+            results.append([[back.get(v, -v) for v in row] for row in done.rows])
+        assert results[0] == results[1] == results[2]
 
     def test_symbol_above_symbol_count_is_rejected(self):
         g = Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])

@@ -95,10 +95,11 @@ def assert_matches_oracle(graph, adj, unpack=True):
 
 def assert_ranks_match(graph):
     """`graph.ranks` numbers the vertices by (degree descending, index
-    ascending), and rank q is in rank r's mask iff their vertices are
-    adjacent."""
-    by_rank, rank_adj = graph.ranks
+    ascending), rank q is in rank r's mask iff their vertices are adjacent,
+    and the max degree comes with them."""
+    by_rank, rank_adj, max_degree = graph.ranks
     assert list(by_rank) == sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    assert max_degree == max(map(graph.degree, range(graph.n)), default=0)
     for v, mask in zip(by_rank, rank_adj):
         assert sorted(by_rank[q] for q in bits(mask)) == bits(graph.adj[v])
 
