@@ -245,11 +245,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     grid = _load_grid(args.partial)
     if grid is None:
         return EXIT_USAGE
-    try:
-        done = generic_complete(grid, args.symbols, node_budget=args.budget)
-    except SearchBudgetExceeded:
-        print("budget exhausted before the search finished", file=sys.stderr)
-        return EXIT_BUDGET
+    done = generic_complete(grid, args.symbols, node_budget=args.budget)
     if done is None:
         print(f"no completion with {args.symbols} symbols exists", file=sys.stderr)
         return EXIT_FAILED

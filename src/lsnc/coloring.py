@@ -6,32 +6,34 @@ Latin Square removing the fade state.
 
 Every search here, and Latin completion in `lsnc.latin`, runs one
 backtracking kernel.  It colors next the uncolored vertex with the most
-distinct neighbor colors, then the highest degree, then the lowest index;
-the caller sets which colors to try there, in what order, and what to do at
-a full coloring.  Greedy DSATUR is the kernel's first full coloring and an
-extension its first one that keeps the given colors.  The chromatic number
-is the first k, counting up from a lower bound, at which the kernel finds a
-k-coloring: each k below it is refuted by an exhausted search.
+distinct neighbor colors, then the highest degree, then the lowest index,
+and tries there the colors in use, then the lowest unused one while fewer
+than k are in use: unused colors are interchangeable, so the others would
+only repeat its subtree.  Greedy DSATUR is the kernel's first full coloring
+with no k, and an extension its first one at k that keeps the given colors;
+completing a partial Latin square is extension on the rook graph.  The
+chromatic number is the first k, counting up from a lower bound, at which
+the kernel finds a k-coloring: each k below it is refuted by an exhausted
+search.
 
-Each caller also gives the kernel its palette, the largest color the
-search may meet, and the kernel's per-color state is two plain lists of
-that length.  Callers keep the palette small whatever k or the given
-colors ask: greedy needs max-degree + 1 colors, an extension never goes
-past n + (the largest given color), and completion relabels large given
-symbols.
+The kernel numbers colors by first use: the given colors in ascending
+order, then the colors it opens, handed back in order as the lowest
+positive numbers not given.  So its per-color state is sized by the given
+colors plus the free vertices, whatever k or the given colors' values.
 
 The kernel's state is bitmasks over ranks, the vertices numbered by
 (degree descending, index ascending) so that ties go to the lowest rank:
 the uncolored vertices, for each color the vertices next to it, and one
-mask per bit of the saturation counters, which the palette and the max
-degree both bound.  Coloring a vertex adds one to the newly saturated part
-of its neighborhood by a ripple carry through those masks; no step walks a
-neighbor list.
+mask per bit of the saturation counters, which the number of colors and
+the max degree both bound.  Coloring a vertex adds one to the newly
+saturated part of its neighborhood by a ripple carry through those masks;
+no step walks a neighbor list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import count, islice
+from typing import Sequence
 
 from lsnc.errors import SearchBudgetExceeded
 from lsnc.latin import DEFAULT_BUDGET
@@ -97,25 +99,25 @@ def _first_conflict(graph: RemovalGraph, colors: Sequence[int]) -> tuple[int, in
 
 
 def _dsatur_search(
-    graph: RemovalGraph,
-    colors: list[int],
-    palette: int,
-    order: Callable[[int, list[int]], Iterable[int]],
-    on_leaf: Callable[[int], bool],
-    budget: int,
+    graph: RemovalGraph, colors: list[int], k: int | None, budget: int
 ) -> tuple[int, bool]:
     """Color every 0 entry of `colors` by most-constrained-first backtracking.
 
-    `palette` is the largest color the search may meet: every given color
-    and every color `order` yields lies in 1..palette.  On entering a vertex,
-    order(used, uses) gives the colors to try there: `used` is the largest
-    color placed so far and uses[c], a list of palette + 1 counts, the number
-    of vertices colored c (uses[c] is 0 above `used`).  Colors already on a
-    neighbor are skipped, and each color tried is one node.  At a full
-    coloring on_leaf(used) is called; True stops the search and leaves that
-    coloring in `colors`.  Entering an uncolored vertex after more than
-    `budget` nodes also stops it, leaving the partial coloring of the path
-    searched.  Returns (nodes, whether the budget stopped the search).
+    The search runs on its own color numbering.  The g distinct given colors,
+    in ascending order, are 1..g, and the colors it opens follow in order:
+    at each vertex it tries the colors 1..min(used + 1, cap) that are not on
+    a neighbor, `used` being the largest placed so far.  So of the unused
+    colors, which are interchangeable, only the lowest is tried, and no
+    coloring is lost.  `cap` is g + the fewer of the free vertices and
+    k - g (k is at least g), or g + the free vertices when k is None
+    (greedy, which then never backtracks).  Each color tried is one node.  The first full coloring
+    ends the search; entering an uncolored vertex after more than `budget`
+    nodes also ends it, leaving the partial coloring of the path searched;
+    an exhausted search leaves the free vertices 0.  On return the colors
+    are numbered back: 1..g to the given colors, g + i to the i-th lowest
+    positive number that is not given, which is at most k.  Given colors
+    that are already 1..g are searched as they are.  Returns (nodes,
+    whether the budget stopped the search).
 
     The vertex entered is the uncolored one with the most distinct neighbor
     colors (its saturation), then the highest degree, then the lowest index.
@@ -124,27 +126,36 @@ def _dsatur_search(
     - near[c] holds the vertices with a neighbor colored c, so c is free at
       v iff v's bit is clear in near[c];
     - plane[p] holds bit p of the saturation of every uncolored vertex.  A
-      saturation is at most the degree and at most the palette, so there
-      are min(palette, max degree).bit_length() planes.
+      saturation is at most the degree and at most `cap`, so there are
+      min(cap, max degree).bit_length() planes.
     Narrowing the uncolored vertices through the planes from the highest,
     keeping those with bit p set if any have it, leaves the most saturated
     ones, and the vertex entered is the lowest rank among them.  Coloring v
     with c adds one to R = rank_adj[v] & uncolored & ~near[c] by a carry
     rippling up the planes; undoing it restores near[c] and subtracts one
-    from R with a borrow.  No step visits a neighbor on its own.
+    from R with a borrow.  No step visits a neighbor on its own, and no
+    state grows with k or with the given colors' values.
     """
     by_rank, rank_adj, max_degree = graph.ranks
-    uses = [0] * (palette + 1)
-    near = [0] * (palette + 1)
+    given = sorted(set(colors) - {0})
+    g = len(given)
+    relabel = g and given[-1] != g
+    if relabel:
+        number = {c: i for i, c in enumerate(given, 1)}
+        colors[:] = [number.get(c, 0) for c in colors]
+    free = colors.count(0)
+    cap = g + (free if k is None else min(free, k - g))
+    # offers[used]: the colors tried at a vertex entered with `used` placed.
+    offers = [range(1, min(used + 1, cap) + 1) for used in range(cap + 1)]
+    near = [0] * (cap + 1)
     uncolored = 0
     for r, v in enumerate(by_rank):
         c = colors[v]
         if c:
-            uses[c] += 1
             near[c] |= rank_adj[r]
         else:
             uncolored |= 1 << r
-    plane = [0] * min(palette, max_degree).bit_length()
+    plane = [0] * min(cap, max_degree).bit_length()
     # Each color of the partial coloring adds one to the vertices it is near.
     for carry in near:
         p = 0
@@ -156,31 +167,27 @@ def _dsatur_search(
     # rank bit, its rank adjacency, colors left to try, `used` before it, its
     # color, the vertices that color raised, near[color] before it].
     stack: list[list] = []
-    used = max(colors, default=0)
+    used = g
     nodes = 0
-    while True:
-        if not uncolored:
-            if on_leaf(used):
-                return nodes, False
-        elif nodes > budget:
-            return nodes, True
-        else:
-            cand = uncolored
-            for b in reversed(plane):
-                b &= cand
-                if b:
-                    cand = b
-            vbit = cand & -cand
-            uncolored ^= vbit
-            r = vbit.bit_length() - 1
-            todo = iter(order(used, uses))
-            stack.append([by_rank[r], vbit, rank_adj[r], todo, used, 0, 0, 0])
+    stopped = False
+    while uncolored:
+        if nodes > budget:
+            stopped = True
+            break
+        cand = uncolored
+        for b in reversed(plane):
+            b &= cand
+            if b:
+                cand = b
+        vbit = cand & -cand
+        uncolored ^= vbit
+        r = vbit.bit_length() - 1
+        stack.append([by_rank[r], vbit, rank_adj[r], iter(offers[used]), used, 0, 0, 0])
         # Move to the next untried color of the deepest vertex that has one.
         while stack:
             frame = stack[-1]
             v, vbit, adj, todo, used, c, raised, old = frame
             if c:
-                uses[c] -= 1
                 colors[v] = 0
                 near[c] = old
                 p = 0
@@ -196,10 +203,9 @@ def _dsatur_search(
                 continue
             break
         else:
-            return nodes, False
+            break  # exhausted
         nodes += 1
         colors[v] = c
-        uses[c] += 1
         old = near[c]
         near[c] = old | adj
         raised = adj & uncolored & ~old
@@ -210,21 +216,24 @@ def _dsatur_search(
             p += 1
         if c > used:
             used = c
+    if relabel:
+        fresh = (c for c in count(1) if c not in number)
+        back = [0, *given, *islice(fresh, max(colors) - g)]
+        colors[:] = [back[c] for c in colors]
+    return nodes, stopped
 
 
 def greedy_color(graph: RemovalGraph, partial: Sequence[int] = ()) -> Coloring:
     """DSATUR greedy coloring: the first leaf of the search, each vertex
-    taking its smallest free color.  The nonzero entries of `partial`, a
-    proper partial coloring with one entry per vertex if given, are kept.
-    Uses at most max-degree + 1 colors, or the partial's largest color if
-    that is more."""
+    taking its lowest free color in the kernel's numbering.  The nonzero
+    entries of `partial`, a proper partial coloring with one entry per
+    vertex if given, are kept; a vertex whose neighbors leave a given color
+    free may take it.  Uses at most max-degree + 1 colors, or the number of
+    given colors if that is more."""
     colors = list(partial) or [0] * graph.n
-    # The first free color is at most the degree + 1, so the search never
-    # backtracks, spends one node per vertex and tries no color above that.
-    palette = max(graph.ranks[2] + 1, max(colors, default=0))
-    _dsatur_search(
-        graph, colors, palette, lambda used, _: range(1, used + 2), lambda _: True, graph.n
-    )
+    # With no cap on the colors the search never backtracks and spends one
+    # node per free vertex.
+    _dsatur_search(graph, colors, None, graph.n)
     return Coloring(tuple(colors))
 
 
@@ -237,8 +246,7 @@ def exact_chromatic(
 
     The start bound is the larger of the widest line of the graph and a
     greedy clique, both cliques.  For k = that bound, k + 1, ... the kernel
-    searches for a k-coloring; the colors not yet used are interchangeable,
-    so only the lowest of them is tried.  The first k with a coloring is the
+    searches for a k-coloring.  The first k with a coloring is the
     chromatic number, every smaller k having been refuted by an exhausted
     search.  All decisions share `node_budget`; if it runs out, the partial
     coloring of the current decision is filled by greedy DSATUR, which is
@@ -254,11 +262,7 @@ def exact_chromatic(
     nodes = 0
     while True:
         colors = [0] * graph.n
-        # Only the lowest unused color is offered: colors 1..used + 1, up to k.
-        offers = [range(1, min(used + 1, k) + 1) for used in range(k + 1)]
-        spent, stopped = _dsatur_search(
-            graph, colors, k, lambda used, _: offers[used], lambda _: True, node_budget - nodes
-        )
+        spent, stopped = _dsatur_search(graph, colors, k, node_budget - nodes)
         nodes += spent
         if stopped:
             colors = greedy_color(graph, colors).colors
@@ -283,10 +287,10 @@ def extend_coloring(
     Returns the extension, or None when the search space is exhausted
     (proof of infeasibility).  Raises on an improper or out-of-range
     partial, and SearchBudgetExceeded, saying how far the search got, if the
-    budget ends the search early.  The colors offered stop at n + (the
-    largest given color): every vertex has a free color in 1..n, so with k
-    at least that the search never backtracks and never tries a color
-    above n.
+    budget ends the search early.  A free vertex takes a given color or one
+    of the lowest colors that are not given, which the kernel opens in
+    ascending order, so k beyond the given colors plus the free vertices
+    changes nothing and allocates nothing.
     """
     colors = [0] * graph.n
     for v, c in partial.items():
@@ -299,10 +303,8 @@ def extend_coloring(
     if conflict:
         raise ValueError(f"partial coloring is improper on edge {conflict}")
 
-    palette = min(k, graph.n + max(colors, default=0))
-    offer = range(1, palette + 1)
     free = colors.count(0)
-    nodes, _ = _dsatur_search(graph, colors, palette, lambda *_: offer, lambda _: True, node_budget)
+    nodes, _ = _dsatur_search(graph, colors, k, node_budget)
     if nodes > node_budget:
         raise SearchBudgetExceeded(
             f"extension budget {node_budget} exhausted after {nodes} nodes with "

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Hashable, Sequence
 
-from lsnc.errors import CompletionError, SearchBudgetExceeded
+from lsnc.errors import CompletionError
 
 if TYPE_CHECKING:
     from lsnc.constraint import ConstraintPartition
@@ -371,24 +371,18 @@ def generic_complete(
     """Backtracking completion of a partial Latin grid with symbols
     1..max_symbols.
 
-    Returns the completed grid, or None when completion is impossible.
-    Cell order is most-constrained-first, then row-major; symbol order
-    prefers the least used symbol (encouraging balanced squares), then the
-    smallest index.  Of the unused symbols, which are interchangeable, only
-    the lowest is tried: first while fewer than M symbols are in use, and
-    after the used ones once M are, so that extra symbols are opened only
-    where M do not suffice.  Raises ValueError on a symbol outside
-    1..max_symbols and SearchBudgetExceeded, saying how far the search got,
-    when the node budget runs out undecided.
-
-    An unused symbol offered is at most M^2, one more than the cells that
-    can be filled before the last, so given symbols above M^2 + 1 are
-    relabelled in order onto M^2 + 2, ... for the search and back after it.
-    The order is the same, and no state grows with the symbol values or
-    with max_symbols.
+    Completion is coloring extension on the rook graph: cell (r, c) is
+    vertex r*M + c and a symbol is a color, so this is `extend_coloring`
+    with k = max_symbols.  Each empty cell is offered the symbols in use,
+    then the lowest one that is not, so a new symbol is opened only at a
+    cell where every symbol in use is blocked.  Returns the completed grid,
+    or None when completion is impossible.  Raises ValueError on a symbol
+    outside 1..max_symbols or a grid that is not Latin, and
+    SearchBudgetExceeded, saying how far the search got, when the node
+    budget runs out undecided.
     """
     # Imported here: lsnc.coloring imports this module.
-    from lsnc.coloring import _dsatur_search
+    from lsnc.coloring import extend_coloring
 
     m = grid.m
     cells = [v for row in grid.rows for v in row]
@@ -398,32 +392,8 @@ def generic_complete(
         return None  # a complete M x M Latin grid needs at least M symbols
     if not verify_latin(grid):
         raise ValueError("input grid violates row/column exclusion")
-
-    top = m * m + 1
-    high = sorted({s for s in cells if s > top})
-    if high:
-        label = {s: t for t, s in enumerate(high, top + 1)}
-        cells = [label.get(s, s) for s in cells]
-
-    def order(largest: int, uses: list[int]) -> list[int]:
-        # No symbol above the largest in place has a nonzero count.
-        used = sorted([s for s in range(1, largest + 1) if uses[s]], key=uses.__getitem__)
-        if len(used) == max_symbols:
-            return used
-        fresh = uses.index(0, 1)
-        return [fresh, *used] if len(used) < m else [*used, fresh]
-
-    free = cells.count(0)
-    nodes, _ = _dsatur_search(
-        _rook_graph(m), cells, max([m * m, *cells]), order, lambda _: True, node_budget
-    )
-    if nodes > node_budget:
-        raise SearchBudgetExceeded(
-            f"completion budget {node_budget} exhausted after {nodes} nodes with "
-            f"{free - cells.count(0)} of {free} empty cells filled"
-        )
-    if not all(cells):
+    given = {v: s for v, s in enumerate(cells) if s}
+    done = extend_coloring(_rook_graph(m), given, max_symbols, node_budget)
+    if done is None:
         return None
-    if high:
-        cells = [high[s - top - 1] if s > top else s for s in cells]
-    return Grid.from_lists([cells[r * m:(r + 1) * m] for r in range(m)])
+    return Grid.from_lists([done.colors[r * m:(r + 1) * m] for r in range(m)])

@@ -176,8 +176,12 @@ def test_complete_success_and_failure(tmp_path, capsys):
 
     empty9 = tmp_path / "empty9.json"
     empty9.write_text(dumps_grid(Grid.empty(9)))
+    capsys.readouterr()
     assert main(["complete", "--partial", str(empty9), "--symbols", "9",
                  "--budget", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: extension budget 3 exhausted after 4 nodes with 4 of 81 free vertices colored\n"
+    )
 
 
 def test_complete_rejects_symbol_above_symbol_count(tmp_path, capsys):

@@ -102,15 +102,15 @@ TRANSCRIPT = [
     ("complete --partial blocked.json --symbols 2",
      "4b13e6a44cbf87f1e1bcecf4531e60fbfd8136e814d8845a3a24c9e080c60e17"),
     ("complete --partial empty9.json --symbols 9 --budget 3",
-     "a5d1a6033cbf2251a682da00b1793ac430353e2e11f6a49ff7f5bdc191e1eee4"),
+     "818eac7212387d42a03ac75788ad9026caafeac10de0bdf19f5864ecea68209f"),
     ("complete --partial high.json --symbols 3",
      "02e49bbb4286186b95ca5ce4bcb0fffee11cde34df69797d8b1e6b6692f2d5b1"),
     ("complete --partial high.json --symbols 1000000000",
      "cc1ba832f9931c5e439b213a9ad0403f300a2dde69cbbf9462ac91819b57a105"),
     ("complete --partial empty9.json --symbols 1000000000",
-     "754a8bab422f2e2fc69fcb42e3e798b035d1921c05f3a933e8992358c1daf314"),
+     "48bd4c09e5fe484eaad0a11d6cb31871761187506102f35747cdab94e93acd41"),
     ("complete --partial empty9.json --symbols 1000000000 --budget 3",
-     "a5d1a6033cbf2251a682da00b1793ac430353e2e11f6a49ff7f5bdc191e1eee4"),
+     "818eac7212387d42a03ac75788ad9026caafeac10de0bdf19f5864ecea68209f"),
     ("complete --partial rect.json --symbols 0",
      "7497f06350e5bc7274d8308bdb7963fb96f85bef88ff2d23e1bca033365de47f"),
     ("complete --partial rect.json --symbols -3",

@@ -28,6 +28,8 @@ from lsnc import coloring
 from lsnc.errors import CompletionError, SearchBudgetExceeded
 from lsnc.latin import _kuhn
 
+from test_coloring import reference_search
+
 
 def random_latin_square(m, seed):
     """Row-, column- and symbol-permuted XOR square."""
@@ -260,75 +262,50 @@ class TestGenericComplete:
         with pytest.raises(SearchBudgetExceeded) as info:
             generic_complete(g, 9, node_budget=5)
         assert str(info.value) == (
-            "completion budget 5 exhausted after 6 nodes with 6 of 81 empty cells filled"
+            "extension budget 5 exhausted after 6 nodes with 6 of 81 free vertices colored"
         )
 
     def test_symbol_budget_below_order_returns_none(self):
         assert generic_complete(Grid.empty(4), 3) is None
 
     def test_offers_only_the_lowest_unused_symbol(self, monkeypatch):
-        # Unused symbols are interchangeable: a cell is offered the lowest
-        # one, then the used ones by (uses, symbol), while fewer than 9 are
-        # in use, and the lowest unused one last after that.  So 9000
-        # symbols on an empty 9x9 grid never make a list longer than 82,
-        # and the square opens only a few symbols beyond 9.
-        offered = []
+        # Unused symbols are interchangeable: a cell is offered the symbols
+        # in use and then the lowest unused one, as the scanning reference
+        # does with that rule written out.  So 9000 symbols on an empty 9x9
+        # grid fill it in 81 nodes, opening one symbol beyond 9.
+        runs = []
         search = coloring._dsatur_search
 
-        def spy(graph, colors, palette, order, on_leaf, budget):
-            assert palette == 81  # the counts are one list of 82
-            def spied(used, uses):
-                out = list(order(used, uses))
-                offered.append((out, {s: n for s, n in enumerate(uses) if n}))
-                return out
-
-            return search(graph, colors, palette, spied, on_leaf, budget)
+        def spy(graph, colors, k, budget):
+            ref = list(colors)
+            runs.append((k, search(graph, colors, k, budget)))
+            assert reference_search(graph, ref, k, budget) == runs[-1][1] and ref == colors
+            return runs[-1][1]
 
         monkeypatch.setattr(coloring, "_dsatur_search", spy)
         done = generic_complete(Grid.empty(9), 9000)
         assert done is not None and verify_latin(done) and done.is_complete()
-        assert len(offered) == 81
-        for out, uses in offered:
-            fresh = next(s for s in itertools.count(1) if s not in uses)
-            used = sorted(uses, key=lambda s: (uses[s], s))
-            assert out == ([fresh, *used] if len(used) < 9 else [*used, fresh])
-        assert max(map(max, done.rows)) == 11
+        assert runs == [(9000, (81, False))]
+        assert done.symbols() == set(range(1, 11))
 
-    def spy_palettes(self, monkeypatch, bound):
-        """Record each palette the kernel is handed, failing before the
-        kernel allocates anything if one exceeds `bound`."""
-        palettes = []
-        search = coloring._dsatur_search
-
-        def spy(graph, colors, palette, *args):
-            palettes.append(palette)
-            assert palette <= bound
-            return search(graph, colors, palette, *args)
-
-        monkeypatch.setattr(coloring, "_dsatur_search", spy)
-        return palettes
-
-    def test_huge_given_symbol_and_symbol_count(self, monkeypatch):
-        # A given symbol of 10**9 is searched as 11 = 3^2 + 2 and mapped
+    def test_huge_given_symbol_and_symbol_count(self):
+        # A given symbol of 10**9 is searched as the first color and mapped
         # back: the square is the one a given 5 gives, with 10**9 for 5.
-        palettes = self.spy_palettes(monkeypatch, 11)
         g = Grid.from_lists([[10**9, 0, 0], [0, 0, 0], [0, 0, 0]])
         done = generic_complete(g, 10**9)
         assert done.rows == ((10**9, 1, 2), (1, 2, 10**9), (2, 10**9, 1))
         assert generic_complete(Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]]), 10**9).rows == (
             (5, 1, 2), (1, 2, 5), (2, 5, 1)
         )
-        assert palettes == [11, 9]
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_large_given_symbols_are_searched_in_their_order(self, seed, monkeypatch):
-        # Given symbols above M^2 + 1 are relabelled in order, so spreading
+    def test_large_given_symbols_are_searched_in_their_order(self, seed):
+        # Given symbols are searched as 1..g in ascending order, so spreading
         # them out changes nothing but their values: symbol s given as
-        # M^2 + s completes as M^2 + s*K does, fresh symbols (at most M^2)
-        # being the same.  Every palette stays within 2 M^2 + 1.
+        # M^2 + s completes as M^2 + s*K does, opened symbols (the lowest
+        # ones not given, here at most M^2) being the same.
         m = (2, 4, 8)[seed % 3]
         base = random_partial(m, seed, keep=0.35)
-        self.spy_palettes(monkeypatch, 2 * m * m + 1)
         results = []
         for spread in (1, 7, 10**8):
             shift = {s: m * m + s * spread for s in range(1, m + 1)}
