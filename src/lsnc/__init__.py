@@ -46,7 +46,6 @@ from .latin import (
 from .srg import (
     RemovalGraph,
     build_srg,
-    psk_vital_adjacency,
     greedy_clique_lower_bound,
     qam_clique_certificate,
     row_clique,
@@ -106,7 +105,6 @@ __all__ = [
     "psk_representative",
     "psk_representatives",
     "psk_singular_fade_states",
-    "psk_vital_adjacency",
     "qam_clique_certificate",
     "removal_square",
     "remove_all_psk",

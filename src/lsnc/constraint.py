@@ -174,6 +174,14 @@ def constrained_pls(partition: ConstraintPartition) -> Grid:
     return partition.fill(symbols)
 
 
+def psk_column_offsets(k: int, l: int) -> tuple[int, int]:
+    """The column offsets (d1, d2) of the closed-form PSK constraints:
+    ((k-l)/2, (k+l)/2) when k and l share parity, and ((k+1-l)/2,
+    (k+1+l)/2) when they do not."""
+    j = k + (k - l) % 2
+    return (j - l) // 2, (j + l) // 2
+
+
 def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
     """Closed-form multi-cell constraints for the (k, l) representative of
     M-PSK, in their natural c_1, c_2, ... order.
@@ -184,13 +192,17 @@ def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
     and opposite parity substitutes k+1-l and k+1+l for k-l and k+l in the
     column offsets.  When k or l equals M/2 the two families coincide and
     only c_1..c_M are distinct.
+
+    Its removal graph (`build_srg`) is the vital subgraph of the state,
+    vertex i being c_{i+1}.  With k, l != M/2 there are 2M vertices: vertex
+    i (0-indexed, i < M) is adjacent to i+-k, i+-l, M+i, M+(i+-k),
+    M+(M/2+i+-l), M+(i+M/2), all mod M in the offset part; the second family
+    mirrors it.  With k or l = M/2 only M constraints exist and vertex i is
+    adjacent to i+-p and i+M/2 for the non-M/2 parameter p.
     """
     check_closed_form(m, k, l)
     half = m // 2
-    if (k - l) % 2 == 0:
-        d1, d2 = (k - l) // 2, (k + l) // 2
-    else:
-        d1, d2 = (k + 1 - l) // 2, (k + 1 + l) // 2
+    d1, d2 = psk_column_offsets(k, l)
 
     def fam1(i: int) -> tuple[Cell, Cell]:
         return (

@@ -16,9 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from lsnc.coloring import Coloring, verify_proper
-from lsnc.constraint import ConstraintPartition, build_constraints, psk_constraints_closed_form
+from lsnc.constraint import (
+    ConstraintPartition,
+    build_constraints,
+    psk_column_offsets,
+    psk_constraints_closed_form,
+)
 from lsnc.errors import CertificateMismatchError, CompletionError, PatternMismatchError
-from lsnc.fade_state import check_closed_form, psk_representative
+from lsnc.fade_state import check_closed_form, check_construction_order, psk_representatives
 from lsnc.latin import (
     Grid,
     candidate_cells,
@@ -31,7 +36,7 @@ from lsnc.latin import (
     verify_removes,
 )
 from lsnc.signal_set import make_psk
-from lsnc.srg import psk_vital_adjacency
+from lsnc.srg import build_srg, row_clique
 
 __all__ = [
     "PskCase",
@@ -106,12 +111,13 @@ def classify(m: int, k: int, l: int) -> PskCase:
     return PskCase(m, k, l, DIFF_POWER, bk=l, bl=k)
 
 
-def vital_coloring(case: PskCase) -> Coloring:
+def vital_coloring(case: PskCase, partition: ConstraintPartition) -> Coloring:
     """The fixed proper coloring of the vital subgraph for (bk, bl).
 
     Four colors for BothOdd/SamePower and the single-family Sin cases,
-    eight for DiffPower/Mixed.  Properness against the closed-form
-    adjacency is checked before returning.
+    eight for DiffPower/Mixed.  Properness is checked on the removal graph
+    of `partition`, the closed-form constraints for (bk, bl), before
+    returning.
     """
     m, k, l = case.m, case.bk, case.bl
     half = m // 2
@@ -156,7 +162,7 @@ def vital_coloring(case: PskCase) -> Coloring:
         raise ValueError(f"unknown case tag {tag}")
 
     coloring = Coloring(tuple(colors))
-    if not verify_proper(psk_vital_adjacency(m, k, l), coloring):
+    if not verify_proper(build_srg(partition), coloring):
         raise CertificateMismatchError(
             f"vital coloring for M={m} (k,l)=({k},{l}) [{tag}] is not proper"
         )
@@ -166,7 +172,7 @@ def vital_coloring(case: PskCase) -> Coloring:
 def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
     """Partial grid with every closed-form constraint filled by its color."""
     part = psk_constraints_closed_form(case.m, case.bk, case.bl)
-    coloring = vital_coloring(case)
+    coloring = vital_coloring(case, part)
     rows = [[0] * case.m for _ in range(case.m)]
     for i, block in enumerate(part.blocks):
         for r, c in block:
@@ -274,11 +280,8 @@ def _top_up_pairs(rows: list[list[int]], case: PskCase) -> None:
     One cell takes the unique symbol of {1..4} absent from its row and
     column, the other likewise from {5..8}.
     """
-    m, k, l, half = case.m, case.bk, case.bl, case.m // 2
-    if case.tag == MIXED:
-        d1, d2 = (k + 1 - l) // 2, (k + 1 + l) // 2
-    else:
-        d1, d2 = (k - l) // 2, (k + l) // 2
+    m, half = case.m, case.m // 2
+    d1, d2 = psk_column_offsets(case.bk, case.bl)
 
     def zeta_fill(r: int, c: int, sym_range: range) -> None:
         present = set(rows[r - 1]) | {row[c - 1] for row in rows}
@@ -316,26 +319,27 @@ def removal_square(m: int, k: int, l: int) -> Grid:
 
 
 def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:
-    """Verified M-symbol removal squares for every representative of M-PSK.
+    """Certified M-symbol removal squares for every representative of M-PSK,
+    keyed by (k, l) in `psk_representatives` order.
 
     Each square is checked against the brute-force constraint partition of
-    its fade state before being returned.
+    its fade state (complete, Latin, M symbols, removing it; a failure
+    raises CompletionError naming (k, l)), and the partition's row clique
+    is re-checked to be M blocks, so chi = M is certified for every state.
     """
+    check_construction_order(m)
     s_set = make_psk(m)
     out: dict[tuple[int, int], Grid] = {}
-    for k in range(1, m // 2 + 1):
-        for l in range(1, m // 2 + 1):
-            if k == l:
-                continue
-            square = removal_square(m, k, l)
-            partition = build_constraints(s_set, psk_representative(m, k, l))
-            if not (square.is_complete() and verify_latin(square)):
-                raise CompletionError(f"({k},{l}): constructed grid is not Latin")
-            if square.symbol_count != m:
-                raise CompletionError(
-                    f"({k},{l}): {square.symbol_count} symbols, expected {m}"
-                )
-            if not verify_removes(square, partition):
-                raise CompletionError(f"({k},{l}): square does not remove the state")
-            out[(k, l)] = square
+    for fs in psk_representatives(m):
+        k, l = fs.k, fs.l
+        square = removal_square(m, k, l)
+        partition = build_constraints(s_set, fs)
+        if not (square.is_complete() and verify_latin(square)):
+            raise CompletionError(f"({k},{l}): constructed grid is not Latin")
+        if square.symbol_count != m:
+            raise CompletionError(f"({k},{l}): {square.symbol_count} symbols, expected {m}")
+        if not verify_removes(square, partition):
+            raise CompletionError(f"({k},{l}): square does not remove the state")
+        row_clique(build_srg(partition), partition)
+        out[(k, l)] = square
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from lsnc.constraint import ConstraintPartition, build_constraints, psk_constraints_closed_form
+from lsnc.constraint import ConstraintPartition, build_constraints
 from lsnc.errors import CertificateMismatchError
 from lsnc.signal_set import SignalSet, make_square_qam
 
@@ -27,7 +27,6 @@ __all__ = [
     "RemovalGraph",
     "build_srg",
     "vital_subgraph",
-    "psk_vital_adjacency",
     "qam_clique_certificate",
     "QAM_CLIQUE_STATES",
     "greedy_clique_lower_bound",
@@ -152,19 +151,6 @@ def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> Remov
     return RemovalGraph.from_lines(
         len(keep), lines, tuple(graph.vertex_block[v] for v in keep)
     )
-
-
-def psk_vital_adjacency(m: int, k: int, l: int) -> RemovalGraph:
-    """Vital subgraph of the (k, l) representative of M-PSK, by closed form:
-    the removal graph of the closed-form constraints, vertex i being c_{i+1}.
-
-    With k, l != M/2 there are 2M vertices (constraints c_1..c_2M): vertex i
-    (0-indexed, i < M) is adjacent to i+-k, i+-l, M+i, M+(i+-k),
-    M+(M/2+i+-l), M+(i+M/2), all mod M in the offset part; the second family
-    mirrors it.  With k or l = M/2 only M constraints exist and vertex i is
-    adjacent to i+-p and i+M/2 for the non-M/2 parameter p.
-    """
-    return build_srg(psk_constraints_closed_form(m, k, l))
 
 
 # The eight singular fade states Theorem-1-style cliques cover, reachable

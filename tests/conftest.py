@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from lsnc import (
+    Grid,
     build_constraints,
     build_srg,
     make_custom,
     make_pam,
     make_psk,
     make_square_qam,
+    psk_construct,
 )
 
 # The rectangular 8-point grid used throughout the cross-constellation tests.
@@ -45,6 +47,22 @@ def gmul(x, y):
 def gdiv(x, y):
     n = y[0] * y[0] + y[1] * y[1]
     return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def swap_first_cells(monkeypatch, key):
+    """Make `removal_square` swap cells (1, 1) and (1, 2) of the (k, l) =
+    key square, which repeats a symbol in both columns."""
+    built = psk_construct.removal_square
+
+    def swapped(m, k, l):
+        grid = built(m, k, l)
+        if (k, l) != key:
+            return grid
+        rows = grid.to_lists()
+        rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+        return Grid.from_lists(rows)
+
+    monkeypatch.setattr(psk_construct, "removal_square", swapped)
 
 
 def to_triple(x):

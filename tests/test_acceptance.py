@@ -37,7 +37,6 @@ from lsnc import (
     psk_representative,
     psk_representatives,
     psk_singular_fade_states,
-    psk_vital_adjacency,
     qam_clique_certificate,
     row_clique,
     transpose,
@@ -317,7 +316,7 @@ def test_criterion_8d_closed_forms_vs_brute_oracles():
                     frozenset(b) for b in brute.multi_blocks()
                 }
                 brute_vital = vital_subgraph(build_srg(brute), brute)
-                cf_graph = psk_vital_adjacency(m, k, l)
+                cf_graph = build_srg(cf)
                 assert cf_graph.n == brute_vital.n
                 brute_edges = {
                     frozenset(

@@ -11,7 +11,7 @@ from lsnc.latin import Grid
 from lsnc.fixtures import load_grid
 from lsnc.signal_set import make_psk, make_square_qam
 
-from conftest import QAM8_POINTS
+from conftest import QAM8_POINTS, swap_first_cells
 
 
 def write_points(path):
@@ -229,6 +229,17 @@ def test_psk_sweep_reports_its_own_rule(m, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["psk-sweep", "--m", str(m), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: constructions need M a power of two >= 8, got {m}\n"
+    assert not out.exists()
+
+
+def test_psk_sweep_fails_on_a_square_that_does_not_verify(monkeypatch, tmp_path, capsys):
+    # The sweep writes nothing until every square is certified.
+    swap_first_cells(monkeypatch, (2, 1))
+    out = tmp_path / "sweep"
+    assert main(["psk-sweep", "--m", "8", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "failed: (2,1): constructed grid is not Latin\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -258,12 +258,12 @@ def test_full_answers_on_every_qam16_state(qam16):
         else:
             extend_lines.append("no\n" if col is None else f"yes {joined(col.colors)}\n")
     assert len(chi_lines) == 388
-    assert Counter(line.split()[0] for line in extend_lines) == {"yes": 241, "no": 8, "budget": 139}
+    assert Counter(line.split()[0] for line in extend_lines) == {"yes": 242, "no": 8, "budget": 138}
     assert hashlib.sha256("".join(chi_lines).encode()).hexdigest() == (
         "c1273610b0ac7f1f3f3e4cf3ace790d573568c376a518b331bec491526647243"
     )
     assert hashlib.sha256("".join(extend_lines).encode()).hexdigest() == (
-        "266d2905fa2c7bc4aa36d8aaeeed8f566b075cabf00813b4944211a51faa1130"
+        "2387f693b13164f7f738ee493b06ba6adcb8c438a5502a94af1fbbbb86f1b8d7"
     )
 
 
@@ -383,6 +383,21 @@ class TestExtendColoring:
         g = random_graph(26, 0.5, 7)
         with pytest.raises(SearchBudgetExceeded, match="budget 10 exhausted after 11 nodes"):
             extend_coloring(g, {0: 1}, 7, node_budget=10)
+
+    def test_a_coloring_finished_at_the_last_node_is_returned(self, qam16):
+        # The kernel checks its budget on entering a vertex, so here the
+        # 236th free vertex is colored as node 301 of a 300-node budget and
+        # the search ends with a full coloring; one node less stops it.
+        part = build_constraints(qam16, (3 + 15j) / 13)
+        graph = build_srg(part)
+        pre = {part.block_of((1, c)): c for c in range(1, 17)}
+        col = extend_coloring(graph, pre, 16, 300)
+        assert verify_proper(graph, col)
+        assert all(col.colors[v] == c for v, c in pre.items())
+        with pytest.raises(
+            SearchBudgetExceeded, match="budget 299 exhausted after 300 nodes with 235 of 236 free"
+        ):
+            extend_coloring(graph, pre, 16, 299)
 
     def test_budget_message_says_how_far_the_search_got(self, qam16, monkeypatch):
         # The kernel stops on entering a vertex after 301 nodes; the

@@ -7,9 +7,10 @@ import pytest
 
 from lsnc import (
     build_constraints,
+    build_srg,
+    psk_constraints_closed_form,
     psk_representative,
     psk_representatives,
-    psk_vital_adjacency,
     verify_latin,
     verify_proper,
     verify_removes,
@@ -33,6 +34,8 @@ from lsnc.psk_construct import (
     removal_square,
     vital_pfls,
 )
+
+from conftest import swap_first_cells
 
 
 @pytest.mark.parametrize(
@@ -85,7 +88,7 @@ def test_swapped_parameters_route_through_transpose():
 def test_vital_coloring_is_proper(m, k, l, colors):
     case = classify(m, k, l)
     _, _, coloring = vital_pfls(case)
-    assert verify_proper(psk_vital_adjacency(m, case.bk, case.bl), coloring)
+    assert verify_proper(build_srg(psk_constraints_closed_form(m, case.bk, case.bl)), coloring)
     assert coloring.k == colors
 
 
@@ -126,6 +129,18 @@ def test_remove_all_covers_every_representative():
 def test_sixteen_psk_sweep_is_clean():
     squares = remove_all_psk(16)
     assert len(squares) == 56
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_sweep_rejects_orders_outside_the_constructions(m):
+    with pytest.raises(ValueError, match=f"constructions need M a power of two >= 8, got {m}"):
+        remove_all_psk(m)
+
+
+def test_sweep_raises_on_a_square_that_does_not_verify(monkeypatch):
+    swap_first_cells(monkeypatch, (2, 1))
+    with pytest.raises(CompletionError, match=re.escape("(2,1): constructed grid is not Latin")):
+        remove_all_psk(8)
 
 
 @pytest.mark.parametrize(

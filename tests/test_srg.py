@@ -16,7 +16,6 @@ from lsnc import (
     psk_constraints_closed_form,
     psk_representative,
     psk_representatives,
-    psk_vital_adjacency,
     qam_clique_certificate,
     row_clique,
     to_dot,
@@ -106,7 +105,7 @@ def assert_ranks_match(graph):
 
 def oracle_psk_vital_adj(m, k, l):
     """Adjacency of the PSK vital subgraph, edge by edge from the closed-form
-    formula in psk_vital_adjacency's docstring."""
+    formula in psk_constraints_closed_form's docstring."""
     half = m // 2
     edges = []
     if k == half or l == half:
@@ -307,7 +306,7 @@ def test_closed_form_adjacency_matches_brute(m, k, l, request):
     part = build_constraints(signal, psk_representative(m, k, l).value)
     brute_vital = vital_subgraph(build_srg(part), part)
     cf_part = psk_constraints_closed_form(m, k, l)
-    cf_graph = psk_vital_adjacency(m, k, l)
+    cf_graph = build_srg(cf_part)
     assert cf_graph.n == brute_vital.n
 
     def edge_keys(graph, blocks_of):
@@ -326,17 +325,18 @@ def test_closed_form_adjacency_matches_brute(m, k, l, request):
 def test_psk_vital_adjacency_matches_edge_oracle(m):
     reps = psk_representatives(m)
     for fs in reps[::8] if m == 64 else reps:
-        graph = psk_vital_adjacency(m, fs.k, fs.l)
+        part = psk_constraints_closed_form(m, fs.k, fs.l)
+        graph = build_srg(part)
         assert_matches_oracle(graph, oracle_psk_vital_adj(m, fs.k, fs.l))
         # Closed forms leave cells uncovered; their -1 labels are on no line.
-        assert graph.lines == oracle_lines(psk_constraints_closed_form(m, fs.k, fs.l))
+        assert graph.lines == oracle_lines(part)
         assert graph.vertex_block == tuple(range(graph.n))
 
 
 @pytest.mark.parametrize("m,k,l", [(4, 1, 2), (8, 3, 3), (12, 1, 2), (8, 0, 1), (8, 1, 5)])
 def test_psk_vital_adjacency_rejects_bad_parameters(m, k, l):
     with pytest.raises(ValueError):
-        psk_vital_adjacency(m, k, l)
+        build_srg(psk_constraints_closed_form(m, k, l))
 
 
 class TestQamClique:
