@@ -10,7 +10,6 @@ from .errors import (
     AmbiguousGroupingError,
     CertificateMismatchError,
     CompletionError,
-    PatternMismatchError,
     SearchBudgetExceeded,
 )
 from .signal_set import SignalSet, from_spec, make_custom, make_pam, make_psk, make_square_qam
@@ -73,7 +72,6 @@ __all__ = [
     "ConstraintPartition",
     "FadeState",
     "Grid",
-    "PatternMismatchError",
     "PskCase",
     "RemovalGraph",
     "SearchBudgetExceeded",

@@ -20,7 +20,6 @@ from .errors import (
     AmbiguousGroupingError,
     CertificateMismatchError,
     CompletionError,
-    PatternMismatchError,
     SearchBudgetExceeded,
 )
 from .fade_state import (
@@ -396,7 +395,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CompletionError, CertificateMismatchError, PatternMismatchError) as exc:
+    except (CompletionError, CertificateMismatchError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (ValueError, AmbiguousGroupingError, OSError) as exc:

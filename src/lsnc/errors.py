@@ -4,7 +4,6 @@ from __future__ import annotations
 __all__ = [
     "AmbiguousGroupingError",
     "CertificateMismatchError",
-    "PatternMismatchError",
     "CompletionError",
     "SearchBudgetExceeded",
 ]
@@ -17,10 +16,6 @@ class AmbiguousGroupingError(ValueError):
 
 class CertificateMismatchError(RuntimeError):
     """A claimed combinatorial certificate failed its runtime check."""
-
-
-class PatternMismatchError(ValueError):
-    """Input grid does not exhibit the structure a construction requires."""
 
 
 class CompletionError(RuntimeError):

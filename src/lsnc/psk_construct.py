@@ -4,12 +4,14 @@ Each representative fade state (k, l) classifies into one of six cases by
 the 2-adic structure of k and l.  The vital subgraph gets a fixed 4- or
 8-coloring, and `removal_square` copies the resulting partial grid once
 into one working list of rows.  Every closed-form step writes into those
-rows in place: the one or two top-up cells per row, and then either the
-fill of the empty diagonals or the symbol/row interchange + SDR +
-Latin-rectangle route, which builds the one `Grid` that `lsnc.latin`'s
-helpers take.  The case is dispatched once, so the steps do not re-check
-it.  Runtime asserts back every "cannot happen" claim the construction
-relies on.
+rows in place.  BothOdd and SamePower fill the empty diagonals with fresh
+symbols.  The other cases top up one (Sin) or two (DiffPower, Mixed)
+cells per row, each with the one symbol of 1..4, or 5..8 for the second
+cell of a pair, that its row and column lack, and then take the
+symbol/row interchange + SDR + Latin-rectangle route, which builds the
+one `Grid` that `lsnc.latin`'s helpers take.  The case is dispatched
+once, so the steps do not re-check it.  Every step checks the claims the
+construction relies on and raises CompletionError when one fails.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from lsnc.constraint import (
     psk_column_offsets,
     psk_constraints_closed_form,
 )
-from lsnc.errors import CertificateMismatchError, CompletionError, PatternMismatchError
+from lsnc.errors import CertificateMismatchError, CompletionError
 from lsnc.fade_state import check_closed_form, check_construction_order, psk_representatives
 from lsnc.latin import (
     Grid,
@@ -120,7 +122,6 @@ def vital_coloring(case: PskCase, partition: ConstraintPartition) -> Coloring:
     returning.
     """
     m, k, l = case.m, case.bk, case.bl
-    half = m // 2
     tag = case.tag
 
     def four_block_color(v: int, blk: int, upper_split: int | None) -> int:
@@ -191,20 +192,20 @@ def _diagonal_complete(rows: list[list[int]]) -> Grid:
 
     The empty cells must be invariant under the shift (r, c) -> (r+1, c+1):
     the diagonal through (1, c) is filled with one new symbol.  Anything else
-    raises PatternMismatchError.
+    raises CompletionError.
     """
     m = len(rows)
     if {v for row in rows for v in row} - set(range(5)):
-        raise PatternMismatchError("diagonal completion expects symbols 1..4")
+        raise CompletionError("diagonal completion expects symbols 1..4")
     for r, row in enumerate(rows, 1):
         if m - row.count(0) != 4:
-            raise PatternMismatchError(f"row {r} does not have exactly 4 filled cells")
+            raise CompletionError(f"row {r} does not have exactly 4 filled cells")
     empty_cols = [c for c, v in enumerate(rows[0]) if not v]
     for sym, c in enumerate(empty_cols, 5):
         for r, row in enumerate(rows):
             cc = (c + r) % m
             if row[cc]:
-                raise PatternMismatchError(
+                raise CompletionError(
                     f"empty cells are not diagonal-shift invariant at {(r + 1, cc + 1)}"
                 )
             row[cc] = sym
@@ -257,60 +258,42 @@ def _rectangle_complete(rows: list[list[int]], n_rect: int) -> Grid:
     return interchange_symbol_row(complete_rows_hall(Grid.from_lists(rect)))
 
 
-def _top_up_sin(rows: list[list[int]], case: PskCase, coloring: Coloring) -> None:
-    """Appendix A: fill one closed-form cell per row of a Sin-case partial
-    grid (M constraints, 4 symbols) in place.
+def _top_up(rows: list[list[int]], case: PskCase) -> int:
+    """Fill the closed-form top-up cells of a Sin, DiffPower or Mixed
+    partial grid in place and return the rectangle height, 4 or 8.
 
-    Row i's cell gets the symbol of the constraint half a turn away in
-    `coloring`, the vital coloring the grid was filled from.
+    Appendix A tops up one cell per row of a Sin grid (M constraints, 4
+    symbols), Appendix B two per row of a DiffPower/Mixed grid (2M
+    constraints, 8 symbols).  Each cell takes the one symbol of 1..4, or of
+    5..8 for the second cell of a pair, that its row and column lack.
     """
-    m, k, half = case.m, case.bk, case.m // 2
-    for i in range(m):
-        if k % 2:
-            col = (i - m // 4 - (k - 1) // 2) % m + 1
-        else:
-            col = (i - m // 4 - k // 2 + (1 << _val2(k))) % m + 1
-        _fill_cell(rows, i + 1, col, coloring.colors[(i + half) % m])
-
-
-def _top_up_pairs(rows: list[list[int]], case: PskCase) -> None:
-    """Appendix B: fill two closed-form cells per row of a DiffPower/Mixed
-    partial grid (2M constraints, 8 symbols) in place.
-
-    One cell takes the unique symbol of {1..4} absent from its row and
-    column, the other likewise from {5..8}.
-    """
-    m, half = case.m, case.m // 2
-    d1, d2 = psk_column_offsets(case.bk, case.bl)
-
-    def zeta_fill(r: int, c: int, sym_range: range) -> None:
+    m, k = case.m, case.bk
+    if case.tag in (SIN_ODD, SIN_EVEN):
+        d = m // 4 + ((k - 1) // 2 if k % 2 else k // 2 - (1 << _val2(k)))
+        cells = [(i + 1, (i - d) % m + 1, range(1, 5)) for i in range(m)]
+    else:
+        d1, d2 = psk_column_offsets(k, case.bl)
+        cells = [(i + 1, (i - d1) % m + 1, range(1, 5)) for i in range(m)]
+        cells += [(i + 1, (i + m // 2 - d2) % m + 1, range(5, 9)) for i in range(m)]
+    for r, c, syms in cells:
         present = set(rows[r - 1]) | {row[c - 1] for row in rows}
-        absent = [s for s in sym_range if s not in present]
+        absent = [s for s in syms if s not in present]
         if len(absent) != 1:
             raise CompletionError(
-                f"cell {(r, c)} admits {len(absent)} symbols of {sym_range}, expected 1"
+                f"cell {(r, c)} admits {len(absent)} symbols of {syms}, expected 1"
             )
         _fill_cell(rows, r, c, absent[0])
-
-    for i in range(m):
-        zeta_fill(i + 1, (i - d1) % m + 1, range(1, 5))
-    for i in range(m):
-        zeta_fill(i + 1, (i + half - d2) % m + 1, range(5, 9))
+    return syms.stop - 1  # the largest symbol placed
 
 
 def removal_square(m: int, k: int, l: int) -> Grid:
     """M-symbol Latin Square removing the (k, l) representative of M-PSK."""
     case = classify(m, k, l)
-    pfls, _, coloring = vital_pfls(case)
-    rows = pfls.to_lists()
+    rows = vital_pfls(case)[0].to_lists()
     if case.tag in (BOTH_ODD, SAME_POWER):
         square = _diagonal_complete(rows)
-    elif case.tag in (SIN_ODD, SIN_EVEN):
-        _top_up_sin(rows, case, coloring)
-        square = _rectangle_complete(rows, 4)
     else:
-        _top_up_pairs(rows, case)
-        square = _rectangle_complete(rows, 8)
+        square = _rectangle_complete(rows, _top_up(rows, case))
     if case.transposed:
         square = transpose(square)
     if case.rotate:

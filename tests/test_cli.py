@@ -350,6 +350,20 @@ def test_unclusterable_fade_is_a_usage_error(cmd, signal, fade, capsys):
     assert err.startswith("error: cannot cluster") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", ["graph", "chromatic", "latin"])
+@pytest.mark.parametrize("signal,fade", [("qam:4", "0"), ("qam:16", "1e-12"), ("psk:8", "0")])
+def test_fade_zero_has_no_removal_graph(cmd, signal, fade, capsys):
+    # At fade 0 each constraint block is a whole row, which no Latin square
+    # can give one symbol; the graph commands must say so, not report a chi.
+    assert main([cmd, "--signal", signal, "--fade", fade]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a constraint block holds two cells of row 1, so no Latin square removes"
+        " this partition (each block is a whole row at fade 0)\n"
+    )
+
+
 def test_render_grid_blanks_empty_cells():
     text = render_grid(Grid.from_lists([[1, 0], [0, 12]]))
     assert "| 12 |" in text

@@ -8,6 +8,7 @@ import pytest
 from lsnc import (
     build_constraints,
     build_srg,
+    constrained_pls,
     psk_constraints_closed_form,
     psk_representative,
     psk_representatives,
@@ -15,9 +16,10 @@ from lsnc import (
     verify_proper,
     verify_removes,
 )
-from lsnc.errors import CompletionError, PatternMismatchError
+from lsnc.errors import CompletionError
 from lsnc.fixtures import load_grid
 from lsnc.gridio import dumps_grid
+from lsnc.latin import Grid
 from lsnc.psk_construct import (
     BOTH_ODD,
     DIFF_POWER,
@@ -28,7 +30,7 @@ from lsnc.psk_construct import (
     _diagonal_complete,
     _fill_cell,
     _rectangle_complete,
-    _top_up_pairs,
+    _top_up,
     classify,
     remove_all_psk,
     removal_square,
@@ -95,6 +97,53 @@ def test_vital_coloring_is_proper(m, k, l, colors):
 def test_vital_pfls_matches_worked_example():
     grid, _, _ = vital_pfls(classify(8, 1, 3))
     assert grid == load_grid("psk8_k1_l3_pfls")
+
+
+def topped_up(case):
+    """The vital partial grid of `case` after its closed-form top-up."""
+    rows = vital_pfls(case)[0].to_lists()
+    _top_up(rows, case)
+    return Grid.from_lists(rows)
+
+
+# The paper's Mixed figure numbers the vital colours with 2 <-> 3 and 6 <-> 7
+# exchanged against the library's.
+FIGURE_COLOURS = {"psk16_k1_l2": {2: 3, 3: 2, 6: 7, 7: 6}}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["psk8_k1_l3_cpls", "psk8_k2_l4_cpls", "psk16_k1_l2_cpls", "psk16_k2_l6_cpls",
+     "psk8_k2_l4_pfls", "psk16_k2_l6_pfls", "psk16_k1_l2_pfls",
+     "psk8_k2_l4_pfls_b", "psk16_k1_l2_pfls_b"],
+)
+def test_psk_stage_fixtures_match_the_library(name):
+    family, m, k, l, stage = re.fullmatch(r"(psk(\d+)_k(\d+)_l(\d+))_(\w+)", name).groups()
+    m, k, l = int(m), int(k), int(l)
+    if stage == "cpls":
+        grid = constrained_pls(psk_constraints_closed_form(m, k, l))
+    else:
+        case = classify(m, k, l)
+        grid = vital_pfls(case)[0] if stage == "pfls" else topped_up(case)
+        swap = FIGURE_COLOURS.get(family, {})
+        grid = Grid.from_lists([[swap.get(v, v) for v in row] for row in grid.to_lists()])
+    assert grid == load_grid(name)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_sin_top_up_is_the_colour_half_a_turn_away(m):
+    # Appendix A's own rule: row i's top-up cell takes the vital colour of
+    # the constraint half a turn away.  The forced-symbol rule must agree.
+    for fs in psk_representatives(m):
+        case = classify(m, fs.k, fs.l)
+        if case.tag not in (SIN_ODD, SIN_EVEN):
+            continue
+        grid, _, coloring = vital_pfls(case)
+        filled = topped_up(case)
+        new = [(r, c) for r, c in filled.filled_cells() if not grid.at(r, c)]
+        assert [r for r, _ in new] == list(range(1, m + 1))
+        for r, c in new:
+            assert filled.at(r, c) == coloring.colors[(r - 1 + m // 2) % m], (fs.k, fs.l, r)
 
 
 @pytest.mark.parametrize(
@@ -173,22 +222,22 @@ def test_diagonal_fill_completes_shift_invariant_rows():
 
 
 @pytest.mark.parametrize(
-    "cell,sym,error,message",
+    "cell,sym,message",
     [
-        ((2, 6), 1, PatternMismatchError, "row 3 does not have exactly 4 filled cells"),
-        ((0, 0), 5, PatternMismatchError, "diagonal completion expects symbols 1..4"),
+        ((2, 6), 1, "row 3 does not have exactly 4 filled cells"),
+        ((0, 0), 5, "diagonal completion expects symbols 1..4"),
         # row 1 equal to row 0 keeps 4 filled cells but breaks the shift
-        (None, None, PatternMismatchError, "not diagonal-shift invariant at (2, 1)"),
-        ((0, 1), 1, CompletionError, "diagonal completion produced an invalid square"),
+        (None, None, "not diagonal-shift invariant at (2, 1)"),
+        ((0, 1), 1, "diagonal completion produced an invalid square"),
     ],
 )
-def test_diagonal_fill_guards(cell, sym, error, message):
+def test_diagonal_fill_guards(cell, sym, message):
     rows = diagonal_rows()
     if cell is None:
         rows[1] = list(rows[0])
     else:
         rows[cell[0]][cell[1]] = sym
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(CompletionError, match=re.escape(message)):
         _diagonal_complete(rows)
 
 
@@ -212,7 +261,14 @@ def test_pair_top_up_needs_one_absent_symbol(row0, admits):
     case = classify(8, 1, 2)  # Mixed: row i's first top-up cell is (i+1, i+1)
     rows = [row0] + [[0] * 8 for _ in range(7)]
     with pytest.raises(CompletionError, match=re.escape(f"cell (1, 1) admits {admits} symbols")):
-        _top_up_pairs(rows, case)
+        _top_up(rows, case)
+
+
+def test_sin_top_up_needs_one_absent_symbol():
+    case = classify(8, 1, 4)  # SinOdd: row 1's top-up cell is (1, 7)
+    rows = [[0] * 8 for _ in range(8)]
+    with pytest.raises(CompletionError, match=re.escape("cell (1, 7) admits 4 symbols")):
+        _top_up(rows, case)
 
 
 @pytest.mark.parametrize(
