@@ -3,7 +3,8 @@
 For 2^n-PSK the constraint blocks, the vital-subgraph adjacency, and a
 proper coloring all have closed forms, so an M-symbol removing Latin square
 for every singular fade state comes out of direct construction — no
-backtracking, and the row clique certifies that M symbols is optimal.
+backtracking, and row 1's M distinct blocks certify that M symbols is
+optimal.
 """
 
 from lsnc.cli import render_grid
@@ -19,8 +20,8 @@ for (k, l), grid in squares.items():
 
 print()
 print("remove_all_psk certified every square: complete, Latin, with M symbols,")
-print("removing the brute-force partition, and the row clique of M pairwise-")
-print(f"adjacent blocks bounds chi below, so chi = {m} on every state.")
+print("removing the brute-force partition, whose row 1 meets M distinct, pairwise-")
+print(f"adjacent blocks that bound chi below, so chi = {m} on every state.")
 
 print()
 k, l = 1, 3

@@ -256,7 +256,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_psk_sweep(args: argparse.Namespace) -> int:
     m = args.m
-    squares = remove_all_psk(m)  # certified: each square verified, chi = M by the row clique
+    squares = remove_all_psk(m)  # certified: each square verified, chi = M by row 1's M blocks
     records = [
         {"k": k, "l": l, "case": classify(m, k, l).tag, "method": "closed-form",
          "symbols": m, "chi_lower": m, "chi_upper": m, "verified": True}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from lsnc.errors import CompletionError
@@ -102,9 +103,9 @@ class Grid:
 
 def verify_latin(grid: Grid) -> bool:
     """Row/column exclusion among filled cells; empty grids pass."""
-    for line in list(grid.rows) + [col for col in zip(*grid.rows)]:
-        seen = [v for v in line if v]
-        if len(seen) != len(set(seen)):
+    for line in chain(grid.rows, zip(*grid.rows)):
+        seen = set(line)
+        if len(seen) - (0 in seen) != len(line) - line.count(0):
             return False
     return True
 
@@ -165,9 +166,8 @@ def interchange_symbol_row(grid: Grid) -> Grid:
     """
     m = grid.m
     rows = [[0] * m for _ in range(m)]
-    for r in range(1, m + 1):
-        for c in range(1, m + 1):
-            s = grid.at(r, c)
+    for r, row in enumerate(grid.rows, 1):
+        for c, s in enumerate(row, 1):
             if not s:
                 continue
             if s > m:

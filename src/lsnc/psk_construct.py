@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lsnc.coloring import Coloring, verify_proper
+from lsnc.coloring import Coloring
 from lsnc.constraint import (
     ConstraintPartition,
     build_constraints,
     psk_column_offsets,
     psk_constraints_closed_form,
 )
-from lsnc.errors import CertificateMismatchError, CompletionError
+from lsnc.errors import CompletionError
 from lsnc.fade_state import check_closed_form, check_construction_order, psk_representatives
 from lsnc.latin import (
     Grid,
@@ -38,7 +38,6 @@ from lsnc.latin import (
     verify_removes,
 )
 from lsnc.signal_set import make_psk
-from lsnc.srg import build_srg, row_clique
 
 __all__ = [
     "PskCase",
@@ -113,14 +112,10 @@ def classify(m: int, k: int, l: int) -> PskCase:
     return PskCase(m, k, l, DIFF_POWER, bk=l, bl=k)
 
 
-def vital_coloring(case: PskCase, partition: ConstraintPartition) -> Coloring:
-    """The fixed proper coloring of the vital subgraph for (bk, bl).
-
-    Four colors for BothOdd/SamePower and the single-family Sin cases,
-    eight for DiffPower/Mixed.  Properness is checked on the removal graph
-    of `partition`, the closed-form constraints for (bk, bl), before
-    returning.
-    """
+def vital_coloring(case: PskCase) -> Coloring:
+    """The fixed coloring of the vital subgraph for (bk, bl): four colors
+    for BothOdd/SamePower and the single-family Sin cases, eight for
+    DiffPower/Mixed.  `vital_pfls` checks it on the grid it fills."""
     m, k, l = case.m, case.bk, case.bl
     tag = case.tag
 
@@ -133,7 +128,6 @@ def vital_coloring(case: PskCase, partition: ConstraintPartition) -> Coloring:
             c += 2
         return c
 
-    colors: list[int] = []
     if tag in (SIN_ODD, SIN_EVEN):
         blk = 0 if tag == SIN_ODD else _val2(k)
         split = (m >> blk) // 2
@@ -161,25 +155,21 @@ def vital_coloring(case: PskCase, partition: ConstraintPartition) -> Coloring:
         colors = part + [c + 4 for c in part]
     else:  # pragma: no cover - classify only emits the tags above
         raise ValueError(f"unknown case tag {tag}")
-
-    coloring = Coloring(tuple(colors))
-    if not verify_proper(build_srg(partition), coloring):
-        raise CertificateMismatchError(
-            f"vital coloring for M={m} (k,l)=({k},{l}) [{tag}] is not proper"
-        )
-    return coloring
+    return Coloring(tuple(colors))
 
 
 def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
-    """Partial grid with every closed-form constraint filled by its color."""
+    """Partial grid with every closed-form constraint filled by its color,
+    checked to share no cell and to be Latin.  A Latin fill is a proper
+    coloring that also rejects a constraint meeting one line twice."""
     part = psk_constraints_closed_form(case.m, case.bk, case.bl)
-    coloring = vital_coloring(case, part)
+    coloring = vital_coloring(case)
     rows = [[0] * case.m for _ in range(case.m)]
-    for i, block in enumerate(part.blocks):
+    for block, color in zip(part.blocks, coloring.colors, strict=True):
         for r, c in block:
             if rows[r - 1][c - 1]:
                 raise CompletionError(f"constraint cells overlap at {(r, c)}")
-            rows[r - 1][c - 1] = coloring.colors[i]
+            rows[r - 1][c - 1] = color
     grid = Grid.from_lists(rows)
     if not verify_latin(grid):
         raise CompletionError("vital coloring produced a non-Latin partial grid")
@@ -218,7 +208,7 @@ def _diagonal_complete(rows: list[list[int]]) -> Grid:
 def _fill_cell(rows: list[list[int]], r: int, c: int, sym: int) -> None:
     if rows[r - 1][c - 1]:
         raise CompletionError(f"fill target {(r, c)} is not empty")
-    if sym in rows[r - 1] or any(row[c - 1] == sym for row in rows):
+    if sym in rows[r - 1] or sym in [row[c - 1] for row in rows]:
         raise CompletionError(f"symbol {sym} conflicts at {(r, c)}")
     rows[r - 1][c - 1] = sym
 
@@ -305,10 +295,11 @@ def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:
     """Certified M-symbol removal squares for every representative of M-PSK,
     keyed by (k, l) in `psk_representatives` order.
 
-    Each square is checked against the brute-force constraint partition of
-    its fade state (complete, Latin, M symbols, removing it; a failure
-    raises CompletionError naming (k, l)), and the partition's row clique
-    is re-checked to be M blocks, so chi = M is certified for every state.
+    Row 1 of each state's brute-force label grid must hold M distinct
+    blocks, pairwise adjacent by that shared row, so chi >= M; the square
+    is then checked against the partition (complete, Latin, M symbols,
+    removing it), so chi = M is certified.  A failure raises
+    CompletionError naming (k, l).
     """
     check_construction_order(m)
     s_set = make_psk(m)
@@ -317,12 +308,14 @@ def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:
         k, l = fs.k, fs.l
         square = removal_square(m, k, l)
         partition = build_constraints(s_set, fs)
+        row1 = partition.labels[:m]
+        if -1 in row1 or len(set(row1)) != m:
+            raise CompletionError(f"({k},{l}): row 1 does not meet {m} blocks")
         if not (square.is_complete() and verify_latin(square)):
             raise CompletionError(f"({k},{l}): constructed grid is not Latin")
         if square.symbol_count != m:
             raise CompletionError(f"({k},{l}): {square.symbol_count} symbols, expected {m}")
         if not verify_removes(square, partition):
             raise CompletionError(f"({k},{l}): square does not remove the state")
-        row_clique(build_srg(partition), partition)
         out[(k, l)] = square
     return out

@@ -130,20 +130,20 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
     sorted labels of its stride-M slice from c, less the -1 of cells no
     block covers.
 
-    A block that holds two cells of one row (each block is a whole row at
-    fade 0) raises ValueError: a Latin square cannot give both cells the
-    block's one symbol.  `build_constraints` never puts two cells of one
-    column in a block, since their x_A differ."""
+    A block that holds two cells of one row or column (each block is a
+    whole row at fade 0) raises ValueError naming the first such line: a
+    Latin square cannot give both cells the block's one symbol."""
     m, labels = partition.m, partition.labels
     grid_lines = [labels[i:i + m] for i in range(0, m * m, m)] + [labels[c::m] for c in range(m)]
     lines = []
     for grid_line in grid_lines:
         line = sorted(grid_line)
         lines.append(tuple(line[line.count(-1):]))
-    for r, line in enumerate(lines[:m], 1):
+    for i, line in enumerate(lines):
         if len(set(line)) < len(line):
+            where = f"row {i + 1}" if i < m else f"column {i + 1 - m}"
             raise ValueError(
-                f"a constraint block holds two cells of row {r}, so no Latin square removes"
+                f"a constraint block holds two cells of {where}, so no Latin square removes"
                 " this partition (each block is a whole row at fade 0)"
             )
     return RemovalGraph.from_lines(len(partition.blocks), lines)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,23 @@ class TestGrid:
             Grid.from_lists([[1, 2], [1]])
         with pytest.raises(ValueError):
             Grid.from_lists([[1, -1], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[1, True], [0, 0]], "bad cell value True"),
+            ([[1, 2], [0, -3]], "bad cell value -3"),
+            ([[1, 2.0], [0, 0]], "bad cell value 2.0"),
+            ([[1, 2], [1]], "grid must be square"),
+            ([[1, 2], [1, 2], [1, 2]], "grid must be square"),
+            # the first bad row or cell is named, as the rows are read
+            ([[False, 2], [1]], "bad cell value False"),
+            ([[1, 2, 3], [-1, 0]], "grid must be square"),
+        ],
+    )
+    def test_rejection_messages(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Grid.from_lists(rows)
 
 
 class TestVerify:

@@ -16,6 +16,8 @@ from lsnc import (
     verify_proper,
     verify_removes,
 )
+from lsnc import psk_construct
+from lsnc.constraint import ConstraintPartition
 from lsnc.errors import CompletionError
 from lsnc.fixtures import load_grid
 from lsnc.gridio import dumps_grid
@@ -75,19 +77,22 @@ def test_swapped_parameters_route_through_transpose():
     assert (swapped.bk, swapped.bl) == (2, 4)
 
 
+# Parity-split colorings use 4 classes; the two-symbol-per-row b-cell
+# constructions start from 8.
+VITAL_COLORS = {BOTH_ODD: 4, SAME_POWER: 4, SIN_ODD: 4, SIN_EVEN: 4, MIXED: 8, DIFF_POWER: 8}
+
+
 @pytest.mark.parametrize(
     "m,k,l,colors",
     [
-        # parity-split colorings use 4 classes; the two-symbol-per-row
-        # b-cell constructions start from 8
-        (8, 1, 3, 4),
-        (8, 1, 2, 8),
-        (16, 2, 6, 4),
-        (16, 1, 4, 8),
-        (16, 2, 4, 8),
+        (m, fs.k, fs.l, VITAL_COLORS[classify(m, fs.k, fs.l).tag])
+        for m in (8, 16, 32)
+        for fs in psk_representatives(m)
     ],
 )
 def test_vital_coloring_is_proper(m, k, l, colors):
+    # The library certifies the vital coloring by the Latin grid it fills;
+    # the removal graph of the closed-form constraints is the oracle.
     case = classify(m, k, l)
     _, _, coloring = vital_pfls(case)
     assert verify_proper(build_srg(psk_constraints_closed_form(m, case.bk, case.bl)), coloring)
@@ -189,6 +194,26 @@ def test_sweep_rejects_orders_outside_the_constructions(m):
 def test_sweep_raises_on_a_square_that_does_not_verify(monkeypatch):
     swap_first_cells(monkeypatch, (2, 1))
     with pytest.raises(CompletionError, match=re.escape("(2,1): constructed grid is not Latin")):
+        remove_all_psk(8)
+
+
+def test_sweep_raises_when_row_one_repeats_a_block(monkeypatch):
+    # Merge the blocks of cells (1, 1) and (1, 2) of the (2, 1) state: row 1
+    # then meets M - 1 blocks, so the row no longer bounds chi below by M.
+    built = psk_construct.build_constraints
+
+    def merged(s_set, fs):
+        part = built(s_set, fs)
+        if (fs.k, fs.l) != (2, 1):
+            return part
+        a, b = part.block_of((1, 1)), part.block_of((1, 2))
+        blocks = list(part.blocks)
+        blocks[a] = tuple(sorted(blocks[a] + blocks[b]))
+        del blocks[b]
+        return ConstraintPartition(part.m, tuple(blocks))
+
+    monkeypatch.setattr(psk_construct, "build_constraints", merged)
+    with pytest.raises(CompletionError, match=re.escape("(2,1): row 1 does not meet 8 blocks")):
         remove_all_psk(8)
 
 

@@ -339,6 +339,22 @@ def test_psk_vital_adjacency_rejects_bad_parameters(m, k, l):
         build_srg(psk_constraints_closed_form(m, k, l))
 
 
+@pytest.mark.parametrize(
+    "blocks,where",
+    [
+        ((((1, 1), (1, 2)), ((2, 1),), ((2, 2),)), "row 1"),
+        ((((1, 1), (2, 1)), ((1, 2),), ((2, 2),)), "column 1"),
+        ((((1, 1),), ((2, 1),), ((1, 2), (2, 2))), "column 2"),
+    ],
+    ids=["row-1", "column-1", "column-2"],
+)
+def test_build_srg_rejects_a_block_meeting_one_line_twice(blocks, where):
+    # No Latin square gives two cells of one line the block's one symbol.
+    # Left through, the column cases get chi = 3 marked optimal.
+    with pytest.raises(ValueError, match=f"^a constraint block holds two cells of {where},"):
+        build_srg(ConstraintPartition(2, blocks))
+
+
 class TestQamClique:
     def test_m4_size_five(self):
         assert len(qam_clique_certificate(4, -1 - 1j)) == 5
