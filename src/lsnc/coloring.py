@@ -27,7 +27,10 @@ the uncolored vertices, for each color the vertices next to it, and one
 mask per bit of the saturation counters, which the number of colors and
 the max degree both bound.  Coloring a vertex adds one to the newly
 saturated part of its neighborhood by a ripple carry through those masks;
-no step walks a neighbor list.
+no step walks a neighbor list.  A forward move is one straight path: pick
+the vertex, take the first free color offered, place it and push an
+immutable frame.  Only a vertex with no free color backs up, popping and
+undoing frames until one has a later color free.
 """
 from __future__ import annotations
 
@@ -85,16 +88,20 @@ def verify_proper(graph: RemovalGraph, coloring: Coloring) -> bool:
 def _first_conflict(graph: RemovalGraph, colors: Sequence[int]) -> tuple[int, int] | None:
     """The first edge (u, v), u < v in row-major order, whose ends share a
     nonzero color, or None.  Each colored vertex's adjacency mask is tested
-    against the mask of the vertices of its color."""
+    against the mask of the vertices of its color, and only a hit is
+    narrowed to the neighbors above u."""
     members: dict[int, int] = {}
     for v, c in enumerate(colors):
         if c:
             members[c] = members.get(c, 0) | 1 << v
+    adj = graph.adj
     for u, c in enumerate(colors):
         if c:
-            later = graph.adj[u] & members[c] & -(2 << u)  # neighbors above u
-            if later:
-                return u, (later & -later).bit_length() - 1
+            same = adj[u] & members[c]
+            if same:
+                later = same & -(2 << u)  # neighbors above u
+                if later:
+                    return u, (later & -later).bit_length() - 1
     return None
 
 
@@ -135,6 +142,14 @@ def _dsatur_search(
     rippling up the planes; undoing it restores near[c] and subtracts one
     from R with a borrow.  No step visits a neighbor on its own, and no
     state grows with k or with the given colors' values.
+
+    A forward move scans the colors offered for the first free one, places
+    it and pushes a tuple frame that it never reads back.  A vertex entered
+    with no free color is a dead end, and only there does the search back
+    up: it pops the deepest frame, undoes its color and carry, and resumes
+    that vertex's scan at the colors above the one it had, popping further
+    while none is free.  With no given color every vertex starts uncolored
+    and the set-up reads no vertex.
     """
     by_rank, rank_adj, max_degree = graph.ranks
     given = sorted(set(colors) - {0})
@@ -148,25 +163,29 @@ def _dsatur_search(
     # offers[used]: the colors tried at a vertex entered with `used` placed.
     offers = [range(1, min(used + 1, cap) + 1) for used in range(cap + 1)]
     near = [0] * (cap + 1)
-    uncolored = 0
-    for r, v in enumerate(by_rank):
-        c = colors[v]
-        if c:
-            near[c] |= rank_adj[r]
-        else:
-            uncolored |= 1 << r
     plane = [0] * min(cap, max_degree).bit_length()
-    # Each color of the partial coloring adds one to the vertices it is near.
-    for carry in near:
-        p = 0
-        while carry:
-            plane[p], carry = plane[p] ^ carry, plane[p] & carry
-            p += 1
+    if g:
+        uncolored = 0
+        for r, v in enumerate(by_rank):
+            c = colors[v]
+            if c:
+                near[c] |= rank_adj[r]
+            else:
+                uncolored |= 1 << r
+        # Each color of the partial coloring adds one to the vertices it is near.
+        for carry in near:
+            p = 0
+            while carry:
+                plane[p], carry = plane[p] ^ carry, plane[p] & carry
+                p += 1
+    else:
+        uncolored = (1 << graph.n) - 1
     # An explicit stack, so depth is not bounded by the recursion limit.  One
-    # frame per vertex the search has colored, deepest last: [vertex, its
-    # rank bit, its rank adjacency, colors left to try, `used` before it, its
-    # color, the vertices that color raised, near[color] before it].
-    stack: list[list] = []
+    # immutable frame per vertex the search has colored, deepest last:
+    # (vertex, its rank bit, its rank adjacency, its color, the colors
+    # offered there, `used` before it, the vertices its color raised,
+    # near[color] before it).  Forward moves only push; a dead end pops.
+    stack: list[tuple] = []
     used = g
     nodes = 0
     stopped = False
@@ -180,36 +199,37 @@ def _dsatur_search(
             if b:
                 cand = b
         vbit = cand & -cand
-        uncolored ^= vbit
-        r = vbit.bit_length() - 1
-        stack.append([by_rank[r], vbit, rank_adj[r], iter(offers[used]), used, 0, 0, 0])
-        # Move to the next untried color of the deepest vertex that has one.
-        while stack:
-            frame = stack[-1]
-            v, vbit, adj, todo, used, c, raised, old = frame
-            if c:
+        offer = offers[used]
+        for c in offer:
+            if not near[c] & vbit:
+                r = vbit.bit_length() - 1
+                v, adj = by_rank[r], rank_adj[r]
+                break
+        else:  # a dead end: back up to the deepest vertex with a color left
+            while stack:
+                v, vbit, adj, c, offer, used, raised, old = stack.pop()
                 colors[v] = 0
                 near[c] = old
+                uncolored |= vbit
                 p = 0
                 while raised:  # subtract one, borrowing where a bit was 0
                     plane[p], raised = plane[p] ^ raised, raised & ~plane[p]
                     p += 1
-            for c in todo:
-                if not near[c] & vbit:
-                    break
+                for c in offer[c:]:  # offer[i] is i + 1: the colors above c
+                    if not near[c] & vbit:
+                        break
+                else:
+                    continue
+                break
             else:
-                stack.pop()
-                uncolored |= vbit
-                continue
-            break
-        else:
-            break  # exhausted
+                break  # exhausted
         nodes += 1
         colors[v] = c
+        uncolored ^= vbit
         old = near[c]
         near[c] = old | adj
         raised = adj & uncolored & ~old
-        frame[5:] = c, raised, old
+        stack.append((v, vbit, adj, c, offer, used, raised, old))
         p = 0
         while raised:  # add one, carrying where a bit was 1
             plane[p], raised = plane[p] ^ raised, plane[p] & raised
@@ -229,8 +249,17 @@ def greedy_color(graph: RemovalGraph, partial: Sequence[int] = ()) -> Coloring:
     entries of `partial`, a proper partial coloring with one entry per
     vertex if given, are kept; a vertex whose neighbors leave a given color
     free may take it.  Uses at most max-degree + 1 colors, or the number of
-    given colors if that is more."""
+    given colors if that is more.  Raises ValueError on a `partial` of
+    another length, with a negative color, or improper."""
     colors = list(partial) or [0] * graph.n
+    if len(colors) != graph.n:
+        raise ValueError(f"partial coloring has {len(colors)} entries for {graph.n} vertices")
+    for v, c in enumerate(colors):
+        if c < 0:
+            raise ValueError(f"color {c} of vertex {v} is negative")
+    conflict = _first_conflict(graph, colors)
+    if conflict:
+        raise ValueError(f"partial coloring is improper on edge {conflict}")
     # With no cap on the colors the search never backtracks and spends one
     # node per free vertex.
     _dsatur_search(graph, colors, None, graph.n)
@@ -264,8 +293,8 @@ def exact_chromatic(
         colors = [0] * graph.n
         spent, stopped = _dsatur_search(graph, colors, k, node_budget - nodes)
         nodes += spent
-        if stopped:
-            colors = greedy_color(graph, colors).colors
+        if stopped:  # greedy DSATUR from the proper partial coloring
+            _dsatur_search(graph, colors, None, graph.n)
         if stopped or all(colors):
             chi = max(colors)
             if lower and chi < lower:
@@ -306,8 +335,12 @@ def extend_coloring(
     free = colors.count(0)
     nodes, stopped = _dsatur_search(graph, colors, k, node_budget)
     if stopped:
+        colored = free - colors.count(0)
         raise SearchBudgetExceeded(
             f"extension budget {node_budget} exhausted after {nodes} nodes with "
-            f"{free - colors.count(0)} of {free} free vertices colored"
+            f"{colored} of {free} free vertices colored",
+            nodes=nodes,
+            colored=colored,
+            free=free,
         )
     return Coloring(tuple(colors)) if all(colors) else None

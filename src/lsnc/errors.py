@@ -24,4 +24,21 @@ class CompletionError(RuntimeError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Backtracking search hit its node budget before reaching an answer."""
+    """Backtracking search hit its node budget before reaching an answer.
+
+    `nodes` is the nodes spent, `colored` the free vertices colored on the
+    path the search was on when it stopped, and `free` the free vertices it
+    started with; each is None where the raiser does not know it."""
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        nodes: int | None = None,
+        colored: int | None = None,
+        free: int | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.nodes = nodes
+        self.colored = colored
+        self.free = free

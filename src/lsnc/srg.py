@@ -51,7 +51,7 @@ class RemovalGraph:
     ) -> RemovalGraph:
         """Graph whose cliques are `lines`."""
         vertex_block = tuple(range(n)) if vertex_block is None else vertex_block
-        return cls(n, _line_masks(n, lines), vertex_block, tuple(lines))
+        return cls(n, _line_masks(n, lines)[0], vertex_block, tuple(lines))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -72,9 +72,9 @@ class RemovalGraph:
         rank_of = [0] * self.n
         for r, v in enumerate(by_rank):
             rank_of[v] = r
-        lines = [[rank_of[v] for v in line] for line in self.lines]
+        lines = [[*map(rank_of.__getitem__, line)] for line in self.lines]
         max_degree = degree[by_rank[0]] if by_rank else 0
-        return tuple(by_rank), _line_masks(self.n, lines), max_degree
+        return tuple(by_rank), _line_masks(self.n, lines)[0], max_degree
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Ascending neighbors of v, unpacked from its mask."""
@@ -89,17 +89,23 @@ class RemovalGraph:
         return sum(map(int.bit_count, self.adj)) // 2
 
 
-def _line_masks(n: int, lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Adjacency masks of the union of the cliques `lines` on n vertices:
-    each line's bitmap is built once and ORed into the mask of every vertex
-    on it."""
+def _line_masks(
+    n: int, lines: Iterable[Sequence[int]]
+) -> tuple[tuple[int, ...], int | None]:
+    """Adjacency masks of the union of the cliques `lines` on n vertices,
+    and the index of the first line that names a vertex twice (its bitmap
+    has fewer bits than it has entries), or None: each line's bitmap is
+    built once and ORed into the mask of every vertex on it."""
     masks = [0] * n
     size = (n + 7) // 8
-    for line in lines:
+    short = None
+    for i, line in enumerate(lines):
         buf = bytearray(size)
         for v in line:
             buf[v >> 3] |= 1 << (v & 7)
         bits = int.from_bytes(buf, "little")
+        if short is None and bits.bit_count() < len(line):
+            short = i
         for v in line:
             mask = masks[v]
             masks[v] = mask | bits if mask else bits
@@ -108,7 +114,7 @@ def _line_masks(n: int, lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
     for v, mask in enumerate(masks):
         if mask:
             masks[v] = mask ^ (1 << v)
-    return tuple(masks)
+    return tuple(masks), short
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -139,14 +145,15 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
     for grid_line in grid_lines:
         line = sorted(grid_line)
         lines.append(tuple(line[line.count(-1):]))
-    for i, line in enumerate(lines):
-        if len(set(line)) < len(line):
-            where = f"row {i + 1}" if i < m else f"column {i + 1 - m}"
-            raise ValueError(
-                f"a constraint block holds two cells of {where}, so no Latin square removes"
-                " this partition (each block is a whole row at fade 0)"
-            )
-    return RemovalGraph.from_lines(len(partition.blocks), lines)
+    n = len(partition.blocks)
+    masks, short = _line_masks(n, lines)
+    if short is not None:
+        where = f"row {short + 1}" if short < m else f"column {short + 1 - m}"
+        raise ValueError(
+            f"a constraint block holds two cells of {where}, so no Latin square removes"
+            " this partition (each block is a whole row at fade 0)"
+        )
+    return RemovalGraph(n, masks, tuple(range(n)), tuple(lines))
 
 
 def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> RemovalGraph:

@@ -100,6 +100,26 @@ def test_greedy_is_always_proper():
         assert all(f == c for f, c in zip(filled.colors, partial) if c)
 
 
+@pytest.mark.parametrize(
+    "partial, message",
+    [
+        ([1], "partial coloring has 1 entries for 5 vertices"),
+        ([1, 2, 0, 0, 0, 3, 4], "partial coloring has 7 entries for 5 vertices"),
+        ([1, 1, 0, 0, 0], r"partial coloring is improper on edge \(0, 1\)"),
+        ([0, -2, 0, 0, 0], "color -2 of vertex 1 is negative"),
+    ],
+    ids=["short", "long", "improper", "negative"],
+)
+def test_greedy_rejects_a_bad_partial(partial, message):
+    # One edge 0-1 and three isolated vertices.  Each partial once gave an
+    # IndexError, a coloring of 7 vertices, an improper coloring, or a
+    # coloring keeping the -2.
+    g = RemovalGraph.from_lines(5, [(0, 1)])
+    with pytest.raises(ValueError, match=message):
+        greedy_color(g, partial)
+    assert greedy_color(g, [0, 2, 0, 0, 0]).colors == (1, 2, 2, 2, 2)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_exact_on_complete_graphs(n):
     res = exact_chromatic(complete_graph(n))
@@ -413,6 +433,19 @@ class TestExtendColoring:
         )
         assert run_with_kernel(monkeypatch, reference_search, *args)[0] == message
 
+    @pytest.mark.parametrize("budget", [0, 10, 40])
+    def test_budget_stop_carries_its_progress(self, budget):
+        # The progress the message states is also on the exception.
+        g = random_graph(26, 0.5, 7)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            extend_coloring(g, {0: 1}, 7, node_budget=budget)
+        exc = info.value
+        assert str(exc) == (
+            f"extension budget {budget} exhausted after {exc.nodes} nodes with "
+            f"{exc.colored} of {exc.free} free vertices colored"
+        )
+        assert (exc.nodes, exc.free) == (budget + 1, 25) and 0 < exc.colored <= exc.nodes
+
     @pytest.mark.parametrize("seed", range(8))
     def test_huge_k_is_the_palette_n_plus_the_largest_given_color(self, seed):
         # Colors beyond the given ones plus the free vertices are never
@@ -640,6 +673,38 @@ def test_kernel_matches_scanning_reference_across_plane_boundaries(n, pinned):
     graph = complete_graph(n)
     precolored = [v + 1 if pinned and v < n // 2 else 0 for v in range(n)]
     assert_matches_reference(graph, precolored, (None, n - 1, n), (n // 2, 10**6))
+
+
+# Groetzsch's graph: C5 (0..4), a shadow 5 + i of each i joined to i's
+# neighbors, and a hub 10 joined to every shadow.  It is triangle-free
+# with chi = 4.
+GROETZSCH = RemovalGraph.from_lines(
+    11,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    + [(5 + i, 10) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize(
+    "graph, precolored, k",
+    [
+        (cycle(7), [0] * 7, 2),
+        (RemovalGraph.from_lines(5, list(itertools.combinations(range(5), 2))[1:]), [0] * 5, 3),
+        (PETERSEN, [0, 1, 0, 0, 1, 2, 0, 3, 3, 0], 3),
+        (GROETZSCH, [0] * 11, 3),
+    ],
+    ids=["C7", "K5-minus-edge", "pinned-Petersen", "Groetzsch"],
+)
+def test_kernel_matches_scanning_reference_at_every_budget(graph, precolored, k):
+    # Every search here is refuted after backing up from a dead end; on
+    # Groetzsch's graph some vertices resume their scan at a later color.
+    # Each budget from 0 up to one past the nodes of the exhausted search
+    # stops at the same node, with the same colors on the path.
+    colors = list(precolored)
+    full, stopped = coloring._dsatur_search(graph, colors, k, 10**6)
+    assert (colors, stopped) == (precolored, False)
+    assert_matches_reference(graph, precolored, [k], range(full + 2))
 
 
 def test_kernel_caps_planes_at_the_palette():
