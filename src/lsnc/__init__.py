@@ -15,9 +15,7 @@ from .errors import (
 from .signal_set import SignalSet, from_spec, make_custom, make_pam, make_psk, make_square_qam
 from .fade_state import (
     FadeState,
-    effective_constellation,
     enumerate_singular_fade_states,
-    is_singular,
     psk_representative,
     psk_representatives,
     psk_singular_fade_states,
@@ -26,6 +24,8 @@ from .constraint import (
     ConstraintPartition,
     build_constraints,
     constrained_pls,
+    effective_constellation,
+    is_singular,
     psk_constraints_closed_form,
 )
 from .latin import (
@@ -35,7 +35,6 @@ from .latin import (
     complete_rows_hall,
     find_sdr,
     from_coloring,
-    generic_complete,
     interchange_symbol_row,
     transpose,
     verify_latin,
@@ -56,6 +55,7 @@ from .coloring import (
     Coloring,
     exact_chromatic,
     extend_coloring,
+    generic_complete,
     greedy_color,
     verify_proper,
 )

@@ -14,29 +14,17 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .constraint import ConstraintPartition, build_constraints, constrained_pls
-from .coloring import ChromaticResult, exact_chromatic
+from .constraint import ConstraintPartition, build_constraints, constrained_pls, effective_constellation
+from .coloring import DEFAULT_BUDGET, ChromaticResult, exact_chromatic, generic_complete
 from .errors import (
     AmbiguousGroupingError,
     CertificateMismatchError,
     CompletionError,
     SearchBudgetExceeded,
 )
-from .fade_state import (
-    enumerate_singular_fade_states,
-    psk_representative,
-    psk_singular_fade_states,
-    effective_constellation,
-)
+from .fade_state import enumerate_singular_fade_states, psk_representative, psk_singular_fade_states
 from .gridio import dumps_grid, loads_grid
-from .latin import (
-    DEFAULT_BUDGET,
-    Grid,
-    from_coloring,
-    generic_complete,
-    verify_latin,
-    verify_removes,
-)
+from .latin import Grid, from_coloring, verify_latin, verify_removes
 from .psk_construct import classify, remove_all_psk
 from .signal_set import SignalSet, from_spec
 from .srg import RemovalGraph, build_srg, qam_clique_certificate, to_dot, vital_subgraph

@@ -1,15 +1,16 @@
-"""Vertex coloring: DSATUR greedy, the chromatic number, and extension.
+"""Vertex coloring: DSATUR greedy, the chromatic number, extension, and
+Latin completion.
 
 Proper colorings of a removal graph are exactly the valid symbol
 assignments, so the chromatic number is the minimum symbol count of a
 Latin Square removing the fade state.
 
-Every search here, and Latin completion in `lsnc.latin`, runs one
-backtracking kernel.  It colors next the uncolored vertex with the most
-distinct neighbor colors, then the highest degree, then the lowest index,
-and tries there the colors in use, then the lowest unused one while fewer
-than k are in use: unused colors are interchangeable, so the others would
-only repeat its subtree.  Greedy DSATUR is the kernel's first full coloring
+Every search here, Latin completion included, runs one backtracking
+kernel.  It colors next the uncolored vertex with the most distinct
+neighbor colors, then the highest degree, then the lowest index, and tries
+there the colors in use, then the lowest unused one while fewer than k are
+in use: unused colors are interchangeable, so the others would only repeat
+its subtree.  Greedy DSATUR is the kernel's first full coloring
 with no k, and an extension its first one at k that keeps the given colors;
 completing a partial Latin square is extension on the rook graph.  The
 chromatic number is the first k, counting up from a lower bound, at which
@@ -35,11 +36,12 @@ undoing frames until one has a later color free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, islice
 from typing import Sequence
 
 from lsnc.errors import SearchBudgetExceeded
-from lsnc.latin import DEFAULT_BUDGET
+from lsnc.latin import Grid, verify_latin
 from lsnc.srg import RemovalGraph, greedy_clique_lower_bound
 
 __all__ = [
@@ -49,7 +51,13 @@ __all__ = [
     "greedy_color",
     "exact_chromatic",
     "extend_coloring",
+    "generic_complete",
+    "DEFAULT_BUDGET",
 ]
+
+
+# Search node budget of every backtracking search unless the caller sets one.
+DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -344,3 +352,46 @@ def extend_coloring(
             free=free,
         )
     return Coloring(tuple(colors)) if all(colors) else None
+
+
+@lru_cache(maxsize=8)
+def _rook_graph(m: int) -> RemovalGraph:
+    """The graph completion colors, cell r*m + c being vertex r*m + c: its
+    lines are the rows and the columns.  Kept, with its ranks, for the last
+    few M used."""
+    return RemovalGraph.from_lines(
+        m * m,
+        [tuple(range(r * m, (r + 1) * m)) for r in range(m)]
+        + [tuple(range(c, m * m, m)) for c in range(m)],
+    )
+
+
+def generic_complete(
+    grid: Grid, max_symbols: int, node_budget: int = DEFAULT_BUDGET
+) -> Grid | None:
+    """Backtracking completion of a partial Latin grid with symbols
+    1..max_symbols.
+
+    Completion is coloring extension on the rook graph: cell (r, c) is
+    vertex r*M + c and a symbol is a color, so this is `extend_coloring`
+    with k = max_symbols.  Each empty cell is offered the symbols in use,
+    then the lowest one that is not, so a new symbol is opened only at a
+    cell where every symbol in use is blocked.  Returns the completed grid,
+    or None when completion is impossible.  Raises ValueError on a symbol
+    outside 1..max_symbols or a grid that is not Latin, and
+    SearchBudgetExceeded, saying how far the search got, when the node
+    budget runs out undecided.
+    """
+    m = grid.m
+    cells = [v for row in grid.rows for v in row]
+    if max(cells, default=0) > max_symbols:
+        raise ValueError(f"symbol {max(cells)} outside 1..{max_symbols}")
+    if max_symbols < m:
+        return None  # a complete M x M Latin grid needs at least M symbols
+    if not verify_latin(grid):
+        raise ValueError("input grid violates row/column exclusion")
+    given = {v: s for v, s in enumerate(cells) if s}
+    done = extend_coloring(_rook_graph(m), given, max_symbols, node_budget)
+    if done is None:
+        return None
+    return Grid.from_lists([done.colors[r * m:(r + 1) * m] for r in range(m)])

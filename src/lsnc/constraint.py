@@ -3,21 +3,32 @@
 At a singular fade state s several (x_A, x_B) pairs produce the same
 x_A + s*x_B.  Each group of colliding cells is a constraint block: a valid
 relay map must give all of its cells one symbol.  Cells are (row, column)
-pairs of 1-indexed labels.
+pairs of 1-indexed labels.  The same grouping gives the relay's effective
+constellation, which collapses below M^2 points exactly at the singular
+states.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
 
 from lsnc._numeric import cluster_complex, zeta_powers
-from lsnc.fade_state import FadeState, as_exact_ratio, as_psk_ratio, check_closed_form
+from lsnc.fade_state import (
+    FadeState,
+    _canon,
+    _sort_key,
+    as_exact_ratio,
+    as_psk_ratio,
+    check_closed_form,
+)
 from lsnc.latin import Grid
 from lsnc.signal_set import SignalSet, make_psk
 
-__all__ = ["ConstraintPartition", "build_constraints", "constrained_pls", "psk_constraints_closed_form"]
+__all__ = ["ConstraintPartition", "build_constraints", "constrained_pls", "psk_constraints_closed_form",
+           "effective_constellation", "is_singular"]
 
 Cell = tuple[int, int]
 
@@ -34,7 +45,8 @@ class ConstraintPartition:
     (cell (r, c) at (r-1)*M + c-1), -1 where no block covers the cell, as
     in the closed form, which holds only the multi-cell blocks.
     `superpose` emits it with the blocks; otherwise it is filled from the
-    blocks.  It takes no part in equality.
+    blocks, and a cell outside 1..M or in two blocks raises ValueError.  It
+    takes no part in equality.
     """
 
     m: int
@@ -72,11 +84,17 @@ class ConstraintPartition:
 
 
 def _label_grid(m: int, blocks: Sequence[Sequence[Cell]]) -> list[int]:
-    """Block index of every cell, row-major; -1 on cells in no block."""
+    """Block index of every cell, row-major; -1 on cells in no block.
+    Raises ValueError on a cell outside 1..M or in two blocks."""
     labels = [-1] * (m * m)
     for i, block in enumerate(blocks):
         for r, c in block:
-            labels[(r - 1) * m + c - 1] = i
+            if not (1 <= r <= m and 1 <= c <= m):
+                raise ValueError(f"cell {(r, c)} of block {i} is outside 1..{m}")
+            at = (r - 1) * m + c - 1
+            if labels[at] >= 0:
+                raise ValueError(f"cell {(r, c)} is in blocks {labels[at]} and {i}")
+            labels[at] = i
     return labels
 
 
@@ -96,6 +114,18 @@ def _group(m: int, rows: list[int], cols: list[int]) -> tuple[list[list[Cell]], 
     for cell, i in zip(_cells(m), labels):
         blocks[i].append(cell)
     return blocks, labels
+
+
+def _gaussian_parts(
+    pts: Sequence[tuple[int, int]], g: tuple[int, int, int]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The integer (re, im) parts of d*x_A per row and of (a + bj)*x_B per
+    column, for integer points and g = (a + bj)/d.  A row's part plus a
+    column's part is x_A + g*x_B scaled by d."""
+    a, b, d = g
+    rows = [(d * xr, d * xi) for xr, xi in pts]
+    cols = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in pts]
+    return rows, cols
 
 
 def superpose(
@@ -129,10 +159,7 @@ def superpose(
         # packed as in `zeta_powers`: re + im * 2^w.  Both parts of a row's
         # pair plus a column's pair are at most `bound` < 2^(w-1) in size, so
         # their balanced digits are unique and equal ints are equal pairs.
-        a, b, d = g
-        pts = s_set.exact_points
-        rows = [(d * xr, d * xi) for xr, xi in pts]
-        cols = [(a * yr - b * yi, a * yi + b * yr) for yr, yi in pts]
+        rows, cols = _gaussian_parts(s_set.exact_points, g)
         bound = max(map(abs, chain(*rows)), default=0) + max(map(abs, chain(*cols)), default=0)
         w = bound.bit_length() + 1
         blocks, labels = _group(
@@ -156,6 +183,60 @@ def superpose(
     supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]
     blocks = [[cells[idx] for idx in grp] for grp in cluster_complex(supers)]
     return blocks, _label_grid(m, blocks), None
+
+
+def effective_constellation(
+    s_set: SignalSet, s: complex | FadeState
+) -> tuple[tuple[complex, ...], float]:
+    """Distinct values of x_A + s*x_B and the minimum distance between the
+    raw (unclustered) superpositions — 0 whenever any two coincide."""
+    blocks, _, g = superpose(s_set, s)
+    firsts = [block[0] for block in blocks]
+    if g is not None:
+        # A group's value is its first cell's d*x_A + (a + bj)*x_B over
+        # den = d, in integers.
+        rows, cols = _gaussian_parts(s_set.exact_points, g)
+        den = g[2]
+        groups = dict.fromkeys(
+            (xr + yr, xi + yi)
+            for (xr, xi), (yr, yi) in ((rows[r - 1], cols[c - 1]) for r, c in firsts)
+        )
+    else:
+        # Exact PSK keys and float clusters: a group's value is its first
+        # cell's, in floats.  Two exact groups may round to one float.
+        sv, pts, den = complex(s), s_set.points, 1
+        groups = dict.fromkeys(
+            (v.real, v.imag) for v in (pts[r - 1] + sv * pts[c - 1] for r, c in firsts)
+        )
+    # Exact keys can lie beyond the float range; their quotients cannot.
+    try:
+        pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)
+        if len(groups) < s_set.size**2:
+            return tuple(pts), 0.0
+        # No two superpositions coincide, so the group keys are all of them.
+        # Closest pair by a sweep in real-part order.  A pair's distance is at
+        # least its real-part gap (abs(complex(x, y)) >= abs(x) in floats too),
+        # and the gap only grows along the sweep, so a point's scan stops once
+        # the gap reaches the best distance so far.  Distances come from the
+        # same correctly rounded differences an all-pairs minimum takes, so the
+        # result is the same float.
+        vals = sorted(groups)
+        dmin = math.inf
+        for i, (xr, xi) in enumerate(vals):
+            for j in range(i + 1, len(vals)):
+                yr, yi = vals[j]
+                dr = (yr - xr) / den
+                if dr >= dmin:
+                    break
+                dmin = min(dmin, abs(complex(dr, (yi - xi) / den)))
+        return tuple(pts), dmin
+    except OverflowError:
+        raise ValueError(f"cannot cluster x_A + s*x_B at s={s!r}: too large for a float") from None
+
+
+def is_singular(s_set: SignalSet, s: complex | FadeState) -> bool:
+    """True when the effective constellation collapses below M^2 points."""
+    return len(superpose(s_set, s)[0]) < s_set.size**2
 
 
 def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPartition:

@@ -1,9 +1,11 @@
-"""Singular fade states and effective constellations.
+"""Singular fade states: enumeration, the PSK closed forms, and exact values.
 
 During the multiple-access phase the relay sees x_A + s*x_B, where s is the
 channel-gain ratio.  Fade states for which two of these superpositions
 coincide (fewer than M^2 distinct values) are singular; they are exactly
 the ratios -(x_A - x_A')/(x_B - x_B') over pairs of constellation points.
+The effective constellation, x_A + s*x_B grouped by value, is in
+`lsnc.constraint`.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 
 from lsnc._numeric import cluster_complex, zeta_powers
 from lsnc.signal_set import SignalSet
@@ -22,8 +25,6 @@ __all__ = [
     "enumerate_singular_fade_states",
     "psk_singular_fade_states",
     "psk_representatives",
-    "effective_constellation",
-    "is_singular",
 ]
 
 # A float that sits within RECONSTRUCT_TOL of a rational with denominator
@@ -193,29 +194,15 @@ def psk_singular_fade_states(m: int) -> tuple[FadeState, ...]:
 
     They lie on circles of radius sin(k*pi/M)/sin(l*pi/M), k, l in 1..M/2,
     with M states per circle: phases 2n*pi/M when k and l share parity and
-    (2n+1)*pi/M otherwise.  All k = l circles coincide at radius 1.
+    (2n+1)*pi/M otherwise.  All k = l circles coincide at radius 1, tagged
+    (1, 1); every k != l pair is a circle of its own.
     """
     _check_power_of_two(m)
-    circles: list[tuple[float, int, int, bool]] = []  # radius, k, l, same_parity
-    radii, pairs = _psk_radii(m)
-    for i, (r, (k, l)) in enumerate(zip(radii, pairs)):
-        same = (k - l) % 2 == 0
-        if i and r - radii[i - 1] < 1e-9:
-            # One circle (_psk_radii proves the radii equal), tagged with its
-            # smallest (k, l) at that pair's own radius.
-            if circles[-1][3] != same:
-                raise AssertionError("circle with conflicting phase parity")
-            if (k, l) < circles[-1][1:3]:
-                circles[-1] = (r, k, l, same)
-        else:
-            circles.append((r, k, l, same))
-    expected = m * m // 4 - m // 2 + 1
-    if len(circles) != expected:
-        raise AssertionError(f"{len(circles)} circles, expected {expected}")
     states = []
-    for r, k, l, same in circles:
+    for k, l in [(1, 1), *permutations(range(1, m // 2 + 1), 2)]:
+        r = math.sin(k * math.pi / m) / math.sin(l * math.pi / m)
         for n in range(m):
-            theta = (2 * n + (0 if same else 1)) * math.pi / m
+            theta = (2 * n + (k - l) % 2) * math.pi / m
             states.append(
                 FadeState(value=_canon(r * complex(math.cos(theta), math.sin(theta))), k=k, l=l)
             )
@@ -265,63 +252,3 @@ def psk_representatives(m: int) -> tuple[FadeState, ...]:
         for l in range(1, m // 2 + 1)
         if k != l
     )
-
-
-def effective_constellation(
-    s_set: SignalSet, s: complex | FadeState
-) -> tuple[tuple[complex, ...], float]:
-    """Distinct values of x_A + s*x_B and the minimum distance between the
-    raw (unclustered) superpositions — 0 whenever any two coincide."""
-    # Imported here: lsnc.constraint imports this module.
-    from lsnc.constraint import superpose
-
-    blocks, _, g = superpose(s_set, s)
-    firsts = [block[0] for block in blocks]
-    if g is not None:
-        # Integer points at g = (a + bj)/d: a group's value is its first
-        # cell's d*x_A + (a + bj)*x_B over den = d, in integers.
-        a, b, den = g
-        pts = s_set.exact_points
-        groups = dict.fromkeys(
-            (den * xr + a * yr - b * yi, den * xi + a * yi + b * yr)
-            for (xr, xi), (yr, yi) in ((pts[r - 1], pts[c - 1]) for r, c in firsts)
-        )
-    else:
-        # Exact PSK keys and float clusters: a group's value is its first
-        # cell's, in floats.  Two exact groups may round to one float.
-        sv, pts, den = complex(s), s_set.points, 1
-        groups = dict.fromkeys(
-            (v.real, v.imag) for v in (pts[r - 1] + sv * pts[c - 1] for r, c in firsts)
-        )
-    # Exact keys can lie beyond the float range; their quotients cannot.
-    try:
-        pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)
-        if len(groups) < s_set.size**2:
-            return tuple(pts), 0.0
-        # No two superpositions coincide, so the group keys are all of them.
-        # Closest pair by a sweep in real-part order.  A pair's distance is at
-        # least its real-part gap (abs(complex(x, y)) >= abs(x) in floats too),
-        # and the gap only grows along the sweep, so a point's scan stops once
-        # the gap reaches the best distance so far.  Distances come from the
-        # same correctly rounded differences an all-pairs minimum takes, so the
-        # result is the same float.
-        vals = sorted(groups)
-        dmin = math.inf
-        for i, (xr, xi) in enumerate(vals):
-            for j in range(i + 1, len(vals)):
-                yr, yi = vals[j]
-                dr = (yr - xr) / den
-                if dr >= dmin:
-                    break
-                dmin = min(dmin, abs(complex(dr, (yi - xi) / den)))
-        return tuple(pts), dmin
-    except OverflowError:
-        raise ValueError(f"cannot cluster x_A + s*x_B at s={s!r}: too large for a float") from None
-
-
-def is_singular(s_set: SignalSet, s: complex | FadeState) -> bool:
-    """True when the effective constellation collapses below M^2 points."""
-    from lsnc.constraint import superpose
-
-    blocks, _, _ = superpose(s_set, s)
-    return len(blocks) < s_set.size**2

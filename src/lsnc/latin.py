@@ -1,14 +1,15 @@
-"""Partial Latin grids: verification, transforms, and completion machinery.
+"""Partial Latin grids: verification, transforms, and matchings.
 
 A grid is an M x M array over symbols 1..t with 0 marking empty cells.
 Rows of a Latin (partial) grid never repeat a symbol, nor do columns; a
 grid "removes" a fade state when every multi-cell constraint block of that
-state's partition is filled with a single common symbol.
+state's partition is filled with a single common symbol.  Grids complete
+here by matchings; completion by search is coloring extension on the rook
+graph, `lsnc.coloring.generic_complete`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -17,7 +18,6 @@ from lsnc.errors import CompletionError
 if TYPE_CHECKING:
     from lsnc.constraint import ConstraintPartition
     from lsnc.coloring import Coloring
-    from lsnc.srg import RemovalGraph
 
 __all__ = [
     "Grid",
@@ -28,17 +28,11 @@ __all__ = [
     "interchange_symbol_row",
     "complete_rows_hall",
     "find_sdr",
-    "generic_complete",
     "transpose",
     "column_rotate",
     "xor_square",
     "candidate_cells",
-    "DEFAULT_BUDGET",
 ]
-
-
-# Search node budget of every backtracking search unless the caller sets one.
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -349,51 +343,3 @@ def complete_rows_hall(grid: Grid) -> Grid:
     if not verify_latin(out):
         raise CompletionError("row extension produced a non-Latin grid")
     return out
-
-
-@lru_cache(maxsize=8)
-def _rook_graph(m: int) -> RemovalGraph:
-    """The graph completion colors, cell r*m + c being vertex r*m + c: its
-    lines are the rows and the columns.  Kept, with its ranks, for the last
-    few M used."""
-    from lsnc.srg import RemovalGraph  # not at the top: lsnc.srg imports this module
-
-    return RemovalGraph.from_lines(
-        m * m,
-        [tuple(range(r * m, (r + 1) * m)) for r in range(m)]
-        + [tuple(range(c, m * m, m)) for c in range(m)],
-    )
-
-
-def generic_complete(
-    grid: Grid, max_symbols: int, node_budget: int = DEFAULT_BUDGET
-) -> Grid | None:
-    """Backtracking completion of a partial Latin grid with symbols
-    1..max_symbols.
-
-    Completion is coloring extension on the rook graph: cell (r, c) is
-    vertex r*M + c and a symbol is a color, so this is `extend_coloring`
-    with k = max_symbols.  Each empty cell is offered the symbols in use,
-    then the lowest one that is not, so a new symbol is opened only at a
-    cell where every symbol in use is blocked.  Returns the completed grid,
-    or None when completion is impossible.  Raises ValueError on a symbol
-    outside 1..max_symbols or a grid that is not Latin, and
-    SearchBudgetExceeded, saying how far the search got, when the node
-    budget runs out undecided.
-    """
-    # Imported here: lsnc.coloring imports this module.
-    from lsnc.coloring import extend_coloring
-
-    m = grid.m
-    cells = [v for row in grid.rows for v in row]
-    if max(cells, default=0) > max_symbols:
-        raise ValueError(f"symbol {max(cells)} outside 1..{max_symbols}")
-    if max_symbols < m:
-        return None  # a complete M x M Latin grid needs at least M symbols
-    if not verify_latin(grid):
-        raise ValueError("input grid violates row/column exclusion")
-    given = {v: s for v, s in enumerate(cells) if s}
-    done = extend_coloring(_rook_graph(m), given, max_symbols, node_budget)
-    if done is None:
-        return None
-    return Grid.from_lists([done.colors[r * m:(r + 1) * m] for r in range(m)])

@@ -160,17 +160,14 @@ def vital_coloring(case: PskCase) -> Coloring:
 
 def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
     """Partial grid with every closed-form constraint filled by its color,
-    checked to share no cell and to be Latin.  A Latin fill is a proper
-    coloring that also rejects a constraint meeting one line twice."""
+    checked to be Latin; the partition has already checked that no two
+    constraints share a cell.  A Latin fill is a proper coloring that also
+    rejects a constraint meeting one line twice."""
     part = psk_constraints_closed_form(case.m, case.bk, case.bl)
     coloring = vital_coloring(case)
-    rows = [[0] * case.m for _ in range(case.m)]
-    for block, color in zip(part.blocks, coloring.colors, strict=True):
-        for r, c in block:
-            if rows[r - 1][c - 1]:
-                raise CompletionError(f"constraint cells overlap at {(r, c)}")
-            rows[r - 1][c - 1] = color
-    grid = Grid.from_lists(rows)
+    if len(coloring.colors) != len(part.blocks):
+        raise ValueError(f"{len(coloring.colors)} colors for {len(part.blocks)} constraints")
+    grid = part.fill(coloring.colors)
     if not verify_latin(grid):
         raise CompletionError("vital coloring produced a non-Latin partial grid")
     return grid, part, coloring

@@ -43,6 +43,8 @@ TRANSCRIPT = [
      "eddba47a3719d07e8871a65319458e7e10165b02584e3e2bb5de4f0da7d1c5eb"),
     ("fade-states --signal psk:16",
      "075dc9e9a9d4150db000cbcaa8f07a07050e02150420b325b7cade8ee599bd12"),
+    ("fade-states --signal psk:4",
+     "6afb28611471e5e44f3b076a50a912849434836f3640135f885a84d2949da546"),
     ("constraints --signal qam:4 --fade 0.5+0.5j",
      "e967bf5915d74a91cdd68a07d907e1f7b7e0c27ebbe87f5bc3e197277958b93e"),
     ("constraints --signal qam:4 --fade 0.5+0.5j --json",
@@ -159,6 +161,12 @@ TRANSCRIPT = [
      "f3285ce03823782c8d78c4c15089547a539b89a6d2b59f64ed45b48340b72ec3"),
     ("mindist --signal qam:16 --fade 0.5+0.5j",
      "10fc96d86c2ec0f7667d2da7437cad3ae6b38de7853707359523afd7c0cd3721"),
+    # effective constellations off every singular state: the float path
+    # (PSK) and the exact closest-pair sweep over all 256 points (16-QAM)
+    ("mindist --signal psk:8 --fade 0.7+0.2j",
+     "e382b8087ba96225c02638247b976312d8a70a356c766e233c38b1e52d4b29eb"),
+    ("mindist --signal qam:16 --fade 0.37+0.11j",
+     "85a7cac009c38e3499f6420b1767694f9313633423c5f8a36ba2e2051d829561"),
 ]
 
 

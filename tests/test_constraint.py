@@ -4,12 +4,14 @@ import cmath
 import hashlib
 import math
 import random
+import re
 from functools import cache
 
 import pytest
 
 import lsnc.constraint
 from lsnc import (
+    ConstraintPartition,
     build_constraints,
     constrained_pls,
     effective_constellation,
@@ -103,6 +105,22 @@ def test_block_lookup(qam4_partition):
     assert [part.block_of(cell) for block in part.blocks for cell in block] == [
         i for i, block in enumerate(part.blocks) for _ in block
     ]
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        # (0, 1) would land at index -2, the label of (2, 1)
+        ((((0, 1), (1, 2)), ((2, 2),), ((1, 1),)), "cell (0, 1) of block 0 is outside 1..2"),
+        ((((1, 1),), ((2, 1), (2, 3))), "cell (2, 3) of block 1 is outside 1..2"),
+        # the later block would take the cell without a word
+        ((((1, 1), (1, 2)), ((2, 1),), ((1, 2), (2, 2))), "cell (1, 2) is in blocks 0 and 2"),
+    ],
+    ids=["row-0", "column-3", "in-two-blocks"],
+)
+def test_partition_rejects_a_bad_cell(blocks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConstraintPartition(2, blocks)
 
 
 def test_constrained_pls_matches_figure(qam4_partition):

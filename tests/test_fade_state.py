@@ -14,6 +14,7 @@ from lsnc import (
     is_singular,
     make_custom,
     make_pam,
+    make_psk,
     make_square_qam,
     psk_representative,
     psk_representatives,
@@ -63,15 +64,18 @@ def test_psk_count_formula():
         assert len(psk_singular_fade_states(m)) == expected
 
 
-def test_psk8_closed_form_equals_brute(psk8):
-    brute = enumerate_singular_fade_states(psk8)
-    closed = psk_singular_fade_states(8)
-    assert len(brute) == len(closed) == 104
-    unmatched = [
-        c for c in closed
-        if not any(abs(c.value - b.value) < 1e-9 for b in brute)
-    ]
-    assert unmatched == []
+def test_psk8_closed_form_equals_brute():
+    # M = 8, and the smallest and next power of two: M^2/4 - M/2 + 1
+    # circles of M states each
+    for m, count in ((4, 12), (8, 104), (16, 912)):
+        brute = enumerate_singular_fade_states(make_psk(m))
+        closed = psk_singular_fade_states(m)
+        assert len(brute) == len(closed) == count, m
+        unmatched = [
+            c for c in closed
+            if not any(abs(c.value - b.value) < 1e-9 for b in brute)
+        ]
+        assert unmatched == [], m
 
 
 def test_psk8_circle_structure():

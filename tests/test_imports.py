@@ -1,0 +1,99 @@
+"""The lsnc modules import one another one way only: every import of an lsnc
+module sits at module level, and those imports form no cycle.
+
+Imports under `if TYPE_CHECKING:` are annotations only and are not counted.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FILES = {
+    ".".join(p.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): p
+    for p in sorted((SRC / "lsnc").rglob("*.py"))
+}
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _targets(node: ast.Import | ast.ImportFrom, module: str) -> list[str]:
+    """The lsnc modules an import statement of `module` loads by name."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        base = node.module or ""
+        if node.level:
+            package = module if FILES[module].name == "__init__.py" else module.rpartition(".")[0]
+            for _ in range(node.level - 1):
+                package = package.rpartition(".")[0]
+            base = f"{package}.{base}" if base else package
+        # `from package import name` loads the submodule when there is one
+        names = [f"{base}.{a.name}" if f"{base}.{a.name}" in FILES else base for a in node.names]
+    out = []
+    for name in names:
+        while name and name not in FILES:
+            name = name.rpartition(".")[0]
+        if name:
+            out.append(name)
+    return out
+
+
+def lsnc_imports(module: str) -> list[tuple[int, str, bool]]:
+    """(line, imported lsnc module, inside a function) for each import that
+    `module` makes outside `if TYPE_CHECKING:` blocks."""
+    found: list[tuple[int, str, bool]] = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            children: list[ast.AST] = node.orelse
+        else:
+            children = list(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((node.lineno, t, in_function) for t in _targets(node, module))
+        inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in children:
+            visit(child, inner)
+
+    visit(ast.parse(FILES[module].read_text()), False)
+    return found
+
+
+def test_no_lsnc_import_inside_a_function():
+    assert {"lsnc", "lsnc.cli", "lsnc.coloring", "lsnc.latin", "lsnc.fixtures"} <= FILES.keys()
+    late = [
+        f"{FILES[mod].relative_to(SRC)}:{line} imports {target}"
+        for mod in FILES
+        for line, target, in_function in lsnc_imports(mod)
+        if in_function
+    ]
+    assert late == []
+
+
+def test_module_imports_form_no_cycle():
+    graph = {
+        mod: sorted({t for _, t, in_function in lsnc_imports(mod) if not in_function} - {mod})
+        for mod in FILES
+    }
+    cycles = []
+    state: dict[str, int] = {}  # 1 on the current path, 2 done
+    path: list[str] = []
+
+    def visit(mod: str) -> None:
+        state[mod] = 1
+        path.append(mod)
+        for nxt in graph[mod]:
+            if state.get(nxt) == 1:
+                cycles.append(" -> ".join(path[path.index(nxt):] + [nxt]))
+            elif nxt not in state:
+                visit(nxt)
+        path.pop()
+        state[mod] = 2
+
+    for mod in graph:
+        if mod not in state:
+            visit(mod)
+    assert cycles == []
