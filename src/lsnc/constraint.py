@@ -77,7 +77,10 @@ class ConstraintPartition:
 
     def fill(self, values: Sequence[int]) -> Grid:
         """Grid with every cell of block i set to values[i]; cells no block
-        covers stay empty."""
+        covers stay empty.  Raises ValueError unless there is one value per
+        block."""
+        if len(values) != len(self.blocks):
+            raise ValueError(f"{len(values)} values for {len(self.blocks)} blocks")
         m, by_label = self.m, [*values, 0]  # label -1 picks the trailing 0
         flat = [by_label[i] for i in self.labels]
         return Grid.from_lists([flat[i:i + m] for i in range(0, m * m, m)])
@@ -105,14 +108,19 @@ def _cells(m: int) -> tuple[Cell, ...]:
     return tuple((r, c) for r in range(1, m + 1) for c in range(1, m + 1))
 
 
-def _group(m: int, rows: list[int], cols: list[int]) -> tuple[list[list[Cell]], list[int]]:
+def _group(m: int, rows: list[int], cols: list[int]) -> tuple[list[tuple[Cell, ...]], list[int]]:
     """Blocks and labels of the cells keyed rows[r-1] + cols[c-1]: equal
-    keys in one block, blocks in order of their first cell."""
+    keys in one block, blocks in order of their first cell.
+
+    Each block grows as a tuple, one cell at a time.  The keys of one
+    column's cells differ (their x_A differ, at any fade), so a block holds
+    at most M cells and the growth copies at most M^3/2 cells in all, even
+    at fade 0, where every block is a whole row."""
     index: dict[int, int] = {}
     labels = [index.setdefault(rk + ck, len(index)) for rk in rows for ck in cols]
-    blocks: list[list[Cell]] = [[] for _ in index]
+    blocks: list[tuple[Cell, ...]] = [()] * len(index)
     for cell, i in zip(_cells(m), labels):
-        blocks[i].append(cell)
+        blocks[i] += (cell,)
     return blocks, labels
 
 
@@ -130,14 +138,15 @@ def _gaussian_parts(
 
 def superpose(
     s_set: SignalSet, s: complex | FadeState
-) -> tuple[list[list[Cell]], list[int], tuple[int, int, int] | None]:
+) -> tuple[list[tuple[Cell, ...]], list[int], tuple[int, int, int] | None]:
     """Cells of S x S grouped by the value of x_A + s*x_B.
 
-    Returns (blocks, labels, g).  Blocks come in order of their first cell
-    and hold their cells in row-major order; labels is the block index of
-    every cell, row-major (see ConstraintPartition.labels).  Grouping is
-    exact in two cases, on one int key per cell, the sum of a row's int and
-    a column's int, and both go through one grouping loop:
+    Returns (blocks, labels, g).  Blocks are tuples of cells, in order of
+    their first cell, each holding its cells in row-major order; labels is
+    the block index of every cell, row-major (see
+    ConstraintPartition.labels).  Grouping is exact in two cases, on one
+    int key per cell, the sum of a row's int and a column's int, and both
+    go through one grouping loop (`_group`: at most M^3/2 cells copied):
 
     - The signal set lives on the integer grid and s denotes a small
       rational g = (a + bj)/d, returned as the triple (a, b, d).  The key
@@ -181,7 +190,7 @@ def superpose(
         return blocks, labels, None
     sv, cells = complex(s), _cells(m)
     supers = [s_set.points[r - 1] + sv * s_set.points[c - 1] for r, c in cells]
-    blocks = [[cells[idx] for idx in grp] for grp in cluster_complex(supers)]
+    blocks = [tuple(cells[idx] for idx in grp) for grp in cluster_complex(supers)]
     return blocks, _label_grid(m, blocks), None
 
 
@@ -243,7 +252,7 @@ def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPar
     """Partition of S x S by the value of x_A + s*x_B, one block per
     `superpose` group, with its label grid."""
     blocks, labels, _ = superpose(s_set, s)
-    return ConstraintPartition(m=s_set.size, blocks=tuple(map(tuple, blocks)), labels=tuple(labels))
+    return ConstraintPartition(m=s_set.size, blocks=tuple(blocks), labels=tuple(labels))
 
 
 def constrained_pls(partition: ConstraintPartition) -> Grid:

@@ -34,7 +34,7 @@ RECONSTRUCT_DEN = 10**6
 RECONSTRUCT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FadeState:
     """A channel-gain ratio, optionally tagged with its PSK circle (k, l)."""
 
@@ -157,12 +157,21 @@ def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
             for a2, (x2r, x2i) in enumerate(ints)
             if a != a2
         )
+        # For a unit u, -n/(u*d) = -(conj(u)*n)/d, and the differences are
+        # closed under conj(u) whenever they are closed under u, so one d per
+        # unit orbit gives every ratio.  The differences are always closed
+        # under negation; under multiplication by j (square QAM, say), keep
+        # the d with re > 0 and im >= 0, else one of each pair +-d.
+        if all((-di, dr) in diffs for dr, di in diffs):
+            dens = [(dr, di) for dr, di in diffs if dr > 0 and di >= 0]
+        else:
+            dens = [(dr, di) for dr, di in diffs if (dr, di) > (0, 0)]
         # -n/d = -(n * conj d) / |d|^2.  With the denominator positive, the
         # triple reduced by the gcd of all three parts is canonical, so it
         # keys the deduplication and is the state's exact value.
         seen: dict[tuple[int, int, int], None] = {}
         for nr, ni in diffs:
-            for dr, di in diffs:
+            for dr, di in dens:
                 re, im, q = -(nr * dr + ni * di), nr * di - ni * dr, dr * dr + di * di
                 k = math.gcd(re, im, q)
                 seen[re // k, im // k, q // k] = None

@@ -161,12 +161,11 @@ def vital_coloring(case: PskCase) -> Coloring:
 def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
     """Partial grid with every closed-form constraint filled by its color,
     checked to be Latin; the partition has already checked that no two
-    constraints share a cell.  A Latin fill is a proper coloring that also
-    rejects a constraint meeting one line twice."""
+    constraints share a cell, and `fill` checks that there is one color per
+    constraint.  A Latin fill is a proper coloring that also rejects a
+    constraint meeting one line twice."""
     part = psk_constraints_closed_form(case.m, case.bk, case.bl)
     coloring = vital_coloring(case)
-    if len(coloring.colors) != len(part.blocks):
-        raise ValueError(f"{len(coloring.colors)} colors for {len(part.blocks)} constraints")
     grid = part.fill(coloring.colors)
     if not verify_latin(grid):
         raise CompletionError("vital coloring produced a non-Latin partial grid")

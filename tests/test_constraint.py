@@ -11,11 +11,14 @@ import pytest
 
 import lsnc.constraint
 from lsnc import (
+    Coloring,
     ConstraintPartition,
     build_constraints,
     constrained_pls,
     effective_constellation,
     enumerate_singular_fade_states,
+    from_coloring,
+    from_spec,
     is_singular,
     make_custom,
     make_pam,
@@ -121,6 +124,23 @@ def test_block_lookup(qam4_partition):
 def test_partition_rejects_a_bad_cell(blocks, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ConstraintPartition(2, blocks)
+
+
+@pytest.mark.parametrize("count", [14, 15, 17])
+def test_fill_rejects_a_wrong_value_count(count):
+    # 16 blocks: 15 values would leave the last block empty, 14 would index
+    # past the values, and a 17th would be ignored.
+    part = psk_constraints_closed_form(8, 1, 3)
+    with pytest.raises(ValueError, match=f"^{count} values for 16 blocks$"):
+        part.fill(list(range(1, count + 1)))
+    assert sum(row.count(0) for row in part.fill(list(range(1, 17))).rows) == 32
+
+
+def test_from_coloring_names_both_counts():
+    part = psk_constraints_closed_form(8, 1, 3)
+    message = "coloring covers 15 vertices, partition has 16 blocks"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        from_coloring(part, Coloring(tuple(range(1, 16))))
 
 
 def test_constrained_pls_matches_figure(qam4_partition):
@@ -308,6 +328,28 @@ def test_packed_keys_at_large_q_and_random_rationals(name):
         if max(map(abs, fs.exact_value)) <= 8 * RECONSTRUCT_DEN:
             # The same number as a plain complex reconstructs to the triple.
             assert build_constraints(signal, fs.value).blocks == part.blocks
+
+
+@pytest.mark.parametrize(
+    "spec,s",
+    [("qam:16", 0), ("qam:16", -1 - 1j), ("qam:64", exact_fade(-29, 22, 53)),
+     ("psk:8", psk_representative(8, 1, 3)), ("psk:8", 0.3 + 0.1j)],
+    ids=["qam16-fade-0", "qam16-keys", "qam64-keys", "psk8-keys", "psk8-float"],
+)
+def test_superpose_returns_tuple_blocks(spec, s):
+    # Packed Z[i] keys, Z[zeta] keys and float clustering all hand
+    # build_constraints the tuples it keeps.
+    signal = from_spec(spec)
+    blocks, labels, _ = lsnc.constraint.superpose(signal, s)
+    assert all(type(block) is tuple for block in blocks)
+    part = build_constraints(signal, s)
+    assert part.blocks == tuple(blocks) and part.labels == tuple(labels)
+    if signal.exact_points is not None:
+        assert part.blocks == tuple_key_blocks(signal, s)
+    if s == 0:
+        # Every block is a whole row: the largest blocks, M cells each.
+        m = signal.size
+        assert part.blocks == tuple(tuple((r, c) for c in range(1, m + 1)) for r in range(1, m + 1))
 
 
 @pytest.mark.parametrize("m", [8, 16, 32, 64])

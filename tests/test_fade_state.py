@@ -155,11 +155,16 @@ def ref_effective_constellation(s_set, s):
     return tuple(pts), min(abs(a - b) for i, a in enumerate(vals_f) for b in vals_f[i + 1 :])
 
 
+# The enumeration divides by one difference per unit orbit: per orbit of
+# {1, j, -1, -j} when the differences are closed under j (square QAM and
+# "cross", a set mapped to itself by j that is not square QAM), per +-pair
+# otherwise (PAM and "skew").
 EXACT_SIGNALS = {
     "qam4": make_square_qam(4),
     "qam16": make_square_qam(16),
     "pam8": make_pam(8),
     "skew": make_custom(SKEW_POINTS),
+    "cross": make_custom([2, -2, 2j, -2j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]),
 }
 
 
