@@ -22,16 +22,16 @@ order, then the colors it opens, handed back in order as the lowest
 positive numbers not given.  So its per-color state is sized by the given
 colors plus the free vertices, whatever k or the given colors' values.
 
-The kernel's state is bitmasks over ranks, the vertices numbered by
-(degree descending, index ascending) so that ties go to the lowest rank:
-the uncolored vertices, for each color the vertices next to it, and one
-mask per bit of the saturation counters, which the number of colors and
-the max degree both bound.  Coloring a vertex adds one to the newly
-saturated part of its neighborhood by a ripple carry through those masks;
-no step walks a neighbor list.  A forward move is one straight path: pick
-the vertex, take the first free color offered, place it and push an
-immutable frame.  Only a vertex with no free color backs up, popping and
-undoing frames until one has a later color free.
+The kernel's state is bitmasks over the graph's own vertex numbering: the
+uncolored vertices, for each color the vertices next to it, and one mask
+per bit of the saturation counters, which the number of colors and the
+max degree both bound.  Ties in saturation go to the first of the graph's
+degree classes they meet, then to the lowest index.  Coloring a vertex
+adds one to the newly saturated part of its neighborhood by a ripple carry
+through those masks; no step walks a neighbor list.  A forward move is one
+straight path: pick the vertex, take the first free color offered, place
+it and push an immutable frame.  Only a vertex with no free color backs
+up, popping and undoing frames until one has a later color free.
 """
 from __future__ import annotations
 
@@ -136,8 +136,7 @@ def _dsatur_search(
 
     The vertex entered is the uncolored one with the most distinct neighbor
     colors (its saturation), then the highest degree, then the lowest index.
-    All state is bitmasks over ranks, the vertices numbered by (degree
-    descending, index ascending) as in `RemovalGraph.ranks`:
+    All state is bitmasks over the vertices, read with `graph.adj`:
     - near[c] holds the vertices with a neighbor colored c, so c is free at
       v iff v's bit is clear in near[c];
     - plane[p] holds bit p of the saturation of every uncolored vertex.  A
@@ -145,8 +144,9 @@ def _dsatur_search(
       min(cap, max degree).bit_length() planes.
     Narrowing the uncolored vertices through the planes from the highest,
     keeping those with bit p set if any have it, leaves the most saturated
-    ones, and the vertex entered is the lowest rank among them.  Coloring v
-    with c adds one to R = rank_adj[v] & uncolored & ~near[c] by a carry
+    ones; a tie among them narrows again to the first degree class that
+    meets them, and the vertex entered is the lowest index left.  Coloring
+    v with c adds one to R = adj[v] & uncolored & ~near[c] by a carry
     rippling up the planes; undoing it restores near[c] and subtracts one
     from R with a borrow.  No step visits a neighbor on its own, and no
     state grows with k or with the given colors' values.
@@ -159,7 +159,8 @@ def _dsatur_search(
     while none is free.  With no given color every vertex starts uncolored
     and the set-up reads no vertex.
     """
-    by_rank, rank_adj, max_degree = graph.ranks
+    graph_adj, classes = graph.adj, graph.degree_classes
+    max_degree = graph_adj[classes[0].bit_length() - 1].bit_count() if classes else 0
     given = sorted(set(colors) - {0})
     g = len(given)
     relabel = g and given[-1] != g
@@ -172,27 +173,23 @@ def _dsatur_search(
     offers = [range(1, min(used + 1, cap) + 1) for used in range(cap + 1)]
     near = [0] * (cap + 1)
     plane = [0] * min(cap, max_degree).bit_length()
+    uncolored = (1 << graph.n) - 1
     if g:
-        uncolored = 0
-        for r, v in enumerate(by_rank):
-            c = colors[v]
+        for v, c in enumerate(colors):
             if c:
-                near[c] |= rank_adj[r]
-            else:
-                uncolored |= 1 << r
+                near[c] |= graph_adj[v]
+                uncolored ^= 1 << v
         # Each color of the partial coloring adds one to the vertices it is near.
         for carry in near:
             p = 0
             while carry:
                 plane[p], carry = plane[p] ^ carry, plane[p] & carry
                 p += 1
-    else:
-        uncolored = (1 << graph.n) - 1
     # An explicit stack, so depth is not bounded by the recursion limit.  One
     # immutable frame per vertex the search has colored, deepest last:
-    # (vertex, its rank bit, its rank adjacency, its color, the colors
-    # offered there, `used` before it, the vertices its color raised,
-    # near[color] before it).  Forward moves only push; a dead end pops.
+    # (vertex, its bit, its adjacency, its color, the colors offered there,
+    # `used` before it, the vertices its color raised, near[color] before
+    # it).  Forward moves only push; a dead end pops.
     stack: list[tuple] = []
     used = g
     nodes = 0
@@ -206,12 +203,17 @@ def _dsatur_search(
             b &= cand
             if b:
                 cand = b
+        if cand & (cand - 1):
+            for b in classes:
+                if b & cand:
+                    cand &= b
+                    break
         vbit = cand & -cand
         offer = offers[used]
         for c in offer:
             if not near[c] & vbit:
-                r = vbit.bit_length() - 1
-                v, adj = by_rank[r], rank_adj[r]
+                v = vbit.bit_length() - 1
+                adj = graph_adj[v]
                 break
         else:  # a dead end: back up to the deepest vertex with a color left
             while stack:
@@ -356,9 +358,8 @@ def extend_coloring(
 
 @lru_cache(maxsize=8)
 def _rook_graph(m: int) -> RemovalGraph:
-    """The graph completion colors, cell r*m + c being vertex r*m + c: its
-    lines are the rows and the columns.  Kept, with its ranks, for the last
-    few M used."""
+    """The graph completion colors, vertex r*m + c being cell (r, c) and its
+    lines the rows and the columns; kept with its degree classes."""
     return RemovalGraph.from_lines(
         m * m,
         [tuple(range(r * m, (r + 1) * m)) for r in range(m)]

@@ -34,7 +34,8 @@ def grid_from_obj(obj: Any) -> Grid:
 
 
 def dumps_grid(grid: Grid) -> str:
-    rows = ",\n".join("  " + json.dumps(list(r)) for r in grid.rows)
+    # Grid admits only int cells, so a row's list repr is its JSON text.
+    rows = ",\n".join("  " + str(list(r)) for r in grid.rows)
     return '{\n "m": %d,\n "cells": [\n%s\n ]\n}\n' % (grid.m, rows)
 
 

@@ -108,10 +108,12 @@ def verify_removes(grid: Grid, partition: ConstraintPartition) -> bool:
     """True when every multi-cell block is filled with one common symbol."""
     if grid.m != partition.m:
         return False
-    for bi in partition.multi_indices:
-        syms = {grid.at(r, c) for r, c in partition.blocks[bi]}
-        if len(syms) != 1 or 0 in syms:
-            return False
+    rows = grid.rows
+    for block in partition.multi_blocks():
+        sym = rows[block[0][0] - 1][block[0][1] - 1]
+        for r, c in block:
+            if not sym or rows[r - 1][c - 1] != sym:
+                return False
     return True
 
 

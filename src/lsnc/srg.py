@@ -7,9 +7,9 @@ union of 2M cliques ("lines"), one per row label and one per column label,
 each holding the blocks that meet it.  A graph keeps the lines it was built
 from: adjacency is one bitmask per vertex, the OR of its lines' bitmaps
 (the graphs are small, n <= M^2, and coloring searches hammer edge
-queries).  Searches read the same masks in a second numbering, by degree
-descending then index ascending, built once per graph from the renumbered
-lines and cached on it; neighbor and edge listings unpack the masks.
+queries).  Searches read these masks as they are and break ties by degree
+through one mask per distinct degree, cached on the graph the first time
+a search asks; neighbor and edge listings unpack the masks.
 """
 from __future__ import annotations
 
@@ -60,21 +60,15 @@ class RemovalGraph:
         return self.adj[v].bit_count()
 
     @cached_property
-    def ranks(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(by_rank, rank_adj, max_degree): the vertices by degree
-        descending, then index ascending, the adjacency masks in that
-        numbering, rank_adj[r] holding bit q when by_rank[r] and by_rank[q]
-        are adjacent, and the largest degree (0 with no vertex).  Built once,
-        from the lines renumbered into ranks."""
-        degree = list(map(int.bit_count, self.adj))
-        # Stable: equal degrees keep ascending index even in reverse.
-        by_rank = sorted(range(self.n), key=degree.__getitem__, reverse=True)
-        rank_of = [0] * self.n
-        for r, v in enumerate(by_rank):
-            rank_of[v] = r
-        lines = [[*map(rank_of.__getitem__, line)] for line in self.lines]
-        max_degree = degree[by_rank[0]] if by_rank else 0
-        return tuple(by_rank), _line_masks(self.n, lines)[0], max_degree
+    def degree_classes(self) -> tuple[int, ...]:
+        """One mask per distinct degree, highest first, holding the vertices
+        of that degree.  Built on first use, so a graph that is never
+        searched never counts its degrees."""
+        classes: dict[int, int] = {}
+        for v, mask in enumerate(self.adj):
+            d = mask.bit_count()
+            classes[d] = classes.get(d, 0) | 1 << v
+        return tuple(classes[d] for d in sorted(classes, reverse=True))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Ascending neighbors of v, unpacked from its mask."""
@@ -255,14 +249,16 @@ def _certified_clique(
 def greedy_clique_lower_bound(graph: RemovalGraph) -> int:
     """Size of a maximal clique grown greedily: from the vertex of highest
     degree, then lowest index, each step adds the candidate first in that
-    order and keeps only its neighbors as candidates.  In rank numbering the
-    vertex added is the lowest set bit of the candidate mask."""
-    if graph.n == 0:
-        return 0
-    rank_adj = graph.ranks[1]
-    size, cand = 1, rank_adj[0]
+    order and keeps only its neighbors as candidates.  That candidate is the
+    lowest set bit of the first degree class the candidates meet."""
+    adj, classes = graph.adj, graph.degree_classes
+    size, cand = 0, (1 << graph.n) - 1
     while cand:
-        size, cand = size + 1, cand & rank_adj[(cand & -cand).bit_length() - 1]
+        for b in classes:
+            b &= cand
+            if b:
+                break
+        size, cand = size + 1, cand & adj[(b & -b).bit_length() - 1]
     return size
 
 

@@ -475,7 +475,7 @@ class TestExtendColoring:
             (lambda: generic_complete(grid, 10**9).rows[0], (10**6, 1, 2)),
         ]
         for run, first in runs:
-            run()  # builds the cached rook graph and ranks outside the count
+            run()  # builds the cached rook graph and degree classes outside the count
             tracemalloc.start()
             try:
                 out = run()
@@ -651,7 +651,7 @@ def test_kernel_matches_scanning_reference(seed, order):
 @pytest.mark.parametrize("row1", [False, True], ids=["empty", "row1"])
 @pytest.mark.parametrize("fade", [0.5 - 2.5j, -1 - 1j, -3 + 0j, -0.5 - 0.5j])
 def test_kernel_matches_scanning_reference_on_qam16(qam16, fade, row1):
-    # Real-size graphs: up to 220 vertices, so rank masks wider than 200
+    # Real-size graphs: up to 220 vertices, so masks wider than 200
     # bits, and degrees up to 64, so more than 16 saturation levels.
     part = build_constraints(qam16, fade)
     graph = build_srg(part)
@@ -705,6 +705,22 @@ def test_kernel_matches_scanning_reference_at_every_budget(graph, precolored, k)
     full, stopped = coloring._dsatur_search(graph, colors, k, 10**6)
     assert (colors, stopped) == (precolored, False)
     assert_matches_reference(graph, precolored, [k], range(full + 2))
+
+
+@pytest.mark.parametrize("case", ["qam16", "random"])
+def test_kernel_matches_scanning_reference_at_every_budget_on_many_degree_classes(qam16, case):
+    # A saturation tie goes to the first degree class that meets it, and
+    # these graphs have 11 and 12 classes where most 16-QAM states have 3.
+    # Both searches are refuted after backing up, and each budget from 0 up
+    # to one past their nodes stops at the same node as the reference.
+    if case == "qam16":
+        graph, k, classes = build_srg(build_constraints(qam16, 0.8 + 0.6j)), 15, 11
+    else:
+        graph, k, classes = random_graph(40, 0.5, 5), 8, 12
+    assert len(graph.degree_classes) == classes
+    full, stopped = coloring._dsatur_search(graph, [0] * graph.n, k, 10**6)
+    assert not stopped and full > 20
+    assert_matches_reference(graph, [0] * graph.n, [k], range(full + 2))
 
 
 def test_kernel_caps_planes_at_the_palette():

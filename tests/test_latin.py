@@ -108,6 +108,38 @@ class TestVerify:
         assert verify_removes(good, qam4_partition)
         # break one cell of the block {(1,3),(3,2)}
         assert not verify_removes(good.set(3, 2, 3), qam4_partition)
+        # two symbols where the first cell is the odd one out, and a block
+        # holding 0: in one cell, or in both
+        assert not verify_removes(good.set(1, 3, 4), qam4_partition)
+        assert not verify_removes(good.set(3, 2, 0), qam4_partition)
+        assert not verify_removes(good.set(1, 3, 0), qam4_partition)
+        assert not verify_removes(good.set(1, 3, 0).set(3, 2, 0), qam4_partition)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_removes_matches_one_symbol_per_block_oracle(self, seed, qam16):
+        # Blocks filled with 1 or 2, then up to two cells overwritten with
+        # 0, 1 or 2, against the set-per-block rule: each multi-cell block
+        # holds one symbol, and it is not 0.
+        rng = random.Random(seed)
+        part = build_constraints(qam16, [0.5 - 2.5j, -1 - 1j, -3 + 0j][seed % 3])
+        outcomes = set()
+        for _ in range(60):
+            rows = [[0] * 16 for _ in range(16)]
+            for block in part.blocks:
+                sym = rng.choice((1, 2))
+                for r, c in block:
+                    rows[r - 1][c - 1] = sym
+            for _ in range(rng.randrange(3)):
+                rows[rng.randrange(16)][rng.randrange(16)] = rng.choice((0, 1, 2))
+            grid = Grid.from_lists(rows)
+            multi = (block for block in part.blocks if len(block) > 1)
+            expected = all(
+                len(syms) == 1 and 0 not in syms
+                for syms in ({grid.at(r, c) for r, c in block} for block in multi)
+            )
+            assert verify_removes(grid, part) == expected
+            outcomes.add(expected)
+        assert outcomes == {False, True}
 
 
 class TestTransforms:

@@ -92,15 +92,23 @@ def assert_matches_oracle(graph, adj, unpack=True):
         assert graph.edges() == [(u, v) for u, ns in enumerate(expected) for v in ns if u < v]
 
 
-def assert_ranks_match(graph):
-    """`graph.ranks` numbers the vertices by (degree descending, index
-    ascending), rank q is in rank r's mask iff their vertices are adjacent,
-    and the max degree comes with them."""
-    by_rank, rank_adj, max_degree = graph.ranks
-    assert list(by_rank) == sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-    assert max_degree == max(map(graph.degree, range(graph.n)), default=0)
-    for v, mask in zip(by_rank, rank_adj):
-        assert sorted(by_rank[q] for q in bits(mask)) == bits(graph.adj[v])
+def assert_degree_classes_match(graph):
+    """`graph.degree_classes` are disjoint, nonempty, cover every vertex and
+    each holds one degree, strictly decreasing from class to class: their
+    set bits, class by class, are the vertices by (degree descending, index
+    ascending)."""
+    classes = graph.degree_classes
+    covered = 0
+    for cls in classes:
+        assert cls and not covered & cls
+        covered |= cls
+    assert covered == (1 << graph.n) - 1
+    degrees = [{graph.degree(v) for v in bits(cls)} for cls in classes]
+    assert all(len(d) == 1 for d in degrees)
+    degrees = [d.pop() for d in degrees]
+    assert all(a > b for a, b in zip(degrees, degrees[1:]))
+    order = [v for cls in classes for v in bits(cls)]
+    assert order == sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
 
 
 def oracle_psk_vital_adj(m, k, l):
@@ -131,7 +139,7 @@ def oracle_psk_vital_adj(m, k, l):
 
 
 def oracle_greedy_clique(graph):
-    """The list-based greedy clique the rank-mask one replaced: candidate
+    """The list-based greedy clique the mask-based one replaced: candidate
     lists filtered edge by edge, the next vertex chosen by a scan."""
     if graph.n == 0:
         return 0
@@ -154,8 +162,8 @@ def test_qam16_graphs_match_oracle(qam16):
         assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
         vital = vital_subgraph(graph, part)
         assert greedy_clique_lower_bound(vital) == oracle_greedy_clique(vital)
-        assert_ranks_match(graph)
-        assert_ranks_match(vital)
+        assert_degree_classes_match(graph)
+        assert_degree_classes_match(vital)
 
 
 @pytest.mark.parametrize("m", [16, 32])
@@ -220,7 +228,7 @@ def test_from_edges_matches_oracle(seed):
             if (u, v) in edges or (v, u) in edges:
                 adj[u] |= 1 << v
     assert_matches_oracle(graph, tuple(adj))
-    assert_ranks_match(graph)
+    assert_degree_classes_match(graph)
     assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
 
 
@@ -232,7 +240,7 @@ def test_greedy_clique_matches_oracle_on_random_lines(seed):
     sizes = [rng.randint(1, min(n, 8)) for _ in range(rng.randrange(3 * n))]
     lines = [tuple(rng.sample(range(n), k)) for k in sizes]
     graph = RemovalGraph.from_lines(n, lines)
-    assert_ranks_match(graph)
+    assert_degree_classes_match(graph)
     assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
 
 
