@@ -25,7 +25,6 @@ from .constraint import (
     build_constraints,
     constrained_pls,
     effective_constellation,
-    is_singular,
     psk_constraints_closed_form,
 )
 from .latin import (
@@ -39,7 +38,6 @@ from .latin import (
     transpose,
     verify_latin,
     verify_removes,
-    xor_square,
 )
 from .srg import (
     RemovalGraph,
@@ -56,7 +54,6 @@ from .coloring import (
     exact_chromatic,
     extend_coloring,
     generic_complete,
-    greedy_color,
     verify_proper,
 )
 from .psk_construct import PskCase, classify, remove_all_psk, removal_square
@@ -92,9 +89,7 @@ __all__ = [
     "from_spec",
     "generic_complete",
     "greedy_clique_lower_bound",
-    "greedy_color",
     "interchange_symbol_row",
-    "is_singular",
     "make_custom",
     "make_pam",
     "make_psk",
@@ -113,5 +108,4 @@ __all__ = [
     "verify_proper",
     "verify_removes",
     "vital_subgraph",
-    "xor_square",
 ]

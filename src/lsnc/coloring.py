@@ -1,5 +1,4 @@
-"""Vertex coloring: DSATUR greedy, the chromatic number, extension, and
-Latin completion.
+"""Vertex coloring: the chromatic number, extension, and Latin completion.
 
 Proper colorings of a removal graph are exactly the valid symbol
 assignments, so the chromatic number is the minimum symbol count of a
@@ -48,7 +47,6 @@ __all__ = [
     "Coloring",
     "ChromaticResult",
     "verify_proper",
-    "greedy_color",
     "exact_chromatic",
     "extend_coloring",
     "generic_complete",
@@ -251,29 +249,6 @@ def _dsatur_search(
         back = [0, *given, *islice(fresh, max(colors) - g)]
         colors[:] = [back[c] for c in colors]
     return nodes, stopped
-
-
-def greedy_color(graph: RemovalGraph, partial: Sequence[int] = ()) -> Coloring:
-    """DSATUR greedy coloring: the first leaf of the search, each vertex
-    taking its lowest free color in the kernel's numbering.  The nonzero
-    entries of `partial`, a proper partial coloring with one entry per
-    vertex if given, are kept; a vertex whose neighbors leave a given color
-    free may take it.  Uses at most max-degree + 1 colors, or the number of
-    given colors if that is more.  Raises ValueError on a `partial` of
-    another length, with a negative color, or improper."""
-    colors = list(partial) or [0] * graph.n
-    if len(colors) != graph.n:
-        raise ValueError(f"partial coloring has {len(colors)} entries for {graph.n} vertices")
-    for v, c in enumerate(colors):
-        if c < 0:
-            raise ValueError(f"color {c} of vertex {v} is negative")
-    conflict = _first_conflict(graph, colors)
-    if conflict:
-        raise ValueError(f"partial coloring is improper on edge {conflict}")
-    # With no cap on the colors the search never backtracks and spends one
-    # node per free vertex.
-    _dsatur_search(graph, colors, None, graph.n)
-    return Coloring(tuple(colors))
 
 
 def exact_chromatic(

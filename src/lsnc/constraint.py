@@ -28,7 +28,7 @@ from lsnc.latin import Grid
 from lsnc.signal_set import SignalSet, make_psk
 
 __all__ = ["ConstraintPartition", "build_constraints", "constrained_pls", "psk_constraints_closed_form",
-           "effective_constellation", "is_singular"]
+           "effective_constellation"]
 
 Cell = tuple[int, int]
 
@@ -241,11 +241,6 @@ def effective_constellation(
         return tuple(pts), dmin
     except OverflowError:
         raise ValueError(f"cannot cluster x_A + s*x_B at s={s!r}: too large for a float") from None
-
-
-def is_singular(s_set: SignalSet, s: complex | FadeState) -> bool:
-    """True when the effective constellation collapses below M^2 points."""
-    return len(superpose(s_set, s)[0]) < s_set.size**2
 
 
 def build_constraints(s_set: SignalSet, s: complex | FadeState) -> ConstraintPartition:

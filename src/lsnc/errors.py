@@ -28,16 +28,9 @@ class SearchBudgetExceeded(RuntimeError):
 
     `nodes` is the nodes spent, `colored` the free vertices colored on the
     path the search was on when it stopped, and `free` the free vertices it
-    started with; each is None where the raiser does not know it."""
+    started with."""
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        nodes: int | None = None,
-        colored: int | None = None,
-        free: int | None = None,
-    ) -> None:
+    def __init__(self, message: str, *, nodes: int, colored: int, free: int) -> None:
         super().__init__(message)
         self.nodes = nodes
         self.colored = colored

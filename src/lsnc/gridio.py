@@ -12,11 +12,7 @@ from typing import Any
 
 from .latin import Grid
 
-__all__ = ["grid_to_obj", "grid_from_obj", "dumps_grid", "loads_grid"]
-
-
-def grid_to_obj(grid: Grid) -> dict[str, Any]:
-    return {"m": grid.m, "cells": grid.to_lists()}
+__all__ = ["grid_from_obj", "dumps_grid", "loads_grid"]
 
 
 def grid_from_obj(obj: Any) -> Grid:

@@ -30,7 +30,6 @@ __all__ = [
     "find_sdr",
     "transpose",
     "column_rotate",
-    "xor_square",
     "candidate_cells",
 ]
 
@@ -55,23 +54,9 @@ class Grid:
     def from_lists(cls, rows: Sequence[Sequence[int]]) -> Grid:
         return cls(tuple(map(tuple, rows)))
 
-    @classmethod
-    def empty(cls, m: int) -> Grid:
-        return cls(tuple((0,) * m for _ in range(m)))
-
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    def at(self, r: int, c: int) -> int:
-        """Cell value at 1-indexed (row, column)."""
-        return self.rows[r - 1][c - 1]
-
-    def set(self, r: int, c: int, sym: int) -> Grid:
-        """A copy with 1-indexed cell (r, c) set to sym."""
-        rows = [list(row) for row in self.rows]
-        rows[r - 1][c - 1] = sym
-        return Grid.from_lists(rows)
 
     def symbols(self) -> set[int]:
         return {v for row in self.rows for v in row if v}
@@ -82,14 +67,6 @@ class Grid:
 
     def is_complete(self) -> bool:
         return all(all(row) for row in self.rows)
-
-    def filled_cells(self) -> list[tuple[int, int]]:
-        return [
-            (r + 1, c + 1)
-            for r, row in enumerate(self.rows)
-            for c, v in enumerate(row)
-            if v
-        ]
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -146,11 +123,6 @@ def column_rotate(grid: Grid, steps: int) -> Grid:
     """
     m = grid.m
     return Grid(tuple(tuple(row[(c + steps) % m] for c in range(m)) for row in grid.rows))
-
-
-def xor_square(m: int) -> Grid:
-    """The bitwise-XOR Latin Square: cell (a, b) = (a-1) xor (b-1), plus 1."""
-    return Grid(tuple(tuple(((r ^ c) + 1) for c in range(m)) for r in range(m)))
 
 
 def interchange_symbol_row(grid: Grid) -> Grid:

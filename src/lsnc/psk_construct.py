@@ -8,8 +8,8 @@ rows in place.  BothOdd and SamePower fill the empty diagonals with fresh
 symbols.  The other cases top up one (Sin) or two (DiffPower, Mixed)
 cells per row, each with the one symbol of 1..4, or 5..8 for the second
 cell of a pair, that its row and column lack, and then take the
-symbol/row interchange + SDR + Latin-rectangle route, which builds the
-one `Grid` that `lsnc.latin`'s helpers take.  The case is dispatched
+symbol/row interchange + SDR + Latin-rectangle route, which builds five
+validated `Grid`s for the `lsnc.latin` helpers.  The case is dispatched
 once, so the steps do not re-check it.  Every step checks the claims the
 construction relies on and raises CompletionError when one fails.
 """

@@ -53,12 +53,6 @@ class RemovalGraph:
         vertex_block = tuple(range(n)) if vertex_block is None else vertex_block
         return cls(n, _line_masks(n, lines)[0], vertex_block, tuple(lines))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     @cached_property
     def degree_classes(self) -> tuple[int, ...]:
         """One mask per distinct degree, highest first, holding the vertices
@@ -69,10 +63,6 @@ class RemovalGraph:
             d = mask.bit_count()
             classes[d] = classes.get(d, 0) | 1 << v
         return tuple(classes[d] for d in sorted(classes, reverse=True))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Ascending neighbors of v, unpacked from its mask."""
-        return _bits(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v), u < v, in ascending order."""

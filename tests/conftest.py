@@ -49,6 +49,18 @@ def gdiv(x, y):
     return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
 
 
+def xor_square(m):
+    """The bitwise-XOR Latin Square: cell (a, b) = (a-1) xor (b-1), plus 1."""
+    return Grid.from_lists([[(r ^ c) + 1 for c in range(m)] for r in range(m)])
+
+
+def with_cell(grid, r, c, sym):
+    """A copy of `grid` with 1-indexed cell (r, c) set to sym."""
+    rows = grid.to_lists()
+    rows[r - 1][c - 1] = sym
+    return Grid.from_lists(rows)
+
+
 def swap_first_cells(monkeypatch, key):
     """Make `removal_square` swap cells (1, 1) and (1, 2) of the (k, l) =
     key square, which repeats a symbol in both columns."""

@@ -44,11 +44,12 @@ from lsnc import (
     verify_proper,
     verify_removes,
     vital_subgraph,
-    xor_square,
 )
 from lsnc.fixtures import load_grid, load_points
 from lsnc.psk_construct import remove_all_psk
 from lsnc.srg import QAM_CLIQUE_STATES
+
+from conftest import xor_square
 
 
 # criterion 8's four parts share one 120 s budget
@@ -238,7 +239,7 @@ def random_latin_square(m, rng):
     sp = rng.sample(range(1, m + 1), m)
     base = xor_square(m)
     return Grid.from_lists(
-        [[sp[base.at(rp[r] + 1, cp[c] + 1) - 1] for c in range(m)] for r in range(m)]
+        [[sp[base.rows[rp[r]][cp[c]] - 1] for c in range(m)] for r in range(m)]
     )
 
 

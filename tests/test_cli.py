@@ -11,7 +11,7 @@ from lsnc.latin import Grid
 from lsnc.fixtures import load_grid
 from lsnc.signal_set import make_psk, make_square_qam
 
-from conftest import QAM8_POINTS, swap_first_cells
+from conftest import QAM8_POINTS, swap_first_cells, with_cell
 
 
 def write_points(path):
@@ -149,7 +149,7 @@ def test_verify_accepts_and_rejects(tmp_path, capsys):
     assert rc == 0
     assert "latin=ok removes=ok complete=yes symbols=8" in capsys.readouterr().out
 
-    broken = load_grid("qam8_rect_ls").set(1, 1, 2)  # duplicate in row 1
+    broken = with_cell(load_grid("qam8_rect_ls"), 1, 1, 2)  # duplicate in row 1
     bad = tmp_path / "bad.json"
     bad.write_text(dumps_grid(broken))
     rc = main(["verify", "--latin", str(bad), "--signal", f"custom:@{pts}",
@@ -175,7 +175,7 @@ def test_complete_success_and_failure(tmp_path, capsys):
     assert main(["complete", "--partial", str(blocked), "--symbols", "2"]) == 1
 
     empty9 = tmp_path / "empty9.json"
-    empty9.write_text(dumps_grid(Grid.empty(9)))
+    empty9.write_text(dumps_grid(Grid.from_lists([[0] * 9] * 9)))
     capsys.readouterr()
     assert main(["complete", "--partial", str(empty9), "--symbols", "9",
                  "--budget", "3"]) == 3

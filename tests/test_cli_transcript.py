@@ -19,16 +19,16 @@ from lsnc.fixtures import load_grid
 from lsnc.gridio import dumps_grid
 from lsnc.latin import Grid
 
-from conftest import QAM8_POINTS
+from conftest import QAM8_POINTS, with_cell
 
 INPUTS = {
     "qam8.json": json.dumps([{"re": p.real, "im": p.imag} for p in QAM8_POINTS]),
     "good.json": dumps_grid(load_grid("qam8_rect_ls")),
-    "bad.json": dumps_grid(load_grid("qam8_rect_ls").set(1, 1, 2)),
+    "bad.json": dumps_grid(with_cell(load_grid("qam8_rect_ls"), 1, 1, 2)),
     "pfls.json": dumps_grid(load_grid("qam8_rect_pfls")),
     "rect.json": dumps_grid(load_grid("hall_rect")),
     "blocked.json": dumps_grid(Grid.from_lists([[1, 0], [0, 2]])),
-    "empty9.json": dumps_grid(Grid.empty(9)),
+    "empty9.json": dumps_grid(Grid.from_lists([[0] * 9] * 9)),
     "high.json": dumps_grid(Grid.from_lists([[5, 0, 0], [0, 0, 0], [0, 0, 0]])),
 }
 

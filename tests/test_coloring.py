@@ -19,14 +19,13 @@ from lsnc import (
     exact_chromatic,
     extend_coloring,
     generic_complete,
-    greedy_color,
     make_psk,
     row_clique,
     verify_proper,
 )
 from lsnc import coloring
 from lsnc.errors import SearchBudgetExceeded
-from lsnc.srg import greedy_clique_lower_bound
+from lsnc.srg import _bits, greedy_clique_lower_bound
 
 
 def complete_graph(n):
@@ -82,6 +81,14 @@ def random_graph(n, p, seed):
     return RemovalGraph.from_lines(n, edges)
 
 
+def greedy_from(graph, partial):
+    """Greedy DSATUR keeping the nonzero colors of `partial`: the kernel
+    with no color cap, which never backtracks."""
+    colors = list(partial)
+    coloring._dsatur_search(graph, colors, None, graph.n)
+    return tuple(colors)
+
+
 def test_verify_proper_detects_conflicts():
     g = cycle(4)
     assert verify_proper(g, Coloring((1, 2, 1, 2)))
@@ -91,33 +98,14 @@ def test_verify_proper_detects_conflicts():
 def test_greedy_is_always_proper():
     for seed in range(10):
         g = random_graph(12, 0.4, seed)
-        col = greedy_color(g)
-        assert verify_proper(g, col)
+        # With no nodes to spend, exact_chromatic's coloring is greedy DSATUR.
+        col = exact_chromatic(g, node_budget=0).coloring
+        assert verify_proper(g, col) and col.colors == greedy_from(g, [0] * g.n)
         # Started from part of that coloring, it keeps the part.
         partial = [c if v % 3 else 0 for v, c in enumerate(col.colors)]
-        filled = greedy_color(g, partial)
-        assert verify_proper(g, filled)
-        assert all(f == c for f, c in zip(filled.colors, partial) if c)
-
-
-@pytest.mark.parametrize(
-    "partial, message",
-    [
-        ([1], "partial coloring has 1 entries for 5 vertices"),
-        ([1, 2, 0, 0, 0, 3, 4], "partial coloring has 7 entries for 5 vertices"),
-        ([1, 1, 0, 0, 0], r"partial coloring is improper on edge \(0, 1\)"),
-        ([0, -2, 0, 0, 0], "color -2 of vertex 1 is negative"),
-    ],
-    ids=["short", "long", "improper", "negative"],
-)
-def test_greedy_rejects_a_bad_partial(partial, message):
-    # One edge 0-1 and three isolated vertices.  Each partial once gave an
-    # IndexError, a coloring of 7 vertices, an improper coloring, or a
-    # coloring keeping the -2.
-    g = RemovalGraph.from_lines(5, [(0, 1)])
-    with pytest.raises(ValueError, match=message):
-        greedy_color(g, partial)
-    assert greedy_color(g, [0, 2, 0, 0, 0]).colors == (1, 2, 2, 2, 2)
+        filled = greedy_from(g, partial)
+        assert verify_proper(g, Coloring(filled))
+        assert all(f == c for f, c in zip(filled, partial) if c)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -168,7 +156,7 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
     # Each search level colors one vertex: 2001 levels is deeper than
     # Python's default recursion limit of 1000.
     g = cycle(2001)
-    assert verify_proper(g, greedy_color(g))
+    assert verify_proper(g, exact_chromatic(g, node_budget=0).coloring)
     res = exact_chromatic(g)
     assert (res.chi, res.optimal) == (3, True)
     assert extend_coloring(g, {}, 2) is None
@@ -317,7 +305,7 @@ def reference_descending_chromatic(graph, lower=None, node_budget=10**7):
         return coloring.ChromaticResult(0, Coloring(()), True, 0, 0)
     widest = max((len(set(line)) for line in graph.lines), default=0)
     lb = max(lower or 1, widest, greedy_clique_lower_bound(graph))
-    best = greedy_color(graph).colors
+    best = exact_chromatic(graph, node_budget=0).coloring.colors
     best_k = max(best)
     if best_k <= lb:
         return coloring.ChromaticResult(best_k, Coloring(best), True, 0, lb)
@@ -454,7 +442,8 @@ class TestExtendColoring:
         # lowest that are not.
         rng = random.Random(seed)
         g = random_graph(rng.randint(2, 14), rng.choice([0.3, 0.6, 0.9]), seed)
-        pre = {v: c for v, c in enumerate(greedy_color(g).colors) if rng.random() < 0.4}
+        greedy = exact_chromatic(g, node_budget=0).coloring.colors
+        pre = {v: c for v, c in enumerate(greedy) if rng.random() < 0.4}
         pre[0] = g.n + 3 + seed  # a given color above every degree, used nowhere else
         top = g.n + max(pre.values())
         col = extend_coloring(g, pre, 10**9)
@@ -471,7 +460,7 @@ class TestExtendColoring:
         grid = Grid.from_lists([[10**6, 0, 0], [0, 0, 0], [0, 0, 0]])
         runs = [
             (lambda: extend_coloring(path3, {0: 10**6}, 10**9), (10**6, 1, 10**6)),
-            (lambda: greedy_color(path3, [10**6, 0, 0]).colors, (10**6, 1, 10**6)),
+            (lambda: greedy_from(path3, [10**6, 0, 0]), (10**6, 1, 10**6)),
             (lambda: generic_complete(grid, 10**9).rows[0], (10**6, 1, 2)),
         ]
         for run, first in runs:
@@ -491,7 +480,8 @@ class TestExtendColoring:
         # them out changes the answer only by that relabelling.
         rng = random.Random(seed)
         g = random_graph(rng.randint(2, 12), rng.choice([0.3, 0.6]), seed)
-        pre = {v: c for v, c in enumerate(greedy_color(g).colors) if rng.random() < 0.5}
+        greedy = exact_chromatic(g, node_budget=0).coloring.colors
+        pre = {v: c for v, c in enumerate(greedy) if rng.random() < 0.5}
         dense = {c: i for i, c in enumerate(sorted(set(pre.values())), 1)}
         k = len(dense) + g.n
         base = extend_coloring(g, {v: dense[c] for v, c in pre.items()}, k)
@@ -535,7 +525,7 @@ def scan_dsatur_search(graph, colors, palette, order, on_leaf, budget):
     placed and uses[c] the vertices colored c; at a full coloring
     on_leaf(used) says whether to stop.  A color above palette, given or
     offered, raises IndexError."""
-    nbrs = [graph.neighbors(v) for v in range(graph.n)]
+    nbrs = [_bits(mask) for mask in graph.adj]
     degree = [len(ns) for ns in nbrs]
     seen = [0] * graph.n
     uses = [0] * (palette + 1)
@@ -635,7 +625,7 @@ def test_kernel_matches_scanning_reference(seed, order):
     graph = random_graph(rng.randint(1, 16), rng.choice([0.2, 0.4, 0.6]), seed)
     precolored = [0] * graph.n
     if seed % 2:  # pin a proper partial coloring on about a third of the vertices
-        greedy = greedy_color(graph).colors
+        greedy = exact_chromatic(graph, node_budget=0).coloring.colors
         precolored = [c if rng.random() < 0.35 else 0 for c in greedy]
     assert_matches_reference(graph, precolored, [CAPS[order]], (0, 3, 40, 3000, 10**6))
     if order == "least-used" and max(precolored, default=0) <= 5:
@@ -738,6 +728,8 @@ def test_kernel_caps_planes_at_the_palette():
 @pytest.mark.parametrize(
     "graph, partial, expected",
     [
+        # one edge 0-1 and three isolated vertices
+        (RemovalGraph.from_lines(5, [(0, 1)]), [0, 2, 0, 0, 0], (1, 2, 2, 2, 2)),
         (cycle(6), [9, 0, 0, 12, 0, 0], (9, 12, 9, 12, 9, 12)),
         (
             RemovalGraph.from_lines(12, [(2 * i, 2 * i + 1) for i in range(6)]),
@@ -745,14 +737,15 @@ def test_kernel_caps_planes_at_the_palette():
             (40, 42, 42, 40, 44, 40, 46, 40, 48, 40, 50, 40),
         ),
     ],
-    ids=["cycle", "matching"],
+    ids=["edge", "cycle", "matching"],
 )
-def test_greedy_keeps_given_colors_above_the_max_degree(graph, partial, expected, monkeypatch):
+def test_greedy_keeps_given_colors_above_the_max_degree(graph, partial, expected):
     # Given colors are searched as 1..g, so a free vertex takes the lowest
     # given color its neighbors leave free before it opens a new one.
-    assert greedy_color(graph, partial).colors == expected
-    ref, _ = run_with_kernel(monkeypatch, reference_search, greedy_color, graph, partial)
-    assert ref.colors == expected
+    assert greedy_from(graph, partial) == expected
+    ref = list(partial)
+    reference_search(graph, ref, None, graph.n)
+    assert tuple(ref) == expected
 
 
 def test_kernel_with_more_given_colors_than_levels():

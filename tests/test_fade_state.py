@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from lsnc import (
+    build_constraints,
     effective_constellation,
     enumerate_singular_fade_states,
-    is_singular,
     make_custom,
     make_pam,
     make_psk,
@@ -19,12 +19,13 @@ from lsnc import (
     psk_representative,
     psk_representatives,
     psk_singular_fade_states,
+    verify_removes,
 )
 from lsnc._numeric import cluster_complex
 from lsnc.errors import AmbiguousGroupingError
 from lsnc.fade_state import RECONSTRUCT_TOL, FadeState, _canon, _sort_key, as_exact_ratio
 
-from conftest import SKEW_POINTS, gadd, gdiv, gmul, gq, gsub, to_triple
+from conftest import SKEW_POINTS, gadd, gdiv, gmul, gq, gsub, to_triple, xor_square
 
 
 def brute_ratio_set(signal):
@@ -103,7 +104,18 @@ def test_representatives_are_singular(psk8):
     assert len(reps) == 12
     assert all(fs.k is not None and fs.l is not None for fs in reps)
     for fs in reps:
-        assert is_singular(psk8, fs)
+        assert len(build_constraints(psk8, fs).blocks) < 64
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32])
+def test_xor_square_removes_two_unit_circle_states(m):
+    # psk_representatives leaves out the radius-1 (k = l) circle.  Of its M
+    # states, the bitwise-XOR Latin Square removes only s = 1 and s = -1.
+    signal, square = make_psk(m), xor_square(m)
+    unit = [fs for fs in psk_singular_fade_states(m) if (fs.k, fs.l) == (1, 1)]
+    removed = [fs.value for fs in unit if verify_removes(square, build_constraints(signal, fs))]
+    assert len(unit) == m
+    assert removed == [pytest.approx(-1), pytest.approx(1)]
 
 
 def test_effective_constellation_singular_vs_regular(qam4):
@@ -119,8 +131,8 @@ def test_exact_ratio_detection():
 
 
 def test_is_singular_boundary(qam4):
-    assert is_singular(qam4, -2 + 0j) is False
-    assert is_singular(qam4, 1 + 0j) is True
+    assert len(build_constraints(qam4, -2 + 0j).blocks) == 16
+    assert len(build_constraints(qam4, 1 + 0j).blocks) < 16
 
 
 # Reference implementations: the Fraction and all-pairs algorithms the

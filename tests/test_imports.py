@@ -1,13 +1,16 @@
 """The lsnc modules import one another one way only: every import of an lsnc
-module sits at module level, and those imports form no cycle.
+module sits at module level, and those imports form no cycle.  Every public
+name has a caller outside the tests.
 
 Imports under `if TYPE_CHECKING:` are annotations only and are not counted.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 FILES = {
     ".".join(p.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): p
     for p in sorted((SRC / "lsnc").rglob("*.py"))
@@ -97,3 +100,54 @@ def test_module_imports_form_no_cycle():
         if mod not in state:
             visit(mod)
     assert cycles == []
+
+
+# Public names with no caller in the package, the demos or perfbench.
+CALLED_ELSEWHERE = {
+    "lsnc.fixtures.available": "the CI package job checks the installed fixtures with it",
+}
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    return next(
+        (
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ),
+        [],
+    )
+
+
+def _defines(node: ast.stmt) -> set[str]:
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """A name in any lsnc module's `__all__` resolves, and is a Name or an
+    attribute somewhere in src/lsnc outside its own definition and the
+    package `__init__.py`, or in demos/ or perfbench/.  Imports alone are
+    not calls."""
+    trees = {mod: ast.parse(path.read_text()) for mod, path in FILES.items()}
+    public = {(mod, name) for mod, tree in trees.items() for name in _exports(tree)}
+    for mod, name in sorted(public):
+        assert hasattr(importlib.import_module(mod), name), f"{mod}.__all__ names missing {name}"
+    sources = [tree for mod, tree in trees.items() if mod != "lsnc"] + [
+        ast.parse(path.read_text())
+        for path in sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    ]
+    called: set[str] = set()
+    for tree in sources:
+        for stmt in tree.body:
+            called |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            } - _defines(stmt)
+    uncalled = sorted(f"{mod}.{name}" for mod, name in public if name not in called)
+    assert [name for name in uncalled if name not in CALLED_ELSEWHERE] == []

@@ -1,5 +1,6 @@
 """Grids, verification, transforms, SDR/Hall machinery, completion search."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -23,12 +24,12 @@ from lsnc import (
     transpose,
     verify_latin,
     verify_removes,
-    xor_square,
 )
 from lsnc import coloring
 from lsnc.errors import CompletionError, SearchBudgetExceeded
 from lsnc.latin import _kuhn
 
+from conftest import with_cell, xor_square
 from test_coloring import reference_search
 
 
@@ -40,7 +41,7 @@ def random_latin_square(m, seed):
     sp = rng.sample(range(1, m + 1), m)
     base = xor_square(m)
     return Grid.from_lists(
-        [[sp[base.at(rp[r] + 1, cp[c] + 1) - 1] for c in range(m)] for r in range(m)]
+        [[sp[base.rows[rp[r]][cp[c]] - 1] for c in range(m)] for r in range(m)]
     )
 
 
@@ -56,16 +57,19 @@ class TestGrid:
     def test_construction_and_accessors(self):
         g = Grid.from_lists([[1, 2], [2, 0]])
         assert g.m == 2
-        assert g.at(2, 1) == 2 and g.at(2, 2) == 0
+        assert g.rows == ((1, 2), (2, 0))
         assert not g.is_complete()
         assert g.symbols() == {1, 2}
         assert g.symbol_count == 2
-        assert g.filled_cells() == [(1, 1), (1, 2), (2, 1)]
 
     def test_set_returns_new_grid(self):
-        g = Grid.empty(2)
-        h = g.set(1, 1, 2)
-        assert g.at(1, 1) == 0 and h.at(1, 1) == 2
+        # A grid is frozen: a cell is set on its `to_lists` copy, which
+        # builds a new grid and leaves the old one as it was.
+        g = Grid.from_lists([[0, 0], [0, 0]])
+        h = with_cell(g, 1, 1, 2)
+        assert g.rows == ((0, 0), (0, 0)) and h.rows == ((2, 0), (0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.rows = h.rows
 
     def test_rejects_ragged_and_negative(self):
         with pytest.raises(ValueError):
@@ -107,13 +111,13 @@ class TestVerify:
         good = Grid.from_lists([[3, 5, 1, 2], [2, 4, 3, 5], [5, 1, 2, 4], [4, 3, 5, 1]])
         assert verify_removes(good, qam4_partition)
         # break one cell of the block {(1,3),(3,2)}
-        assert not verify_removes(good.set(3, 2, 3), qam4_partition)
+        assert not verify_removes(with_cell(good, 3, 2, 3), qam4_partition)
         # two symbols where the first cell is the odd one out, and a block
         # holding 0: in one cell, or in both
-        assert not verify_removes(good.set(1, 3, 4), qam4_partition)
-        assert not verify_removes(good.set(3, 2, 0), qam4_partition)
-        assert not verify_removes(good.set(1, 3, 0), qam4_partition)
-        assert not verify_removes(good.set(1, 3, 0).set(3, 2, 0), qam4_partition)
+        assert not verify_removes(with_cell(good, 1, 3, 4), qam4_partition)
+        assert not verify_removes(with_cell(good, 3, 2, 0), qam4_partition)
+        assert not verify_removes(with_cell(good, 1, 3, 0), qam4_partition)
+        assert not verify_removes(with_cell(with_cell(good, 1, 3, 0), 3, 2, 0), qam4_partition)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_removes_matches_one_symbol_per_block_oracle(self, seed, qam16):
@@ -135,7 +139,7 @@ class TestVerify:
             multi = (block for block in part.blocks if len(block) > 1)
             expected = all(
                 len(syms) == 1 and 0 not in syms
-                for syms in ({grid.at(r, c) for r, c in block} for block in multi)
+                for syms in ({grid.rows[r - 1][c - 1] for r, c in block} for block in multi)
             )
             assert verify_removes(grid, part) == expected
             outcomes.add(expected)
@@ -293,8 +297,8 @@ class TestGenericComplete:
         done = generic_complete(g, 8)
         assert done is not None
         assert verify_latin(done) and done.is_complete()
-        for r, c in g.filled_cells():
-            assert done.at(r, c) == g.at(r, c)
+        for row, done_row in zip(g.rows, done.rows):
+            assert all(d == v for v, d in zip(row, done_row) if v)
 
     def test_infeasible_returns_none(self):
         # 2x2 with forced diagonal cannot close with 2 symbols
@@ -308,7 +312,7 @@ class TestGenericComplete:
         assert candidate_cells(g, 2) == [(1, 2), (2, 1), (2, 2)]
 
     def test_budget_exhaustion_raises(self):
-        g = Grid.empty(9)
+        g = Grid.from_lists([[0] * 9] * 9)
         with pytest.raises(SearchBudgetExceeded) as info:
             generic_complete(g, 9, node_budget=5)
         assert str(info.value) == (
@@ -316,7 +320,7 @@ class TestGenericComplete:
         )
 
     def test_symbol_budget_below_order_returns_none(self):
-        assert generic_complete(Grid.empty(4), 3) is None
+        assert generic_complete(Grid.from_lists([[0] * 4] * 4), 3) is None
 
     def test_offers_only_the_lowest_unused_symbol(self, monkeypatch):
         # Unused symbols are interchangeable: a cell is offered the symbols
@@ -333,7 +337,7 @@ class TestGenericComplete:
             return runs[-1][1]
 
         monkeypatch.setattr(coloring, "_dsatur_search", spy)
-        done = generic_complete(Grid.empty(9), 9000)
+        done = generic_complete(Grid.from_lists([[0] * 9] * 9), 9000)
         assert done is not None and verify_latin(done) and done.is_complete()
         assert runs == [(9000, (81, False))]
         assert done.symbols() == set(range(1, 11))
@@ -479,8 +483,8 @@ class TestKernelsAgainstReference:
                 (r, c)
                 for r in range(1, m + 1)
                 for c in range(1, m + 1)
-                if not grid.at(r, c)
+                if not grid.rows[r - 1][c - 1]
                 and symbol not in grid.rows[r - 1]
-                and all(grid.at(i, c) != symbol for i in range(1, m + 1))
+                and all(row[c - 1] != symbol for row in grid.rows)
             ]
             assert candidate_cells(grid, symbol) == expected

@@ -145,10 +145,15 @@ def test_sin_top_up_is_the_colour_half_a_turn_away(m):
             continue
         grid, _, coloring = vital_pfls(case)
         filled = topped_up(case)
-        new = [(r, c) for r, c in filled.filled_cells() if not grid.at(r, c)]
+        new = [
+            (r, sym)
+            for r, (row, was) in enumerate(zip(filled.rows, grid.rows), 1)
+            for sym, old in zip(row, was)
+            if sym and not old
+        ]
         assert [r for r, _ in new] == list(range(1, m + 1))
-        for r, c in new:
-            assert filled.at(r, c) == coloring.colors[(r - 1 + m // 2) % m], (fs.k, fs.l, r)
+        for r, sym in new:
+            assert sym == coloring.colors[(r - 1 + m // 2) % m], (fs.k, fs.l, r)
 
 
 @pytest.mark.parametrize(
