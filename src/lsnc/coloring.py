@@ -9,12 +9,12 @@ kernel.  It colors next the uncolored vertex with the most distinct
 neighbor colors, then the highest degree, then the lowest index, and tries
 there the colors in use, then the lowest unused one while fewer than k are
 in use: unused colors are interchangeable, so the others would only repeat
-its subtree.  Greedy DSATUR is the kernel's first full coloring
-with no k, and an extension its first one at k that keeps the given colors;
-completing a partial Latin square is extension on the rook graph.  The
-chromatic number is the first k, counting up from a lower bound, at which
-the kernel finds a k-coloring: each k below it is refuted by an exhausted
-search.
+its subtree.  Greedy DSATUR is the kernel's first full coloring at
+k = n, where it never backs up, and an extension its first one at k that
+keeps the given colors; completing a partial Latin square is extension on
+the rook graph.  The chromatic number is the first k, counting up from a
+lower bound, at which the kernel finds a k-coloring: each k below it is
+refuted by an exhausted search.
 
 The kernel numbers colors by first use: the given colors in ascending
 order, then the colors it opens, handed back in order as the lowest
@@ -112,7 +112,7 @@ def _first_conflict(graph: RemovalGraph, colors: Sequence[int]) -> tuple[int, in
 
 
 def _dsatur_search(
-    graph: RemovalGraph, colors: list[int], k: int | None, budget: int
+    graph: RemovalGraph, colors: list[int], k: int, budget: int
 ) -> tuple[int, bool]:
     """Color every 0 entry of `colors` by most-constrained-first backtracking.
 
@@ -122,15 +122,17 @@ def _dsatur_search(
     a neighbor, `used` being the largest placed so far.  So of the unused
     colors, which are interchangeable, only the lowest is tried, and no
     coloring is lost.  `cap` is g + the fewer of the free vertices and
-    k - g (k is at least g), or g + the free vertices when k is None
-    (greedy, which then never backtracks).  Each color tried is one node.  The first full coloring
-    ends the search; entering an uncolored vertex after more than `budget`
-    nodes also ends it, leaving the partial coloring of the path searched;
-    an exhausted search leaves the free vertices 0.  On return the colors
-    are numbered back: 1..g to the given colors, g + i to the i-th lowest
-    positive number that is not given, which is at most k.  Given colors
-    that are already 1..g are searched as they are.  Returns (nodes,
-    whether the budget stopped the search).
+    k - g (k is at least g); at k = n it is g + the free vertices, and the
+    search is greedy DSATUR, which never backs up.  Each color tried is one
+    node.  The first full coloring ends the search; entering an uncolored
+    vertex after more than `budget` nodes also ends it, leaving the partial
+    coloring of the path searched; an exhausted search leaves the free
+    vertices 0.  On return the colors are numbered back: 1..g to the given
+    colors, g + i to the i-th lowest positive number that is not given,
+    which is at most k.  Given colors that are already 1..g are searched as
+    they are.  Returns (nodes, whether the budget stopped the search).  Two
+    adjacent given vertices of one color raise ValueError, naming the first
+    such edge, before any node.
 
     The vertex entered is the uncolored one with the most distinct neighbor
     colors (its saturation), then the highest degree, then the lowest index.
@@ -166,7 +168,7 @@ def _dsatur_search(
         number = {c: i for i, c in enumerate(given, 1)}
         colors[:] = [number.get(c, 0) for c in colors]
     free = colors.count(0)
-    cap = g + (free if k is None else min(free, k - g))
+    cap = g + min(free, k - g)
     # offers[used]: the colors tried at a vertex entered with `used` placed.
     offers = [range(1, min(used + 1, cap) + 1) for used in range(cap + 1)]
     near = [0] * (cap + 1)
@@ -175,6 +177,9 @@ def _dsatur_search(
     if g:
         for v, c in enumerate(colors):
             if c:
+                if near[c] >> v & 1:  # a lower vertex of color c is a neighbor
+                    conflict = _first_conflict(graph, colors)
+                    raise ValueError(f"partial coloring is improper on edge {conflict}")
                 near[c] |= graph_adj[v]
                 uncolored ^= 1 << v
         # Each color of the partial coloring adds one to the vertices it is near.
@@ -279,7 +284,7 @@ def exact_chromatic(
         spent, stopped = _dsatur_search(graph, colors, k, node_budget - nodes)
         nodes += spent
         if stopped:  # greedy DSATUR from the proper partial coloring
-            _dsatur_search(graph, colors, None, graph.n)
+            _dsatur_search(graph, colors, graph.n, graph.n)
         if stopped or all(colors):
             chi = max(colors)
             if lower and chi < lower:
@@ -299,8 +304,9 @@ def extend_coloring(
     """Extend a partial coloring to all vertices with colors 1..k.
 
     Returns the extension, or None when the search space is exhausted
-    (proof of infeasibility).  Raises on an improper or out-of-range
-    partial, and SearchBudgetExceeded, saying how far the search got, if the
+    (proof of infeasibility).  Raises ValueError on an out-of-range
+    partial, and on an improper one, which the kernel's set-up finds before
+    any node; SearchBudgetExceeded, saying how far the search got, if the
     budget ends the search early.  A free vertex takes a given color or one
     of the lowest colors that are not given, which the kernel opens in
     ascending order, so k beyond the given colors plus the free vertices
@@ -313,9 +319,6 @@ def extend_coloring(
         if not 1 <= c <= k:
             raise ValueError(f"color {c} outside 1..{k}")
         colors[v] = c
-    conflict = _first_conflict(graph, colors)
-    if conflict:
-        raise ValueError(f"partial coloring is improper on edge {conflict}")
 
     free = colors.count(0)
     nodes, stopped = _dsatur_search(graph, colors, k, node_budget)

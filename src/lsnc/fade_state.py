@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from typing import Iterator
 
 from lsnc._numeric import cluster_complex, zeta_powers
 from lsnc.signal_set import SignalSet
@@ -207,15 +208,19 @@ def psk_singular_fade_states(m: int) -> tuple[FadeState, ...]:
     (1, 1); every k != l pair is a circle of its own.
     """
     _check_power_of_two(m)
-    states = []
-    for k, l in [(1, 1), *permutations(range(1, m // 2 + 1), 2)]:
-        r = math.sin(k * math.pi / m) / math.sin(l * math.pi / m)
-        for n in range(m):
-            theta = (2 * n + (k - l) % 2) * math.pi / m
-            states.append(
-                FadeState(value=_canon(r * complex(math.cos(theta), math.sin(theta))), k=k, l=l)
-            )
+    states = [
+        fs for k, l in [(1, 1), *permutations(range(1, m // 2 + 1), 2)] for fs in _circle(m, k, l)
+    ]
     return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
+
+
+def _circle(m: int, k: int, l: int) -> Iterator[FadeState]:
+    """The states n = 0, 1, ..., M-1 of the (k, l) circle: radius
+    sin(k*pi/M)/sin(l*pi/M), phase (2n + (k - l) mod 2)*pi/M."""
+    r = math.sin(k * math.pi / m) / math.sin(l * math.pi / m)
+    for n in range(m):
+        theta = (2 * n + (k - l) % 2) * math.pi / m
+        yield FadeState(value=_canon(r * complex(math.cos(theta), math.sin(theta))), k=k, l=l)
 
 
 def check_construction_order(m: int) -> None:
@@ -234,18 +239,14 @@ def check_closed_form(m: int, k: int, l: int) -> None:
 
 
 def psk_representative(m: int, k: int, l: int) -> FadeState:
-    """The per-circle representative sin(k*pi/M)/sin(l*pi/M), rotated by
-    e^{j*pi/M} when k and l have opposite parity."""
+    """The per-circle representative, the n = 0 state of the (k, l) circle:
+    sin(k*pi/M)/sin(l*pi/M), rotated by e^{j*pi/M} when k - l is odd."""
     _check_power_of_two(m)
     if not (1 <= k <= m // 2 and 1 <= l <= m // 2):
         raise ValueError(f"need 1 <= k,l <= M/2, got ({k},{l})")
     if k == l:
         raise ValueError("the k = l circle has no representative (radius-1 circle)")
-    r = math.sin(k * math.pi / m) / math.sin(l * math.pi / m)
-    v = complex(r, 0)
-    if (k - l) % 2:
-        v *= complex(math.cos(math.pi / m), math.sin(math.pi / m))
-    return FadeState(value=_canon(v), k=k, l=l)
+    return next(_circle(m, k, l))
 
 
 def psk_representatives(m: int) -> tuple[FadeState, ...]:

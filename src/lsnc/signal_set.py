@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from lsnc._numeric import GUARD_TOL, MERGE_TOL
+from lsnc._numeric import GUARD_TOL
 
 __all__ = ["SignalSet", "make_psk", "make_square_qam", "make_pam", "make_custom", "from_spec"]
 
@@ -32,19 +32,6 @@ class SignalSet:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def point(self, label: int) -> complex:
-        """Point for a 1-indexed label."""
-        if not 1 <= label <= len(self.points):
-            raise ValueError(f"label {label} out of range 1..{len(self.points)}")
-        return self.points[label - 1]
-
-    def label_of(self, point: complex) -> int:
-        """1-indexed label of the point within MERGE_TOL of `point`."""
-        for i, p in enumerate(self.points):
-            if abs(p - point) <= MERGE_TOL:
-                return i + 1
-        raise ValueError(f"{point!r} is not a constellation point")
 
 
 def _check_distinct(points: tuple[complex, ...]) -> None:

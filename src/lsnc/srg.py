@@ -164,20 +164,21 @@ QAM_CLIQUE_STATES = (
 
 
 def _label_perm(s_set: SignalSet, f) -> dict[int, int]:
-    return {
-        lab: s_set.label_of(f(s_set.point(lab))) for lab in range(1, s_set.size + 1)
-    }
+    """label -> label of the point that f maps its point to, f acting on
+    the integer (x, y) coordinates of `s_set.exact_points`."""
+    label = {p: lab for lab, p in enumerate(s_set.exact_points, 1)}
+    return {lab: label[f(*p)] for lab, p in enumerate(s_set.exact_points, 1)}
 
 
-def qam_clique_certificate(m: int, s: complex = -1 - 1j) -> tuple[int, ...]:
+def qam_clique_certificate(m: int, s: complex) -> tuple[int, ...]:
     """An (M+1)-clique in the removal graph of square M-QAM at s.
 
     For s = -1-j the clique is the M blocks meeting row sqrt(M)+2 plus the
     block of cell (2, (M-sqrt(M)+2)/2); the other seven states of
     QAM_CLIQUE_STATES reuse it through the symmetry that carries -1-j
-    there.  Pairwise adjacency is checked; a failure raises
-    CertificateMismatchError.  Certifies chi >= M+1, i.e. these states cost
-    at least one extra symbol.
+    there, its labels permuted exactly on the integer points.  Pairwise
+    adjacency is checked; a failure raises CertificateMismatchError.
+    Certifies chi >= M+1, i.e. these states cost at least one extra symbol.
     """
     s_set = make_square_qam(m)
     side = math.isqrt(m)
@@ -185,8 +186,8 @@ def qam_clique_certificate(m: int, s: complex = -1 - 1j) -> tuple[int, ...]:
 
     # The eight (conjugate, negate column, transpose) choices, applied in
     # that order, carry -1-j onto the eight states; the cells move with it.
-    conj = _label_perm(s_set, lambda p: p.conjugate())
-    neg = _label_perm(s_set, lambda p: -p)
+    conj = _label_perm(s_set, lambda x, y: (x, -y))
+    neg = _label_perm(s_set, lambda x, y: (-x, -y))
     for do_conj, do_neg, do_transpose in itertools.product((False, True), repeat=3):
         t, moved = -1 - 1j, cells
         if do_conj:

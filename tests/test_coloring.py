@@ -83,9 +83,9 @@ def random_graph(n, p, seed):
 
 def greedy_from(graph, partial):
     """Greedy DSATUR keeping the nonzero colors of `partial`: the kernel
-    with no color cap, which never backtracks."""
+    at k = n, which never backtracks."""
     colors = list(partial)
-    coloring._dsatur_search(graph, colors, None, graph.n)
+    coloring._dsatur_search(graph, colors, graph.n, graph.n)
     return tuple(colors)
 
 
@@ -106,6 +106,32 @@ def test_greedy_is_always_proper():
         filled = greedy_from(g, partial)
         assert verify_proper(g, Coloring(filled))
         assert all(f == c for f, c in zip(filled, partial) if c)
+
+
+def test_greedy_colorings_are_pinned(qam16):
+    # Greedy DSATUR on every 16-QAM removal graph, and on seeded random
+    # graphs from nothing and from part of that coloring with its colors
+    # spread out: the colorings are those of the kernel's former greedy
+    # mode with no color cap, which k = n replaced.
+    def hashed(colorings):
+        text = "".join(",".join(map(str, colors)) + "\n" for colors in colorings)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    states = enumerate_singular_fade_states(qam16)
+    graphs = [build_srg(build_constraints(qam16, fs.value)) for fs in states]
+    assert len(graphs) == 388
+    assert hashed(greedy_from(g, [0] * g.n) for g in graphs) == (
+        "edf438076314a39fadea9d5f50b77602906e74c05470d6ba510e81bfdb51db6c"
+    )
+    colorings = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 40)
+        g = random_graph(n, rng.random(), seed)
+        colorings.append(greedy_from(g, [0] * n))
+        partial = [c * 7 if rng.random() < 0.3 else 0 for c in colorings[-1]]
+        colorings.append(greedy_from(g, partial))
+    assert hashed(colorings) == "b0664131acee4b535b70b4dbdd91832283ce490a7ee45d0f2cf0fab5f4896bba"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -369,11 +395,47 @@ class TestExtendColoring:
         for v, c in partial.items():
             assert col.colors[v] == c
 
-    def test_improper_partial_is_rejected(self):
-        # both endpoints of one edge pinned to the same color
+    def test_improper_partial_is_rejected(self, monkeypatch):
+        # Edges 0-5 and 1-2 both join one color: the message names the first
+        # edge in row-major order, (0, 5), though the kernel's set-up, which
+        # walks the vertices in order, meets 1-2 first.  The set-up raises
+        # it, so the kernel returns no node count, whatever the budget.
+        g = RemovalGraph.from_lines(6, [(0, 5), (1, 2), (3, 4)])
+        calls = []
+        kernel = coloring._dsatur_search
+
+        def spy(*args):
+            calls.append("entered")
+            calls.append(kernel(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(coloring, "_dsatur_search", spy)
+        for budget in (0, 10**6):
+            calls.clear()
+            with pytest.raises(ValueError, match=r"^partial coloring is improper on edge \(0, 5\)$"):
+                extend_coloring(g, {0: 1, 5: 1, 1: 2, 2: 2, 3: 1}, 3, node_budget=budget)
+            assert calls == ["entered"]
+
+    def test_range_errors_come_before_the_improper_check(self):
         g = cycle(4)
-        with pytest.raises(ValueError):
-            extend_coloring(g, {0: 1, 1: 1}, 3)
+        with pytest.raises(ValueError, match=r"^color 9 outside 1\.\.3$"):
+            extend_coloring(g, {0: 1, 1: 1, 2: 9}, 3, node_budget=0)
+        with pytest.raises(ValueError, match=r"^vertex 7 out of range$"):
+            extend_coloring(g, {0: 1, 1: 1, 7: 1}, 3, node_budget=0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_improper_partial_message_matches_the_first_edge(self, seed):
+        # A random partial coloring with at least one monochromatic edge:
+        # the message names the least such edge (u, v), u < v.
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(4, 30), rng.choice([0.3, 0.5, 0.8]), seed)
+        partial = {v: rng.randint(1, 3) for v in range(g.n) if rng.random() < 0.6}
+        u, v = rng.choice(g.edges())
+        partial[u] = partial[v] = 2
+        first = min((a, b) for a, b in g.edges() if partial.get(a, 0) == partial.get(b, -1))
+        with pytest.raises(ValueError) as info:
+            extend_coloring(g, partial, 3, node_budget=0)
+        assert str(info.value) == f"partial coloring is improper on edge {first}"
 
     def test_too_few_colors_returns_none(self):
         assert extend_coloring(complete_graph(4), {0: 1}, 3) is None
@@ -589,7 +651,7 @@ def reference_search(graph, colors, k, budget):
     given = sorted(set(colors) - {0})
     g = len(given)
     free = colors.count(0)
-    cap = g + (free if k is None else min(free, k - g))
+    cap = g + min(free, k - g)
     inner = [given.index(c) + 1 if c else 0 for c in colors]
     nodes, stopped = scan_dsatur_search(
         graph, inner, cap, lambda used, _: range(1, min(used + 1, cap) + 1), lambda _: True, budget
@@ -604,7 +666,7 @@ def assert_matches_reference(graph, colors, ks, budgets):
     the same colors, at each k and budget."""
     for k in ks:
         # A k below the given colors is rejected by every caller.
-        k = k if k is None else max(k, len(set(colors) - {0}))
+        k = max(k, len(set(colors) - {0}))
         for budget in budgets:
             new, ref = list(colors), list(colors)
             assert (coloring._dsatur_search(graph, new, k, budget), new) == (
@@ -612,9 +674,9 @@ def assert_matches_reference(graph, colors, ks, budgets):
             )
 
 
-# The color cap of each case: none (greedy), four, and five, at which the
-# kernel's decision is also checked against a search that offers all five
-# colors at every vertex, the least used first.
+# The color cap of each case: the vertex count (None, greedy), four, and
+# five, at which the kernel's decision is also checked against a search that
+# offers all five colors at every vertex, the least used first.
 CAPS = {"greedy": None, "four": 4, "least-used": 5}
 
 
@@ -627,7 +689,8 @@ def test_kernel_matches_scanning_reference(seed, order):
     if seed % 2:  # pin a proper partial coloring on about a third of the vertices
         greedy = exact_chromatic(graph, node_budget=0).coloring.colors
         precolored = [c if rng.random() < 0.35 else 0 for c in greedy]
-    assert_matches_reference(graph, precolored, [CAPS[order]], (0, 3, 40, 3000, 10**6))
+    k = CAPS[order] or graph.n
+    assert_matches_reference(graph, precolored, [k], (0, 3, 40, 3000, 10**6))
     if order == "least-used" and max(precolored, default=0) <= 5:
         # Offering all five colors at every vertex, the least used first,
         # breaks no symmetry and decides the same.
@@ -649,7 +712,7 @@ def test_kernel_matches_scanning_reference_on_qam16(qam16, fade, row1):
     if row1:
         for c in range(1, 17):
             precolored[part.block_of((1, c))] = c
-    assert_matches_reference(graph, precolored, (None, 16, 17), (300,))
+    assert_matches_reference(graph, precolored, (graph.n, 16, 17), (300,))
 
 
 @pytest.mark.parametrize("pinned", [False, True], ids=["empty", "pinned"])
@@ -662,7 +725,7 @@ def test_kernel_matches_scanning_reference_across_plane_boundaries(n, pinned):
     # began.  Budgets of n // 2 stop it halfway up.
     graph = complete_graph(n)
     precolored = [v + 1 if pinned and v < n // 2 else 0 for v in range(n)]
-    assert_matches_reference(graph, precolored, (None, n - 1, n), (n // 2, 10**6))
+    assert_matches_reference(graph, precolored, (n - 1, n), (n // 2, 10**6))
 
 
 # Groetzsch's graph: C5 (0..4), a shadow 5 + i of each i joined to i's
@@ -720,7 +783,7 @@ def test_kernel_caps_planes_at_the_palette():
     # extension is refuted.
     graph = RemovalGraph.from_lines(42, [(0, v) for v in range(1, 41)] + [(0, 41)])
     precolored = [0] + [1 + v % 4 for v in range(40)] + [0]
-    assert_matches_reference(graph, precolored, (4, 5, None), (1, 10**6))
+    assert_matches_reference(graph, precolored, (4, 5, graph.n), (1, 10**6))
     assert extend_coloring(graph, dict(enumerate(precolored[1:41], 1)), 4) is None
     assert extend_coloring(graph, dict(enumerate(precolored[1:41], 1)), 5).colors[0] == 5
 
@@ -744,7 +807,7 @@ def test_greedy_keeps_given_colors_above_the_max_degree(graph, partial, expected
     # given color its neighbors leave free before it opens a new one.
     assert greedy_from(graph, partial) == expected
     ref = list(partial)
-    reference_search(graph, ref, None, graph.n)
+    reference_search(graph, ref, graph.n, graph.n)
     assert tuple(ref) == expected
 
 
@@ -753,7 +816,7 @@ def test_kernel_with_more_given_colors_than_levels():
     # reach uncolored vertices, but degree 1 allows only three levels.
     graph = RemovalGraph.from_lines(12, [(2 * i, 2 * i + 1) for i in range(6)])
     precolored = [0 if v % 2 else v // 2 + 1 for v in range(12)]
-    assert_matches_reference(graph, precolored, (None, 6, 7), (3, 10**6))
+    assert_matches_reference(graph, precolored, (graph.n, 6, 7), (3, 10**6))
 
 
 @pytest.mark.parametrize("budget", [0, 5, 60, 10**6])

@@ -49,7 +49,7 @@ def brute_blocks(signal, s):
     """Group S x S cells by the clustered value of x_A + s*x_B."""
     m = signal.size
     cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
-    vals = [signal.point(r) + s * signal.point(c) for r, c in cells]
+    vals = [signal.points[r - 1] + s * signal.points[c - 1] for r, c in cells]
     return {
         frozenset(cells[i] for i in grp) for grp in cluster_complex(vals)
     }

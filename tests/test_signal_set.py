@@ -15,8 +15,8 @@ def test_psk_points_on_unit_circle(psk8):
     for p in psk8.points:
         assert abs(abs(p) - 1) < 1e-12
     # symmetric convention: labels start at e^{j pi/M} and step by 2pi/M
-    assert psk8.point(1) == pytest.approx(cmath.exp(1j * cmath.pi / 8))
-    assert psk8.point(2) == pytest.approx(cmath.exp(3j * cmath.pi / 8))
+    assert psk8.points[0] == pytest.approx(cmath.exp(1j * cmath.pi / 8))
+    assert psk8.points[1] == pytest.approx(cmath.exp(3j * cmath.pi / 8))
 
 
 def test_psk_rejects_too_few_points():
@@ -43,13 +43,10 @@ def test_pam_is_real(pam4):
 
 
 def test_label_roundtrip(qam4):
-    for lab in range(1, 5):
-        assert qam4.label_of(qam4.point(lab)) == lab
-
-
-def test_label_of_unknown_point_raises(qam4):
-    with pytest.raises(ValueError):
-        qam4.label_of(17 + 0j)
+    # Label i names the same point in the float and the exact coordinates.
+    label = {p: lab for lab, p in enumerate(qam4.exact_points, 1)}
+    for lab, p in enumerate(qam4.points, 1):
+        assert label[int(p.real), int(p.imag)] == lab
 
 
 def test_custom_rejects_duplicates():
@@ -83,4 +80,4 @@ def test_from_spec_custom_file(tmp_path):
 def test_psk_points_are_odd_roots_of_unity(psk16):
     for lab in range(1, 17):
         expected = cmath.exp(1j * (2 * lab - 1) * cmath.pi / 16)
-        assert psk16.point(lab) == pytest.approx(expected)
+        assert psk16.points[lab - 1] == pytest.approx(expected)

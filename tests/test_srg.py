@@ -22,6 +22,7 @@ from lsnc import (
     vital_subgraph,
 )
 from lsnc import coloring, srg
+from lsnc._numeric import MERGE_TOL
 from lsnc.constraint import ConstraintPartition
 from lsnc.errors import CertificateMismatchError
 from lsnc.latin import Grid
@@ -382,8 +383,28 @@ class TestQamClique:
                 assert graph.adj[u] >> v & 1
 
     def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError, match="^no clique certificate at fade state"):
-            qam_clique_certificate(4, 2 + 3j)
+        for s, text in [(0, "0"), (0.3j, "0.3j"), (float("nan"), "nan"), (2 + 3j, "(2+3j)")]:
+            with pytest.raises(ValueError) as info:
+                qam_clique_certificate(4, s)
+            assert str(info.value) == f"no clique certificate at fade state {text}"
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_exact_label_perms_match_the_float_lookup(self, m):
+        # The clique moves by label permutations found on the integer
+        # points; the lookup on the float points they replace is the oracle.
+        s_set = make_square_qam(m)
+
+        def float_perm(f):
+            def label_of(point):
+                [lab] = [i for i, p in enumerate(s_set.points, 1) if abs(p - point) <= MERGE_TOL]
+                return lab
+
+            return {lab: label_of(f(p)) for lab, p in enumerate(s_set.points, 1)}
+
+        conj = srg._label_perm(s_set, lambda x, y: (x, -y))
+        neg = srg._label_perm(s_set, lambda x, y: (-x, -y))
+        assert conj == float_perm(complex.conjugate) and neg == float_perm(lambda p: -p)
+        assert sorted(conj.values()) == sorted(neg.values()) == list(range(1, m + 1))
 
     def test_cliques_match_golden_hash(self):
         # Taken from the conj/neg/transpose chain the symmetry loop replaced.
