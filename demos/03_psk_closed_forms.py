@@ -7,6 +7,16 @@ backtracking, and row 1's M distinct blocks certify that M symbols is
 optimal.
 """
 
+import cmath
+
+from lsnc import (
+    build_constraints,
+    column_rotate,
+    make_psk,
+    psk_representative,
+    transpose,
+    verify_removes,
+)
 from lsnc.cli import render_grid
 from lsnc.psk_construct import classify, remove_all_psk
 
@@ -27,6 +37,18 @@ print()
 k, l = 1, 3
 print(f"=== the (k={k}, l={l}) square, built from its vital coloring ===")
 print(render_grid(squares[(k, l)]))
+
+print()
+print("One square serves its whole circle and the inverse circle:")
+signal, s = make_psk(m), psk_representative(m, k, l).value
+turns = [
+    verify_removes(column_rotate(squares[(k, l)], n),
+                   build_constraints(signal, s * cmath.exp(2j * cmath.pi * n / m)))
+    for n in range(m)
+]
+print(f"  columns rotated by n remove s*e^(2j*pi*n/{m}): {sum(turns)} of {m} states")
+inverse = verify_removes(transpose(squares[(k, l)]), build_constraints(signal, 1 / s))
+print(f"  the transpose removes 1/s, on the (k={l}, l={k}) circle: {inverse}")
 
 print()
 print("The same construction scales; 16-PSK has 56 representatives:")

@@ -13,6 +13,7 @@ from lsnc import (
     Coloring,
     build_constraints,
     build_srg,
+    candidate_cells,
     complete_rows_hall,
     extend_coloring,
     find_sdr,
@@ -45,6 +46,8 @@ pls = load_grid("interchange_pls")
 print(render_grid(pls))
 print("exchanging the roles of symbol and row gives a rectangle problem:")
 print(render_grid(interchange_symbol_row(pls)))
+print(f"symbol 3 may still go in {candidate_cells(pls, 3)}:")
+print("filling rectangle row 3 picks one of them in each row and each column.")
 
 print("=== 4. a tempting start that cannot be finished ===")
 signal = make_custom(load_points("qam8_rect_points"))

@@ -6,6 +6,9 @@ grid "removes" a fade state when every multi-cell constraint block of that
 state's partition is filled with a single common symbol.  Grids complete
 here by matchings; completion by search is coloring extension on the rook
 graph, `lsnc.coloring.generic_complete`.
+
+`interchange_symbol_row` and `complete_rows_hall` wrap `interchange_rows`
+and `complete_rows`, which `lsnc.psk_construct` runs on plain lists.
 """
 from __future__ import annotations
 
@@ -132,18 +135,23 @@ def interchange_symbol_row(grid: Grid) -> Grid:
     Latin grid with symbols <= M), and is an involution on complete Latin
     Squares.
     """
-    m = grid.m
-    rows = [[0] * m for _ in range(m)]
-    for r, row in enumerate(grid.rows, 1):
-        for c, s in enumerate(row, 1):
+    return Grid.from_lists(interchange_rows(grid.rows))
+
+
+def interchange_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """`interchange_symbol_row` on plain rows, into new lists."""
+    m = len(rows)
+    out = [[0] * m for _ in range(m)]
+    for r, row in enumerate(rows, 1):
+        for c, s in enumerate(row):
             if not s:
                 continue
             if s > m:
                 raise ValueError(f"symbol {s} exceeds grid order {m}")
-            if rows[s - 1][c - 1]:
-                raise ValueError(f"symbol {s} repeats in column {c}")
-            rows[s - 1][c - 1] = r
-    return Grid.from_lists(rows)
+            if out[s - 1][c]:
+                raise ValueError(f"symbol {s} repeats in column {c + 1}")
+            out[s - 1][c] = r
+    return out
 
 
 def candidate_cells(grid: Grid, symbol: int) -> list[tuple[int, int]]:
@@ -283,20 +291,23 @@ def complete_rows_hall(grid: Grid) -> Grid:
     Each row is one `_kuhn` matching of columns to their missing symbols:
     column c (from 1) first takes its lowest missing symbol numbered c or
     above, else its lowest missing one, and augmenting paths match the
-    rest.  A
-    Latin rectangle always has such a matching (Hall); input that is not
-    one raises ValueError."""
-    m = grid.m
+    rest.  A Latin rectangle always has such a matching (Hall); input that
+    is not one raises ValueError."""
+    rows = grid.to_lists()
+    complete_rows(rows)
+    return Grid.from_lists(rows)
+
+
+def complete_rows(rows: list[list[int]]) -> None:
+    """`complete_rows_hall` on plain rows, in place."""
+    m = len(rows)
     r = 0
     full = set(range(1, m + 1))
-    while r < m and set(grid.rows[r]) == full:
+    while r < m and set(rows[r]) == full:
         r += 1
     for i in range(r, m):
-        if any(grid.rows[i]):
+        if any(rows[i]):
             raise ValueError(f"row {i + 1} is neither complete nor empty")
-    if grid.symbols() - full:
-        raise ValueError("rectangle must use symbols 1..M")
-    rows = [list(row) for row in grid.rows]
     # free[c]: bit s-1 is set while symbol s is still missing from column c
     free = [(1 << m) - 1] * m
     for row in rows[:r]:
@@ -313,7 +324,6 @@ def complete_rows_hall(grid: Grid) -> Grid:
         for s, c in enumerate(match, 1):
             rows[i][c] = s
             free[c] &= ~(1 << (s - 1))
-    out = Grid.from_lists(rows)
-    if not verify_latin(out):
+    # A symbol met twice in a column leaves another one's bit set there.
+    if any(free):
         raise CompletionError("row extension produced a non-Latin grid")
-    return out

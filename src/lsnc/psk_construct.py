@@ -3,19 +3,21 @@
 Each representative fade state (k, l) classifies into one of six cases by
 the 2-adic structure of k and l.  The vital subgraph gets a fixed 4- or
 8-coloring, and `removal_square` copies the resulting partial grid once
-into one working list of rows.  Every closed-form step writes into those
-rows in place.  BothOdd and SamePower fill the empty diagonals with fresh
-symbols.  The other cases top up one (Sin) or two (DiffPower, Mixed)
-cells per row, each with the one symbol of 1..4, or 5..8 for the second
-cell of a pair, that its row and column lack, and then take the
-symbol/row interchange + SDR + Latin-rectangle route, which builds five
-validated `Grid`s for the `lsnc.latin` helpers.  The case is dispatched
-once, so the steps do not re-check it.  Every step checks the claims the
-construction relies on and raises CompletionError when one fails.
+into plain rows.  BothOdd and SamePower fill the empty diagonals with fresh
+symbols.  The other cases top up one (Sin) or two (DiffPower, Mixed) cells
+per row, each with the one symbol of 1..4, or 5..8 for the second cell of
+a pair, that its row and column lack, and take the symbol/row interchange
++ SDR + Latin-rectangle route on lists.  Their writes go to one working
+grid, whose row and column symbol masks answer each check in O(1).  A
+square validates two `Grid`s, the vital one and the finished one: 480 in
+an M = 32 sweep (cProfile).  The case is dispatched once, so the steps do
+not re-check it.  Every step checks the claims the construction relies on
+and raises CompletionError when one fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from lsnc.coloring import Coloring
 from lsnc.constraint import (
@@ -28,15 +30,14 @@ from lsnc.errors import CompletionError
 from lsnc.fade_state import check_closed_form, check_construction_order, psk_representatives
 from lsnc.latin import (
     Grid,
-    candidate_cells,
-    column_rotate,
-    complete_rows_hall,
+    complete_rows,
     find_sdr,
-    interchange_symbol_row,
-    transpose,
+    interchange_rows,
     verify_latin,
     verify_removes,
 )
+# Not called here: perfbench looks these names up on this module to trace them.
+from lsnc.latin import candidate_cells, complete_rows_hall, interchange_symbol_row  # noqa: F401
 from lsnc.signal_set import make_psk
 
 __all__ = [
@@ -172,9 +173,33 @@ def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
     return grid, part, coloring
 
 
-def _diagonal_complete(rows: list[list[int]]) -> Grid:
+# A working grid: rows, and a symbol bitmask per row and per column with bit s
+# set while s is in the line (bit 0 while a cell is empty; no check reads it).
+Working = tuple[list[list[int]], list[int], list[int]]
+
+
+def _working(rows: list[list[int]]) -> Working:
+    def symbols(line: Sequence[int]) -> int:
+        return sum(map((1).__lshift__, set(line)))
+
+    return rows, list(map(symbols, rows)), list(map(symbols, zip(*rows)))
+
+
+def _fill_cell(work: Working, r: int, c: int, sym: int) -> None:
+    rows, row_syms, col_syms = work
+    if rows[r - 1][c - 1]:
+        raise CompletionError(f"fill target {(r, c)} is not empty")
+    bit = 1 << sym
+    if (row_syms[r - 1] | col_syms[c - 1]) & bit:
+        raise CompletionError(f"symbol {sym} conflicts at {(r, c)}")
+    rows[r - 1][c - 1] = sym
+    row_syms[r - 1] |= bit
+    col_syms[c - 1] |= bit
+
+
+def _diagonal_complete(rows: list[list[int]]) -> None:
     """Fill the M-4 empty wrap-around diagonals of a 4-symbol partial grid
-    with fresh symbols, in place, and return the finished square.
+    with fresh symbols, in place, and check the finished square.
 
     The empty cells must be invariant under the shift (r, c) -> (r+1, c+1):
     the diagonal through (1, c) is filled with one new symbol.  Anything else
@@ -195,56 +220,55 @@ def _diagonal_complete(rows: list[list[int]]) -> Grid:
                     f"empty cells are not diagonal-shift invariant at {(r + 1, cc + 1)}"
                 )
             row[cc] = sym
-    square = Grid.from_lists(rows)
-    if not square.is_complete() or not verify_latin(square):
+    # A line holds each of 1..M exactly when its mask is bits 1..M.
+    _, row_syms, col_syms = _working(rows)
+    if set(row_syms + col_syms) != {(1 << (m + 1)) - 2}:
         raise CompletionError("diagonal completion produced an invalid square")
-    return square
 
 
-def _fill_cell(rows: list[list[int]], r: int, c: int, sym: int) -> None:
-    if rows[r - 1][c - 1]:
-        raise CompletionError(f"fill target {(r, c)} is not empty")
-    if sym in rows[r - 1] or sym in [row[c - 1] for row in rows]:
-        raise CompletionError(f"symbol {sym} conflicts at {(r, c)}")
-    rows[r - 1][c - 1] = sym
-
-
-def _rectangle_complete(rows: list[list[int]], n_rect: int) -> Grid:
+def _rectangle_complete(work: Working, n_rect: int) -> list[list[int]]:
     """Interchange symbol/row, finish the n_rect-row rectangle via an SDR,
-    extend to a Latin Square, and interchange back."""
-    m = len(rows)
-    l1 = Grid.from_lists(rows)
-    rect = interchange_symbol_row(l1).to_lists()
-    # Rectangle row r may take symbol j at (r, c) exactly when cell (j, c)
-    # of l1 may take symbol r, so only the n_rect rectangle rows are scanned.
-    by_sym: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(m + 1)]
-    for r in range(1, n_rect + 1):
-        for j, c in candidate_cells(l1, r):
-            by_sym[j].setdefault(r, []).append((r, c))
+    extend to a Latin Square, and interchange back; returns its rows.
+
+    Rectangle cell (r, c) holds symbol j exactly when working cell (j, c)
+    holds r, so the SDR family is read off the working grid's masks and
+    each rectangle fill is written there, before the one interchange.
+    """
+    rows, row_syms, col_syms = work
     family: list[list[tuple[int, int]]] = []
     fill_syms: list[int] = []
-    for j in range(1, m + 1):
-        by_row = by_sym[j]
-        missing = [r for r in range(1, n_rect + 1) if j not in rect[r - 1]]
-        if sorted(by_row) != missing:
-            raise CompletionError(
-                f"symbol {j} has no admissible cell in a row that lacks it"
-            )
-        for r in missing:
-            family.append(by_row[r])
+    for j, (row, have) in enumerate(zip(rows, row_syms), 1):
+        empty = [c for c, v in enumerate(row, 1) if not v]
+        for r in range(1, n_rect + 1):
+            if have >> r & 1:
+                continue
+            cells = [(r, c) for c in empty if not col_syms[c - 1] >> r & 1]
+            if not cells:
+                raise CompletionError(
+                    f"symbol {j} has no admissible cell in a row that lacks it"
+                )
+            family.append(cells)
             fill_syms.append(j)
     sdr = find_sdr(family)
     if not sdr.ok:
         raise CompletionError(f"no SDR; Hall violator {sdr.violating}")
     for (r, c), j in zip(sdr.representatives, fill_syms):
-        _fill_cell(rect, r, c, j)
+        # Rectangle cell (r, c) is filled while column c holds r; rectangle
+        # row r holds j while row j holds r, and column c while (j, c) is filled.
+        if col_syms[c - 1] >> r & 1:
+            raise CompletionError(f"fill target {(r, c)} is not empty")
+        if row_syms[j - 1] >> r & 1 or rows[j - 1][c - 1]:
+            raise CompletionError(f"symbol {j} conflicts at {(r, c)}")
+        _fill_cell(work, j, c, r)
+    rect = interchange_rows(rows)
     for r in range(n_rect):
         if 0 in rect[r]:
             raise CompletionError(f"rectangle row {r + 1} still has empty cells")
-    return interchange_symbol_row(complete_rows_hall(Grid.from_lists(rect)))
+    complete_rows(rect)
+    return interchange_rows(rect)
 
 
-def _top_up(rows: list[list[int]], case: PskCase) -> int:
+def _top_up(work: Working, case: PskCase) -> int:
     """Fill the closed-form top-up cells of a Sin, DiffPower or Mixed
     partial grid in place and return the rectangle height, 4 or 8.
 
@@ -254,6 +278,7 @@ def _top_up(rows: list[list[int]], case: PskCase) -> int:
     5..8 for the second cell of a pair, that its row and column lack.
     """
     m, k = case.m, case.bk
+    _, row_syms, col_syms = work
     if case.tag in (SIN_ODD, SIN_EVEN):
         d = m // 4 + ((k - 1) // 2 if k % 2 else k // 2 - (1 << _val2(k)))
         cells = [(i + 1, (i - d) % m + 1, range(1, 5)) for i in range(m)]
@@ -262,13 +287,13 @@ def _top_up(rows: list[list[int]], case: PskCase) -> int:
         cells = [(i + 1, (i - d1) % m + 1, range(1, 5)) for i in range(m)]
         cells += [(i + 1, (i + m // 2 - d2) % m + 1, range(5, 9)) for i in range(m)]
     for r, c, syms in cells:
-        present = set(rows[r - 1]) | {row[c - 1] for row in rows}
-        absent = [s for s in syms if s not in present]
+        present = row_syms[r - 1] | col_syms[c - 1]
+        absent = [s for s in syms if not present >> s & 1]
         if len(absent) != 1:
             raise CompletionError(
                 f"cell {(r, c)} admits {len(absent)} symbols of {syms}, expected 1"
             )
-        _fill_cell(rows, r, c, absent[0])
+        _fill_cell(work, r, c, absent[0])
     return syms.stop - 1  # the largest symbol placed
 
 
@@ -277,14 +302,15 @@ def removal_square(m: int, k: int, l: int) -> Grid:
     case = classify(m, k, l)
     rows = vital_pfls(case)[0].to_lists()
     if case.tag in (BOTH_ODD, SAME_POWER):
-        square = _diagonal_complete(rows)
+        _diagonal_complete(rows)
     else:
-        square = _rectangle_complete(rows, _top_up(rows, case))
+        work = _working(rows)
+        rows = _rectangle_complete(work, _top_up(work, case))
     if case.transposed:
-        square = transpose(square)
+        rows = list(zip(*rows))
     if case.rotate:
-        square = column_rotate(square, case.rotate)
-    return square
+        rows = [row[case.rotate:] + row[:case.rotate] for row in rows]
+    return Grid.from_lists(rows)
 
 
 def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:

@@ -27,7 +27,7 @@ from lsnc import (
 )
 from lsnc import coloring
 from lsnc.errors import CompletionError, SearchBudgetExceeded
-from lsnc.latin import _kuhn
+from lsnc.latin import _kuhn, interchange_rows
 
 from conftest import with_cell, xor_square
 from test_coloring import reference_search
@@ -185,6 +185,15 @@ class TestTransforms:
     def test_interchange_rejects_oversized_symbols(self):
         with pytest.raises(ValueError):
             interchange_symbol_row(Grid.from_lists([[3, 0], [0, 0]]))
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [([[1, 0], [1, 0]], "symbol 1 repeats in column 1"),
+         ([[0, 0], [0, 3]], "symbol 3 exceeds grid order 2")],
+    )
+    def test_interchange_rows_rejects_what_no_rectangle_holds(self, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            interchange_rows(rows)
 
 
 class TestSdr:

@@ -9,9 +9,12 @@ from lsnc import (
     build_constraints,
     build_srg,
     constrained_pls,
+    exact_chromatic,
+    from_coloring,
     psk_constraints_closed_form,
     psk_representative,
     psk_representatives,
+    psk_singular_fade_states,
     verify_latin,
     verify_proper,
     verify_removes,
@@ -21,7 +24,7 @@ from lsnc.constraint import ConstraintPartition
 from lsnc.errors import CompletionError
 from lsnc.fixtures import load_grid
 from lsnc.gridio import dumps_grid
-from lsnc.latin import Grid
+from lsnc.latin import Grid, SdrResult
 from lsnc.psk_construct import (
     BOTH_ODD,
     DIFF_POWER,
@@ -33,6 +36,7 @@ from lsnc.psk_construct import (
     _fill_cell,
     _rectangle_complete,
     _top_up,
+    _working,
     classify,
     remove_all_psk,
     removal_square,
@@ -107,7 +111,7 @@ def test_vital_pfls_matches_worked_example():
 def topped_up(case):
     """The vital partial grid of `case` after its closed-form top-up."""
     rows = vital_pfls(case)[0].to_lists()
-    _top_up(rows, case)
+    _top_up(_working(rows), case)
     return Grid.from_lists(rows)
 
 
@@ -170,6 +174,18 @@ def test_removal_square_verifies(m, k, l, request):
     assert grid.symbol_count == m
 
 
+def test_removal_square_validates_two_grids(monkeypatch):
+    # The vital partial grid and the finished square; every step between
+    # them works on plain rows.
+    built = []
+    validate = Grid.__post_init__
+    monkeypatch.setattr(Grid, "__post_init__", lambda grid: built.append(validate(grid)))
+    reps = psk_representatives(16)
+    for fs in reps:
+        removal_square(16, fs.k, fs.l)
+    assert len(built) == 2 * len(reps)
+
+
 def test_deterministic_cases_reproduce_printed_squares():
     # diagonal-style completions are canonical; Hall-matching ones need not be
     assert removal_square(8, 1, 3) == load_grid("psk8_k1_l3_ls")
@@ -188,6 +204,22 @@ def test_remove_all_covers_every_representative():
 def test_sixteen_psk_sweep_is_clean():
     squares = remove_all_psk(16)
     assert len(squares) == 56
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_unit_circle_states_are_settled_by_search(m, request):
+    # No closed form covers the k = l circle; a small search proves chi = M
+    # at each of its M states.
+    signal = request.getfixturevalue(f"psk{m}")
+    circle = [fs for fs in psk_singular_fade_states(m) if fs.k == fs.l]
+    assert len(circle) == m
+    for fs in circle:
+        part = build_constraints(signal, fs)
+        result = exact_chromatic(build_srg(part), node_budget=20_000)
+        assert result.optimal and result.chi == m, fs
+        grid = from_coloring(part, result.coloring)
+        assert grid.is_complete() and verify_latin(grid) and grid.symbol_count == m
+        assert verify_removes(grid, part)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -247,7 +279,9 @@ def diagonal_rows(m=8):
 
 
 def test_diagonal_fill_completes_shift_invariant_rows():
-    square = _diagonal_complete(diagonal_rows())
+    rows = diagonal_rows()
+    _diagonal_complete(rows)
+    square = Grid.from_lists(rows)
     assert square.is_complete() and verify_latin(square) and square.symbol_count == 8
 
 
@@ -282,7 +316,7 @@ def test_diagonal_fill_guards(cell, sym, message):
 def test_fill_cell_guards(r, c, sym, message):
     rows = [[1, 0], [0, 0]]
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _fill_cell(rows, r, c, sym)
+        _fill_cell(_working(rows), r, c, sym)
     assert rows == [[1, 0], [0, 0]]
 
 
@@ -291,14 +325,14 @@ def test_pair_top_up_needs_one_absent_symbol(row0, admits):
     case = classify(8, 1, 2)  # Mixed: row i's first top-up cell is (i+1, i+1)
     rows = [row0] + [[0] * 8 for _ in range(7)]
     with pytest.raises(CompletionError, match=re.escape(f"cell (1, 1) admits {admits} symbols")):
-        _top_up(rows, case)
+        _top_up(_working(rows), case)
 
 
 def test_sin_top_up_needs_one_absent_symbol():
     case = classify(8, 1, 4)  # SinOdd: row 1's top-up cell is (1, 7)
     rows = [[0] * 8 for _ in range(8)]
     with pytest.raises(CompletionError, match=re.escape("cell (1, 7) admits 4 symbols")):
-        _top_up(rows, case)
+        _top_up(_working(rows), case)
 
 
 @pytest.mark.parametrize(
@@ -313,4 +347,23 @@ def test_sin_top_up_needs_one_absent_symbol():
 )
 def test_rectangle_completion_guards(rows, message):
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _rectangle_complete(rows, 1)
+        _rectangle_complete(_working(rows), 1)
+
+
+@pytest.mark.parametrize(
+    "planted,message",
+    [
+        # rectangle cell (1, 1) already took symbol 1
+        ([(1, 1), (1, 1)], "fill target (1, 1) is not empty"),
+        # rectangle row 1 already holds symbol 1
+        ([(1, 1), (1, 2)], "symbol 1 conflicts at (1, 2)"),
+        # rectangle column 1 already holds symbol 1
+        ([(1, 1), (2, 1)], "symbol 1 conflicts at (2, 1)"),
+    ],
+)
+def test_rectangle_fill_guards(monkeypatch, planted, message):
+    # The first two sets of the family ask for symbol 1 in rectangle rows 1
+    # and 2; a planted SDR puts both where the second one conflicts.
+    monkeypatch.setattr(psk_construct, "find_sdr", lambda family: SdrResult(tuple(planted), None))
+    with pytest.raises(CompletionError, match=re.escape(message)):
+        _rectangle_complete(_working([[0] * 4 for _ in range(4)]), 2)
