@@ -286,6 +286,11 @@ def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
     adjacent to i+-p and i+M/2 for the non-M/2 parameter p.
     """
     check_closed_form(m, k, l)
+    return ConstraintPartition(m=m, blocks=tuple(_psk_blocks(m, k, l)))
+
+
+def _psk_blocks(m: int, k: int, l: int) -> list[tuple[Cell, Cell]]:
+    """The blocks of `psk_constraints_closed_form`, for checked (m, k, l)."""
     half = m // 2
     d1, d2 = psk_column_offsets(k, l)
 
@@ -304,4 +309,4 @@ def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
     blocks = [fam1(i) for i in range(m)]
     if k != half and l != half:
         blocks += [fam2(i) for i in range(m)]
-    return ConstraintPartition(m=m, blocks=tuple(blocks))
+    return blocks

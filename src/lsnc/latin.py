@@ -7,13 +7,14 @@ state's partition is filled with a single common symbol.  Grids complete
 here by matchings; completion by search is coloring extension on the rook
 graph, `lsnc.coloring.generic_complete`.
 
-`interchange_symbol_row` and `complete_rows_hall` wrap `interchange_rows`
-and `complete_rows`, which `lsnc.psk_construct` runs on plain lists.
+`complete_rows_hall` runs `extend_symbols` between two interchanges;
+`lsnc.psk_construct` runs it on its working grid, with no interchange.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from lsnc.errors import CompletionError
@@ -286,20 +287,10 @@ def find_sdr(family: Sequence[Sequence[Hashable]]) -> SdrResult:
 
 def complete_rows_hall(grid: Grid) -> Grid:
     """Extend a Latin rectangle (r complete rows, other rows empty) to a
-    full Latin Square on symbols 1..M, row by row via perfect matchings.
-
-    Each row is one `_kuhn` matching of columns to their missing symbols:
-    column c (from 1) first takes its lowest missing symbol numbered c or
-    above, else its lowest missing one, and augmenting paths match the
-    rest.  A Latin rectangle always has such a matching (Hall); input that
-    is not one raises ValueError."""
-    rows = grid.to_lists()
-    complete_rows(rows)
-    return Grid.from_lists(rows)
-
-
-def complete_rows(rows: list[list[int]]) -> None:
-    """`complete_rows_hall` on plain rows, in place."""
+    full Latin Square on symbols 1..M, row by row via perfect matchings:
+    `extend_symbols` on the symbol/row interchange, interchanged back.
+    Input that is not a Latin rectangle raises ValueError."""
+    rows = grid.rows
     m = len(rows)
     r = 0
     full = set(range(1, m + 1))
@@ -308,22 +299,34 @@ def complete_rows(rows: list[list[int]]) -> None:
     for i in range(r, m):
         if any(rows[i]):
             raise ValueError(f"row {i + 1} is neither complete nor empty")
-    # free[c]: bit s-1 is set while symbol s is still missing from column c
-    free = [(1 << m) - 1] * m
-    for row in rows[:r]:
-        for c, s in enumerate(row):
-            bit = 1 << (s - 1)
-            if not free[c] & bit:
-                raise ValueError(f"symbol {s} repeats in column {c + 1}")
-            free[c] ^= bit
-    for i in range(r, m):
-        # columns on the left, their free symbols on the right
+    work = interchange_rows(rows)
+    extend_symbols(work, r)
+    return Grid.from_lists(interchange_rows(work))
+
+
+def extend_symbols(rows: list[list[int]], n: int) -> None:
+    """Place symbols n+1..M in the empty cells of `rows`, in place, each by
+    one `_kuhn` matching of columns to their empty rows: column c (from 0)
+    first takes its lowest empty row numbered c or above, else its lowest
+    empty one, and augmenting paths match the rest.
+
+    Every column must hold exactly the symbols 1..n, else CompletionError,
+    and no row may repeat a symbol.  Interchanged, such rows are a Latin
+    rectangle, so every matching exists (Hall)."""
+    m = len(rows)
+    want = set(range(n + 1))
+    free = []  # free[c]: bit j is set while row j (from 0) is empty at column c
+    for c, col in enumerate(zip(*rows), 1):
+        if {0, *col} != want:
+            raise CompletionError(f"column {c} does not hold exactly the symbols 1..{n}")
+        free.append(sum(map((1).__lshift__, compress(range(m), map(not_, col)))))
+    for i in range(n + 1, m + 1):
         match = _kuhn(free, m)
         if -1 in match:
             raise CompletionError("row extension matching failed on a Latin rectangle")
-        for s, c in enumerate(match, 1):
-            rows[i][c] = s
-            free[c] &= ~(1 << (s - 1))
-    # A symbol met twice in a column leaves another one's bit set there.
+        for j, (row, c) in enumerate(zip(rows, match)):
+            row[c] = i
+            free[c] ^= 1 << j
+    # A matching that wrote a filled cell leaves its bit set.
     if any(free):
         raise CompletionError("row extension produced a non-Latin grid")

@@ -1,41 +1,35 @@
 """Closed-form M-symbol Latin Squares for every M-PSK representative.
 
 Each representative fade state (k, l) classifies into one of six cases by
-the 2-adic structure of k and l.  The vital subgraph gets a fixed 4- or
-8-coloring, and `removal_square` copies the resulting partial grid once
-into plain rows.  BothOdd and SamePower fill the empty diagonals with fresh
+the 2-adic structure of k and l.  `removal_square` builds the square on one
+working grid, whose row and column symbol masks answer each write's checks
+in O(1), starting from the vital subgraph's fixed 4- or 8-coloring written
+block by block.  BothOdd and SamePower fill the empty diagonals with fresh
 symbols.  The other cases top up one (Sin) or two (DiffPower, Mixed) cells
 per row, each with the one symbol of 1..4, or 5..8 for the second cell of
-a pair, that its row and column lack, and take the symbol/row interchange
-+ SDR + Latin-rectangle route on lists.  Their writes go to one working
-grid, whose row and column symbol masks answer each check in O(1).  A
-square validates two `Grid`s, the vital one and the finished one: 480 in
-an M = 32 sweep (cProfile).  The case is dispatched once, so the steps do
-not re-check it.  Every step checks the claims the construction relies on
-and raises CompletionError when one fails.
+a pair, that its row and column lack, then take the paper's SDR + Latin
+rectangle route without its symbol/row interchanges.  Only the finished
+square becomes a `Grid`: 240 in an M = 32 sweep (cProfile).  The case is
+dispatched once, so the steps do not re-check it.  Every step checks the
+claims the construction relies on and raises CompletionError when one fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from lsnc.coloring import Coloring
 from lsnc.constraint import (
     ConstraintPartition,
+    _psk_blocks,
     build_constraints,
     psk_column_offsets,
     psk_constraints_closed_form,
 )
 from lsnc.errors import CompletionError
 from lsnc.fade_state import check_closed_form, check_construction_order, psk_representatives
-from lsnc.latin import (
-    Grid,
-    complete_rows,
-    find_sdr,
-    interchange_rows,
-    verify_latin,
-    verify_removes,
-)
+from lsnc.latin import Grid, extend_symbols, find_sdr, verify_latin, verify_removes
 # Not called here: perfbench looks these names up on this module to trace them.
 from lsnc.latin import candidate_cells, complete_rows_hall, interchange_symbol_row  # noqa: F401
 from lsnc.signal_set import make_psk
@@ -160,29 +154,29 @@ def vital_coloring(case: PskCase) -> Coloring:
 
 
 def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
-    """Partial grid with every closed-form constraint filled by its color,
-    checked to be Latin; the partition has already checked that no two
-    constraints share a cell, and `fill` checks that there is one color per
-    constraint.  A Latin fill is a proper coloring that also rejects a
-    constraint meeting one line twice."""
+    """Partial grid with every closed-form constraint filled by its color
+    (`_vital_fill`), its partition and the coloring."""
     part = psk_constraints_closed_form(case.m, case.bk, case.bl)
     coloring = vital_coloring(case)
-    grid = part.fill(coloring.colors)
-    if not verify_latin(grid):
-        raise CompletionError("vital coloring produced a non-Latin partial grid")
-    return grid, part, coloring
+    return Grid.from_lists(_vital_fill(case.m, part.blocks, coloring.colors)[0]), part, coloring
 
 
 # A working grid: rows, and a symbol bitmask per row and per column with bit s
-# set while s is in the line (bit 0 while a cell is empty; no check reads it).
+# set while s is in the line (bit 0 is never set).
 Working = tuple[list[list[int]], list[int], list[int]]
 
 
-def _working(rows: list[list[int]]) -> Working:
-    def symbols(line: Sequence[int]) -> int:
-        return sum(map((1).__lshift__, set(line)))
-
-    return rows, list(map(symbols, rows)), list(map(symbols, zip(*rows)))
+def _vital_fill(m: int, blocks: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int]) -> Working:
+    """An empty M x M working grid with every cell of block i written in
+    colors[i].  Each write checks its cell and lines, so two blocks sharing
+    a cell, or a color met twice in a line, raise CompletionError: a Latin
+    fill is a proper coloring that also rejects a block meeting one line
+    twice."""
+    work = [[0] * m for _ in range(m)], [0] * m, [0] * m
+    for block, color in zip(blocks, colors, strict=True):
+        for r, c in block:
+            _fill_cell(work, r, c, color)
+    return work
 
 
 def _fill_cell(work: Working, r: int, c: int, sym: int) -> None:
@@ -220,19 +214,18 @@ def _diagonal_complete(rows: list[list[int]]) -> None:
                     f"empty cells are not diagonal-shift invariant at {(r + 1, cc + 1)}"
                 )
             row[cc] = sym
-    # A line holds each of 1..M exactly when its mask is bits 1..M.
-    _, row_syms, col_syms = _working(rows)
-    if set(row_syms + col_syms) != {(1 << (m + 1)) - 2}:
+    full = set(range(1, m + 1))
+    if any(set(line) != full for line in chain(rows, zip(*rows))):
         raise CompletionError("diagonal completion produced an invalid square")
 
 
-def _rectangle_complete(work: Working, n_rect: int) -> list[list[int]]:
-    """Interchange symbol/row, finish the n_rect-row rectangle via an SDR,
-    extend to a Latin Square, and interchange back; returns its rows.
+def _rectangle_complete(work: Working, n_rect: int) -> None:
+    """Finish symbols 1..n_rect via an SDR, then extend the working grid to
+    a Latin Square in place (`extend_symbols`).
 
-    Rectangle cell (r, c) holds symbol j exactly when working cell (j, c)
-    holds r, so the SDR family is read off the working grid's masks and
-    each rectangle fill is written there, before the one interchange.
+    Cell (r, c) of the paper's symbol/row-interchanged rectangle holds j
+    exactly when working cell (j, c) holds r, so the SDR family is read off
+    the working grid's masks and each rectangle fill is written there.
     """
     rows, row_syms, col_syms = work
     family: list[list[tuple[int, int]]] = []
@@ -260,12 +253,7 @@ def _rectangle_complete(work: Working, n_rect: int) -> list[list[int]]:
         if row_syms[j - 1] >> r & 1 or rows[j - 1][c - 1]:
             raise CompletionError(f"symbol {j} conflicts at {(r, c)}")
         _fill_cell(work, j, c, r)
-    rect = interchange_rows(rows)
-    for r in range(n_rect):
-        if 0 in rect[r]:
-            raise CompletionError(f"rectangle row {r + 1} still has empty cells")
-    complete_rows(rect)
-    return interchange_rows(rect)
+    extend_symbols(rows, n_rect)
 
 
 def _top_up(work: Working, case: PskCase) -> int:
@@ -300,12 +288,12 @@ def _top_up(work: Working, case: PskCase) -> int:
 def removal_square(m: int, k: int, l: int) -> Grid:
     """M-symbol Latin Square removing the (k, l) representative of M-PSK."""
     case = classify(m, k, l)
-    rows = vital_pfls(case)[0].to_lists()
+    work = _vital_fill(m, _psk_blocks(m, case.bk, case.bl), vital_coloring(case).colors)
+    rows = work[0]
     if case.tag in (BOTH_ODD, SAME_POWER):
         _diagonal_complete(rows)
     else:
-        work = _working(rows)
-        rows = _rectangle_complete(work, _top_up(work, case))
+        _rectangle_complete(work, _top_up(work, case))
     if case.transposed:
         rows = list(zip(*rows))
     if case.rotate:

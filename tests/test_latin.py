@@ -25,9 +25,9 @@ from lsnc import (
     verify_latin,
     verify_removes,
 )
-from lsnc import coloring
+from lsnc import coloring, latin
 from lsnc.errors import CompletionError, SearchBudgetExceeded
-from lsnc.latin import _kuhn, interchange_rows
+from lsnc.latin import _kuhn, extend_symbols, interchange_rows
 
 from conftest import with_cell, xor_square
 from test_coloring import reference_search
@@ -262,6 +262,24 @@ class TestHallCompletion:
         # a failed completion
         with pytest.raises(ValueError, match="symbol 1 repeats in column 1"):
             complete_rows_hall(Grid.from_lists(rows))
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[1, 0], [0, 0]], "column 2 does not hold exactly the symbols 1..1"),  # lacks 1
+            ([[1, 0], [0, 2]], "column 2 does not hold exactly the symbols 1..1"),  # holds 2
+            # row 1 repeats 1, so no matching gives it symbol 3
+            ([[1, 1, 0], [0, 0, 1], [0, 0, 0]], "row extension matching failed on a Latin rectangle"),
+        ],
+    )
+    def test_extend_symbols_guards(self, rows, message):
+        with pytest.raises(CompletionError, match=f"^{re.escape(message)}$"):
+            extend_symbols(rows, 1)
+
+    def test_extend_symbols_rejects_a_matching_that_writes_a_filled_cell(self, monkeypatch):
+        monkeypatch.setattr(latin, "_kuhn", lambda nbrs, n_right: [0] * n_right)
+        with pytest.raises(CompletionError, match="^row extension produced a non-Latin grid$"):
+            extend_symbols([[1, 0], [0, 1]], 1)
 
 
 def brute_max_matching(nbrs, u=0, used=0):

@@ -36,10 +36,11 @@ from lsnc.psk_construct import (
     _fill_cell,
     _rectangle_complete,
     _top_up,
-    _working,
+    _vital_fill,
     classify,
     remove_all_psk,
     removal_square,
+    vital_coloring,
     vital_pfls,
 )
 
@@ -108,10 +109,18 @@ def test_vital_pfls_matches_worked_example():
     assert grid == load_grid("psk8_k1_l3_pfls")
 
 
+def working(rows):
+    """`rows` as a working grid: its rows and each line's symbol mask."""
+    def symbols(line):
+        return sum(1 << s for s in set(line) - {0})
+
+    return rows, list(map(symbols, rows)), list(map(symbols, zip(*rows)))
+
+
 def topped_up(case):
     """The vital partial grid of `case` after its closed-form top-up."""
     rows = vital_pfls(case)[0].to_lists()
-    _top_up(_working(rows), case)
+    _top_up(working(rows), case)
     return Grid.from_lists(rows)
 
 
@@ -174,16 +183,34 @@ def test_removal_square_verifies(m, k, l, request):
     assert grid.symbol_count == m
 
 
-def test_removal_square_validates_two_grids(monkeypatch):
-    # The vital partial grid and the finished square; every step between
-    # them works on plain rows.
+def test_removal_square_validates_one_grid(monkeypatch):
+    # The finished square; every step before it works on the working grid.
     built = []
     validate = Grid.__post_init__
     monkeypatch.setattr(Grid, "__post_init__", lambda grid: built.append(validate(grid)))
     reps = psk_representatives(16)
     for fs in reps:
         removal_square(16, fs.k, fs.l)
-    assert len(built) == 2 * len(reps)
+    assert len(built) == len(reps) == 56
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_removal_square_starts_from_the_closed_form_fill(monkeypatch, m):
+    # The working rows written block by block equal the closed-form
+    # partition filled by the vital colouring.
+    started = []
+
+    def vital_fill(*args):
+        work = _vital_fill(*args)
+        started.append(Grid.from_lists(work[0]))
+        return work
+
+    monkeypatch.setattr(psk_construct, "_vital_fill", vital_fill)
+    for fs in psk_representatives(m):
+        case = classify(m, fs.k, fs.l)
+        removal_square(m, fs.k, fs.l)
+        part = psk_constraints_closed_form(m, case.bk, case.bl)
+        assert started.pop() == part.fill(vital_coloring(case).colors)
 
 
 def test_deterministic_cases_reproduce_printed_squares():
@@ -316,7 +343,7 @@ def test_diagonal_fill_guards(cell, sym, message):
 def test_fill_cell_guards(r, c, sym, message):
     rows = [[1, 0], [0, 0]]
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _fill_cell(_working(rows), r, c, sym)
+        _fill_cell(working(rows), r, c, sym)
     assert rows == [[1, 0], [0, 0]]
 
 
@@ -325,14 +352,14 @@ def test_pair_top_up_needs_one_absent_symbol(row0, admits):
     case = classify(8, 1, 2)  # Mixed: row i's first top-up cell is (i+1, i+1)
     rows = [row0] + [[0] * 8 for _ in range(7)]
     with pytest.raises(CompletionError, match=re.escape(f"cell (1, 1) admits {admits} symbols")):
-        _top_up(_working(rows), case)
+        _top_up(working(rows), case)
 
 
 def test_sin_top_up_needs_one_absent_symbol():
     case = classify(8, 1, 4)  # SinOdd: row 1's top-up cell is (1, 7)
     rows = [[0] * 8 for _ in range(8)]
     with pytest.raises(CompletionError, match=re.escape("cell (1, 7) admits 4 symbols")):
-        _top_up(_working(rows), case)
+        _top_up(working(rows), case)
 
 
 @pytest.mark.parametrize(
@@ -343,11 +370,14 @@ def test_sin_top_up_needs_one_absent_symbol():
          "symbol 1 has no admissible cell in a row that lacks it"),
         # rows 1 and 2 both need symbol 1 in their one empty cell, column 4
         ([[2, 3, 4, 0], [3, 4, 2, 0], [0] * 4, [0] * 4], "no SDR; Hall violator (0, 1)"),
+        # row 1 holds 2, which no column of a 1-row rectangle may hold
+        ([[1, 2, 0, 0], [0] * 4, [0] * 4, [0] * 4],
+         "column 2 does not hold exactly the symbols 1..1"),
     ],
 )
 def test_rectangle_completion_guards(rows, message):
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _rectangle_complete(_working(rows), 1)
+        _rectangle_complete(working(rows), 1)
 
 
 @pytest.mark.parametrize(
@@ -366,4 +396,19 @@ def test_rectangle_fill_guards(monkeypatch, planted, message):
     # and 2; a planted SDR puts both where the second one conflicts.
     monkeypatch.setattr(psk_construct, "find_sdr", lambda family: SdrResult(tuple(planted), None))
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _rectangle_complete(_working([[0] * 4 for _ in range(4)]), 2)
+        _rectangle_complete(working([[0] * 4 for _ in range(4)]), 2)
+
+
+@pytest.mark.parametrize(
+    "blocks,colors,message",
+    [
+        # the second block reuses cell (2, 2)
+        ([[(1, 1), (2, 2)], [(2, 2), (3, 3)]], [1, 2], "fill target (2, 2) is not empty"),
+        # colour 1 meets row 1 twice, then column 1 twice
+        ([[(1, 1), (2, 2)], [(1, 3)]], [1, 1], "symbol 1 conflicts at (1, 3)"),
+        ([[(1, 1), (2, 2)], [(3, 1)]], [1, 1], "symbol 1 conflicts at (3, 1)"),
+    ],
+)
+def test_vital_fill_guards(blocks, colors, message):
+    with pytest.raises(CompletionError, match=re.escape(message)):
+        _vital_fill(3, blocks, colors)
