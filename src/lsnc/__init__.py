@@ -25,7 +25,6 @@ from .constraint import (
     build_constraints,
     constrained_pls,
     effective_constellation,
-    psk_constraints_closed_form,
 )
 from .latin import (
     Grid,
@@ -56,7 +55,13 @@ from .coloring import (
     generic_complete,
     verify_proper,
 )
-from .psk_construct import PskCase, classify, remove_all_psk, removal_square
+from .psk_construct import (
+    PskCase,
+    classify,
+    psk_constraints_closed_form,
+    remove_all_psk,
+    removal_square,
+)
 
 __version__ = "0.1.0"
 

@@ -20,6 +20,17 @@ MERGE_TOL = 1e-9
 GUARD_TOL = 1e-6
 
 
+def canon_complex(v: complex) -> complex:
+    """`v` with +0.0 in place of negative zeros, so serialized output is stable."""
+    return complex(v.real + 0.0, v.imag + 0.0)
+
+
+def complex_sort_key(v: complex) -> tuple[float, float]:
+    """The canonical order of complex values: by real part, then imaginary
+    part, each rounded to 12 places."""
+    return (round(v.real, 12) + 0.0, round(v.imag, 12) + 0.0)
+
+
 def cluster_complex(values: list[complex]) -> list[list[int]]:
     """Group indices of `values` that coincide within MERGE_TOL.
 

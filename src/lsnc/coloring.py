@@ -305,9 +305,9 @@ def extend_coloring(
 
     Returns the extension, or None when the search space is exhausted
     (proof of infeasibility).  Raises ValueError on an out-of-range
-    partial, and on an improper one, which the kernel's set-up finds before
-    any node; SearchBudgetExceeded, saying how far the search got, if the
-    budget ends the search early.  A free vertex takes a given color or one
+    partial or a negative k, and on an improper partial, which the kernel's
+    set-up finds before any node; SearchBudgetExceeded, saying how far the
+    search got, if the budget ends the search early.  A free vertex takes a given color or one
     of the lowest colors that are not given, which the kernel opens in
     ascending order, so k beyond the given colors plus the free vertices
     changes nothing and allocates nothing.
@@ -319,6 +319,8 @@ def extend_coloring(
         if not 1 <= c <= k:
             raise ValueError(f"color {c} outside 1..{k}")
         colors[v] = c
+    if k < 0:
+        raise ValueError(f"k = {k} is negative")
 
     free = colors.count(0)
     nodes, stopped = _dsatur_search(graph, colors, k, node_budget)

@@ -5,7 +5,8 @@ x_A + s*x_B.  Each group of colliding cells is a constraint block: a valid
 relay map must give all of its cells one symbol.  Cells are (row, column)
 pairs of 1-indexed labels.  The same grouping gives the relay's effective
 constellation, which collapses below M^2 points exactly at the singular
-states.
+states.  The closed-form 2^n-PSK partition is built with the rest of
+that construction, in `lsnc.psk_construct`.
 """
 from __future__ import annotations
 
@@ -15,20 +16,12 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
 
-from lsnc._numeric import cluster_complex, zeta_powers
-from lsnc.fade_state import (
-    FadeState,
-    _canon,
-    _sort_key,
-    as_exact_ratio,
-    as_psk_ratio,
-    check_closed_form,
-)
+from lsnc._numeric import canon_complex, cluster_complex, complex_sort_key, zeta_powers
+from lsnc.fade_state import FadeState, as_exact_ratio, as_psk_ratio
 from lsnc.latin import Grid
 from lsnc.signal_set import SignalSet, make_psk
 
-__all__ = ["ConstraintPartition", "build_constraints", "constrained_pls", "psk_constraints_closed_form",
-           "effective_constellation"]
+__all__ = ["ConstraintPartition", "build_constraints", "constrained_pls", "effective_constellation"]
 
 Cell = tuple[int, int]
 
@@ -38,8 +31,8 @@ class ConstraintPartition:
     """Blocks of cells sharing a superposed value, in deterministic order.
 
     build_constraints orders blocks by their (sorted) first cell; the PSK
-    closed form keeps its own c_1, c_2, ... indexing, which downstream
-    constructions rely on.
+    closed form (`lsnc.psk_construct.psk_constraints_closed_form`) keeps its
+    own c_1, c_2, ... indexing, which downstream constructions rely on.
 
     `labels` is the label grid: the block index of every cell, row-major
     (cell (r, c) at (r-1)*M + c-1), -1 where no block covers the cell, as
@@ -219,7 +212,9 @@ def effective_constellation(
         )
     # Exact keys can lie beyond the float range; their quotients cannot.
     try:
-        pts = sorted((_canon(complex(kr / den, ki / den)) for kr, ki in groups), key=_sort_key)
+        pts = sorted(
+            (canon_complex(complex(kr / den, ki / den)) for kr, ki in groups), key=complex_sort_key
+        )
         if len(groups) < s_set.size**2:
             return tuple(pts), 0.0
         # No two superpositions coincide, so the group keys are all of them.
@@ -258,55 +253,3 @@ def constrained_pls(partition: ConstraintPartition) -> Grid:
         symbols[bi] = sym
     return partition.fill(symbols)
 
-
-def psk_column_offsets(k: int, l: int) -> tuple[int, int]:
-    """The column offsets (d1, d2) of the closed-form PSK constraints:
-    ((k-l)/2, (k+l)/2) when k and l share parity, and ((k+1-l)/2,
-    (k+1+l)/2) when they do not."""
-    j = k + (k - l) % 2
-    return (j - l) // 2, (j + l) // 2
-
-
-def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
-    """Closed-form multi-cell constraints for the (k, l) representative of
-    M-PSK, in their natural c_1, c_2, ... order.
-
-    Same parity of k and l gives (for 0 <= i <= M-1, all mod M):
-      c_{i+1}   = {(i+1, i-M/2-(k-l)/2 +1), (i-k+1, i+M/2-(k+l)/2 +1)}
-      c_{M+i+1} = {(i+1, i-(k+l)/2 +1),     (i-k+1, i-(k-l)/2 +1)}
-    and opposite parity substitutes k+1-l and k+1+l for k-l and k+l in the
-    column offsets.  When k or l equals M/2 the two families coincide and
-    only c_1..c_M are distinct.
-
-    Its removal graph (`build_srg`) is the vital subgraph of the state,
-    vertex i being c_{i+1}.  With k, l != M/2 there are 2M vertices: vertex
-    i (0-indexed, i < M) is adjacent to i+-k, i+-l, M+i, M+(i+-k),
-    M+(M/2+i+-l), M+(i+M/2), all mod M in the offset part; the second family
-    mirrors it.  With k or l = M/2 only M constraints exist and vertex i is
-    adjacent to i+-p and i+M/2 for the non-M/2 parameter p.
-    """
-    check_closed_form(m, k, l)
-    return ConstraintPartition(m=m, blocks=tuple(_psk_blocks(m, k, l)))
-
-
-def _psk_blocks(m: int, k: int, l: int) -> list[tuple[Cell, Cell]]:
-    """The blocks of `psk_constraints_closed_form`, for checked (m, k, l)."""
-    half = m // 2
-    d1, d2 = psk_column_offsets(k, l)
-
-    def fam1(i: int) -> tuple[Cell, Cell]:
-        return (
-            (i + 1, (i - half - d1) % m + 1),
-            ((i - k) % m + 1, (i + half - d2) % m + 1),
-        )
-
-    def fam2(i: int) -> tuple[Cell, Cell]:
-        return (
-            (i + 1, (i - d2) % m + 1),
-            ((i - k) % m + 1, (i - d1) % m + 1),
-        )
-
-    blocks = [fam1(i) for i in range(m)]
-    if k != half and l != half:
-        blocks += [fam2(i) for i in range(m)]
-    return blocks

@@ -5,7 +5,9 @@ channel-gain ratio.  Fade states for which two of these superpositions
 coincide (fewer than M^2 distinct values) are singular; they are exactly
 the ratios -(x_A - x_A')/(x_B - x_B') over pairs of constellation points.
 The effective constellation, x_A + s*x_B grouped by value, is in
-`lsnc.constraint`.
+`lsnc.constraint`.  The PSK closed forms here are the fade states alone;
+the 2^n-PSK squares that remove them, and the range checks of that
+construction, are in `lsnc.psk_construct`.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from functools import cache
 from itertools import permutations
 from typing import Iterator
 
-from lsnc._numeric import cluster_complex, zeta_powers
+from lsnc._numeric import canon_complex, cluster_complex, complex_sort_key, zeta_powers
 from lsnc.signal_set import SignalSet
 
 __all__ = [
@@ -52,15 +54,6 @@ class FadeState:
 
     def __complex__(self) -> complex:
         return self.value
-
-
-def _canon(v: complex) -> complex:
-    # +0.0 normalizes away negative zeros so serialized output is stable
-    return complex(v.real + 0.0, v.imag + 0.0)
-
-
-def _sort_key(v: complex) -> tuple[float, float]:
-    return (round(v.real, 12) + 0.0, round(v.imag, 12) + 0.0)
 
 
 def as_exact_ratio(s: complex | FadeState) -> tuple[int, int, int] | None:
@@ -177,7 +170,7 @@ def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
                 k = math.gcd(re, im, q)
                 seen[re // k, im // k, q // k] = None
         states = [
-            FadeState(value=_canon(complex(re / q, im / q)), exact_value=(re, im, q))
+            FadeState(value=canon_complex(complex(re / q, im / q)), exact_value=(re, im, q))
             for re, im, q in seen
         ]
     else:
@@ -190,8 +183,8 @@ def enumerate_singular_fade_states(s_set: SignalSet) -> tuple[FadeState, ...]:
                     fdiffs.setdefault((d.real, d.imag), d)
         ratios = [-num / den for num in fdiffs.values() for den in fdiffs.values()]
         groups = cluster_complex(ratios)
-        states = [FadeState(value=_canon(ratios[g[0]])) for g in groups]
-    return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
+        states = [FadeState(value=canon_complex(ratios[g[0]])) for g in groups]
+    return tuple(sorted(states, key=lambda fs: complex_sort_key(fs.value)))
 
 
 def _check_power_of_two(m: int) -> None:
@@ -211,7 +204,7 @@ def psk_singular_fade_states(m: int) -> tuple[FadeState, ...]:
     states = [
         fs for k, l in [(1, 1), *permutations(range(1, m // 2 + 1), 2)] for fs in _circle(m, k, l)
     ]
-    return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
+    return tuple(sorted(states, key=lambda fs: complex_sort_key(fs.value)))
 
 
 def _circle(m: int, k: int, l: int) -> Iterator[FadeState]:
@@ -220,22 +213,8 @@ def _circle(m: int, k: int, l: int) -> Iterator[FadeState]:
     r = math.sin(k * math.pi / m) / math.sin(l * math.pi / m)
     for n in range(m):
         theta = (2 * n + (k - l) % 2) * math.pi / m
-        yield FadeState(value=_canon(r * complex(math.cos(theta), math.sin(theta))), k=k, l=l)
-
-
-def check_construction_order(m: int) -> None:
-    """Reject an M the PSK constructions do not cover: they need a power of
-    two >= 8."""
-    if m < 8 or m & (m - 1):
-        raise ValueError(f"constructions need M a power of two >= 8, got {m}")
-
-
-def check_closed_form(m: int, k: int, l: int) -> None:
-    """Reject parameters outside the PSK closed forms: M a power of two
-    >= 8, 1 <= k, l <= M/2 and k != l."""
-    check_construction_order(m)
-    if not (1 <= k <= m // 2 and 1 <= l <= m // 2) or k == l:
-        raise ValueError(f"need 1 <= k,l <= M/2 and k != l, got ({k},{l})")
+        value = canon_complex(r * complex(math.cos(theta), math.sin(theta)))
+        yield FadeState(value=value, k=k, l=l)
 
 
 def psk_representative(m: int, k: int, l: int) -> FadeState:
@@ -256,9 +235,4 @@ def psk_representatives(m: int) -> tuple[FadeState, ...]:
     removes s = +-1 of its M states, and no closed form covers the others.
     """
     _check_power_of_two(m)
-    return tuple(
-        psk_representative(m, k, l)
-        for k in range(1, m // 2 + 1)
-        for l in range(1, m // 2 + 1)
-        if k != l
-    )
+    return tuple(next(_circle(m, k, l)) for k, l in permutations(range(1, m // 2 + 1), 2))

@@ -1,7 +1,10 @@
-"""Closed-form M-symbol Latin Squares for every M-PSK representative.
+"""Closed-form M-symbol Latin Squares for every 2^n-PSK representative.
 
-Each representative fade state (k, l) classifies into one of six cases by
-the 2-adic structure of k and l.  `removal_square` builds the square on one
+This module owns the whole 2^n-PSK construction: its range checks, the
+closed-form constraint blocks (`psk_constraints_closed_form`), the vital
+coloring, and the completions.  Each representative fade state (k, l)
+classifies into one of six cases by the 2-adic structure of k and l.
+`removal_square` builds the square on one
 working grid, whose row and column symbol masks answer each write's checks
 in O(1), starting from the vital subgraph's fixed 4- or 8-coloring written
 block by block.  BothOdd and SamePower fill the empty diagonals with fresh
@@ -20,15 +23,9 @@ from itertools import chain
 from typing import Sequence
 
 from lsnc.coloring import Coloring
-from lsnc.constraint import (
-    ConstraintPartition,
-    _psk_blocks,
-    build_constraints,
-    psk_column_offsets,
-    psk_constraints_closed_form,
-)
+from lsnc.constraint import Cell, ConstraintPartition, build_constraints
 from lsnc.errors import CompletionError
-from lsnc.fade_state import check_closed_form, check_construction_order, psk_representatives
+from lsnc.fade_state import psk_representatives
 from lsnc.latin import Grid, extend_symbols, find_sdr, verify_latin, verify_removes
 # Not called here: perfbench looks these names up on this module to trace them.
 from lsnc.latin import candidate_cells, complete_rows_hall, interchange_symbol_row  # noqa: F401
@@ -37,6 +34,7 @@ from lsnc.signal_set import make_psk
 __all__ = [
     "PskCase",
     "classify",
+    "psk_constraints_closed_form",
     "vital_coloring",
     "vital_pfls",
     "removal_square",
@@ -54,6 +52,21 @@ SIN_EVEN = "SinEven"
 def _val2(n: int) -> int:
     """2-adic valuation."""
     return (n & -n).bit_length() - 1
+
+
+def check_construction_order(m: int) -> None:
+    """Reject an M the PSK constructions do not cover: they need a power of
+    two >= 8."""
+    if m < 8 or m & (m - 1):
+        raise ValueError(f"constructions need M a power of two >= 8, got {m}")
+
+
+def check_closed_form(m: int, k: int, l: int) -> None:
+    """Reject parameters outside the PSK closed forms: M a power of two
+    >= 8, 1 <= k, l <= M/2 and k != l."""
+    check_construction_order(m)
+    if not (1 <= k <= m // 2 and 1 <= l <= m // 2) or k == l:
+        raise ValueError(f"need 1 <= k,l <= M/2 and k != l, got ({k},{l})")
 
 
 @dataclass(frozen=True)
@@ -107,50 +120,85 @@ def classify(m: int, k: int, l: int) -> PskCase:
     return PskCase(m, k, l, DIFF_POWER, bk=l, bl=k)
 
 
+def psk_column_offsets(k: int, l: int) -> tuple[int, int]:
+    """The column offsets (d1, d2) of the closed-form PSK constraints:
+    ((k-l)/2, (k+l)/2) when k and l share parity, and ((k+1-l)/2,
+    (k+1+l)/2) when they do not."""
+    j = k + (k - l) % 2
+    return (j - l) // 2, (j + l) // 2
+
+
+def psk_constraints_closed_form(m: int, k: int, l: int) -> ConstraintPartition:
+    """Closed-form multi-cell constraints for the (k, l) representative of
+    M-PSK, in their natural c_1, c_2, ... order.
+
+    Same parity of k and l gives (for 0 <= i <= M-1, all mod M):
+      c_{i+1}   = {(i+1, i-M/2-(k-l)/2 +1), (i-k+1, i+M/2-(k+l)/2 +1)}
+      c_{M+i+1} = {(i+1, i-(k+l)/2 +1),     (i-k+1, i-(k-l)/2 +1)}
+    and opposite parity substitutes k+1-l and k+1+l for k-l and k+l in the
+    column offsets.  When k or l equals M/2 the two families coincide and
+    only c_1..c_M are distinct.
+
+    Its removal graph (`build_srg`) is the vital subgraph of the state,
+    vertex i being c_{i+1}.  With k, l != M/2 there are 2M vertices: vertex
+    i (0-indexed, i < M) is adjacent to i+-k, i+-l, M+i, M+(i+-k),
+    M+(M/2+i+-l), M+(i+M/2), all mod M in the offset part; the second family
+    mirrors it.  With k or l = M/2 only M constraints exist and vertex i is
+    adjacent to i+-p and i+M/2 for the non-M/2 parameter p.
+    """
+    check_closed_form(m, k, l)
+    return ConstraintPartition(m=m, blocks=tuple(_psk_blocks(m, k, l)))
+
+
+def _psk_blocks(m: int, k: int, l: int) -> list[tuple[Cell, Cell]]:
+    """The blocks of `psk_constraints_closed_form`, for checked (m, k, l)."""
+    half = m // 2
+    d1, d2 = psk_column_offsets(k, l)
+
+    def fam1(i: int) -> tuple[Cell, Cell]:
+        return (
+            (i + 1, (i - half - d1) % m + 1),
+            ((i - k) % m + 1, (i + half - d2) % m + 1),
+        )
+
+    def fam2(i: int) -> tuple[Cell, Cell]:
+        return (
+            (i + 1, (i - d2) % m + 1),
+            ((i - k) % m + 1, (i - d1) % m + 1),
+        )
+
+    blocks = [fam1(i) for i in range(m)]
+    if k != half and l != half:
+        blocks += [fam2(i) for i in range(m)]
+    return blocks
+
+
 def vital_coloring(case: PskCase) -> Coloring:
     """The fixed coloring of the vital subgraph for (bk, bl): four colors
     for BothOdd/SamePower and the single-family Sin cases, eight for
-    DiffPower/Mixed.  `vital_pfls` checks it on the grid it fills."""
+    DiffPower/Mixed.  `vital_pfls` checks it on the grid it fills.
+
+    One rule covers every case.  Vertex v < M takes 1 + (v // w) % 2, plus
+    2 on the upper vertices, v mod P >= P/2; vertex M + v of the second
+    family, where there is one, takes v's color plus `shift`.  w is 2^v2 of
+    bk, or of bl (the even one) for Mixed.  P is M for Sin (v >= M/2), 2M
+    for BothOdd/SamePower (no upper vertex), 2 for Mixed (odd v) and
+    2^(v2(bl)+1) for DiffPower.
+    """
     m, k, l = case.m, case.bk, case.bl
-    tag = case.tag
-
-    def four_block_color(v: int, blk: int, upper_split: int | None) -> int:
-        # v is 0-indexed within a family; blocks of width 2^blk alternate
-        # two colors, optionally re-split into a lower and an upper half.
-        i = v // (1 << blk) + 1
-        c = 1 if i % 2 else 2
-        if upper_split is not None and i > upper_split:
-            c += 2
-        return c
-
-    if tag in (SIN_ODD, SIN_EVEN):
-        blk = 0 if tag == SIN_ODD else _val2(k)
-        split = (m >> blk) // 2
-        colors = [four_block_color(v, blk, split) for v in range(m)]
-    elif tag in (BOTH_ODD, SAME_POWER):
-        blk = _val2(k)  # 0 when both odd; equal valuations otherwise
-        part = [four_block_color(v, blk, None) for v in range(m)]
-        colors = part + [c + 2 for c in part]
-    elif tag == MIXED:
-        mv = _val2(k if k % 2 == 0 else l)
-        part = []
-        for v in range(m):
-            i = v // (1 << mv) + 1
-            c = (1 if i % 2 else 2) if (v + 1) % 2 else (3 if i % 2 else 4)
-            part.append(c)
-        colors = part + [c + 4 for c in part]
-    elif tag == DIFF_POWER:
-        m1, m2 = _val2(k), _val2(l)
-        part = []
-        for v in range(m):
-            off = v % (1 << (m2 + 1))
-            i = off // (1 << m1) + 1
-            c = (1 if i % 2 else 2) + (2 if i > (1 << (m2 - m1)) else 0)
-            part.append(c)
-        colors = part + [c + 4 for c in part]
-    else:  # pragma: no cover - classify only emits the tags above
-        raise ValueError(f"unknown case tag {tag}")
-    return Coloring(tuple(colors))
+    try:
+        w, p, shift = {
+            SIN_ODD: (k & -k, m, 0),
+            SIN_EVEN: (k & -k, m, 0),
+            BOTH_ODD: (k & -k, 2 * m, 2),
+            SAME_POWER: (k & -k, 2 * m, 2),
+            MIXED: (l & -l, 2, 4),
+            DIFF_POWER: (k & -k, 2 * (l & -l), 4),
+        }[case.tag]
+    except KeyError:
+        raise ValueError(f"unknown case tag {case.tag}") from None
+    part = [1 + (v // w) % 2 + 2 * (v % p >= p // 2) for v in range(m)]
+    return Coloring(tuple(part + [c + shift for c in part] if shift else part))
 
 
 def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
@@ -226,6 +274,8 @@ def _rectangle_complete(work: Working, n_rect: int) -> None:
     Cell (r, c) of the paper's symbol/row-interchanged rectangle holds j
     exactly when working cell (j, c) holds r, so the SDR family is read off
     the working grid's masks and each rectangle fill is written there.
+    `_fill_cell`'s checks of working cell (j, c), row j and column c are the
+    rectangle's checks of its column c, row r and cell (r, c).
     """
     rows, row_syms, col_syms = work
     family: list[list[tuple[int, int]]] = []
@@ -246,12 +296,6 @@ def _rectangle_complete(work: Working, n_rect: int) -> None:
     if not sdr.ok:
         raise CompletionError(f"no SDR; Hall violator {sdr.violating}")
     for (r, c), j in zip(sdr.representatives, fill_syms):
-        # Rectangle cell (r, c) is filled while column c holds r; rectangle
-        # row r holds j while row j holds r, and column c while (j, c) is filled.
-        if col_syms[c - 1] >> r & 1:
-            raise CompletionError(f"fill target {(r, c)} is not empty")
-        if row_syms[j - 1] >> r & 1 or rows[j - 1][c - 1]:
-            raise CompletionError(f"symbol {j} conflicts at {(r, c)}")
         _fill_cell(work, j, c, r)
     extend_symbols(rows, n_rect)
 

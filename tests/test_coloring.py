@@ -437,8 +437,15 @@ class TestExtendColoring:
             extend_coloring(g, partial, 3, node_budget=0)
         assert str(info.value) == f"partial coloring is improper on edge {first}"
 
+    def test_negative_k_is_rejected_before_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(coloring, "_dsatur_search", lambda *args: pytest.fail("kernel ran"))
+        for g in (cycle(4), RemovalGraph.from_lines(0, [])):
+            with pytest.raises(ValueError, match=r"^k = -1 is negative$"):
+                extend_coloring(g, {}, -1)
+
     def test_too_few_colors_returns_none(self):
         assert extend_coloring(complete_graph(4), {0: 1}, 3) is None
+        assert extend_coloring(cycle(4), {}, 0) is None
 
     def test_extension_can_be_blocked_by_choices(self):
         # A path 0-1-2 is 2-colorable, but pinning the ends to the two

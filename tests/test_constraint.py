@@ -28,15 +28,13 @@ from lsnc import (
     psk_representatives,
     psk_singular_fade_states,
 )
-from lsnc._numeric import cluster_complex
+from lsnc._numeric import canon_complex, cluster_complex, complex_sort_key
 from lsnc.errors import AmbiguousGroupingError
 from lsnc.signal_set import SignalSet
 from lsnc.fade_state import (
     RECONSTRUCT_DEN,
     FadeState,
-    _canon,
     _psk_radii,
-    _sort_key,
     as_exact_ratio,
     as_psk_ratio,
 )
@@ -377,7 +375,7 @@ def float_grouping(signal, s, effective=True):
     blocks = tuple(tuple(cells[i] for i in g) for g in groups)
     if not effective:
         return blocks, None
-    pts = tuple(sorted((_canon(vals[g[0]]) for g in groups), key=_sort_key))
+    pts = tuple(sorted((canon_complex(vals[g[0]]) for g in groups), key=complex_sort_key))
     if len(groups) < len(vals):
         return blocks, (pts, 0.0)
     dmin = min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])

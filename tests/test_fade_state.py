@@ -21,9 +21,9 @@ from lsnc import (
     psk_singular_fade_states,
     verify_removes,
 )
-from lsnc._numeric import cluster_complex
+from lsnc._numeric import canon_complex, cluster_complex, complex_sort_key
 from lsnc.errors import AmbiguousGroupingError
-from lsnc.fade_state import RECONSTRUCT_TOL, FadeState, _canon, _sort_key, as_exact_ratio
+from lsnc.fade_state import RECONSTRUCT_TOL, FadeState, as_exact_ratio
 
 from conftest import SKEW_POINTS, gadd, gdiv, gmul, gq, gsub, to_triple, xor_square
 
@@ -143,8 +143,8 @@ def ref_exact_states(s_set):
     diffs = {gsub(x, x2): None for x in pts for x2 in pts if x != x2}
     # -(x - x')/(y - y') over all nonzero differences
     seen = {gdiv(gsub((0, 0), num), den): None for num in diffs for den in diffs}
-    states = [FadeState(value=_canon(complex(*g)), exact_value=to_triple(g)) for g in seen]
-    return tuple(sorted(states, key=lambda fs: _sort_key(fs.value)))
+    states = [FadeState(value=canon_complex(complex(*g)), exact_value=to_triple(g)) for g in seen]
+    return tuple(sorted(states, key=lambda fs: complex_sort_key(fs.value)))
 
 
 def ref_effective_constellation(s_set, s):
@@ -153,7 +153,7 @@ def ref_effective_constellation(s_set, s):
         xs = [gq(p) for p in s_set.exact_points]
         vals = [gadd(xa, gmul(gq(g), xb)) for xa in xs for xb in xs]
         distinct = dict.fromkeys(vals)
-        pts = sorted((_canon(complex(*v)) for v in distinct), key=_sort_key)
+        pts = sorted((canon_complex(complex(*v)) for v in distinct), key=complex_sort_key)
         if len(pts) < len(vals):
             return tuple(pts), 0.0
         return tuple(pts), min(
@@ -161,7 +161,8 @@ def ref_effective_constellation(s_set, s):
         )
     sv = complex(s)
     vals_f = [xa + sv * xb for xa in s_set.points for xb in s_set.points]
-    pts = sorted((_canon(vals_f[grp[0]]) for grp in cluster_complex(vals_f)), key=_sort_key)
+    firsts = (canon_complex(vals_f[grp[0]]) for grp in cluster_complex(vals_f))
+    pts = sorted(firsts, key=complex_sort_key)
     if len(pts) < len(vals_f):
         return tuple(pts), 0.0
     return tuple(pts), min(abs(a - b) for i, a in enumerate(vals_f) for b in vals_f[i + 1 :])

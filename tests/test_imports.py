@@ -1,6 +1,7 @@
 """The lsnc modules import one another one way only: every import of an lsnc
-module sits at module level, and those imports form no cycle.  Every public
-name has a caller outside the tests.
+module sits at module level, and those imports form no cycle.  No module
+imports another's private names, every module-level import is used, and
+every public name has a caller outside the tests.
 
 Imports under `if TYPE_CHECKING:` are annotations only and are not counted.
 """
@@ -151,3 +152,56 @@ def test_every_public_name_has_a_caller_outside_tests():
             } - _defines(stmt)
     uncalled = sorted(f"{mod}.{name}" for mod, name in public if name not in called)
     assert [name for name in uncalled if name not in CALLED_ELSEWHERE] == []
+
+
+def test_no_private_name_crosses_modules():
+    """No lsnc module imports a `_`-prefixed name from another one."""
+    crossing = [
+        f"{FILES[mod].relative_to(SRC)}:{node.lineno} imports {alias.name} from {node.module}"
+        for mod, path in FILES.items()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and _targets(node, mod)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []
+
+
+def test_every_module_import_is_used():
+    """A module-level import binds a name its module uses, lists in
+    `__all__`, or marks `# noqa: F401`."""
+    unused = []
+    for mod, path in FILES.items():
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        } | set(_exports(tree))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]
+            ):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(SRC)}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_psk_construction_has_one_owner():
+    """The 2^n-PSK constraint blocks and construction checks live in
+    `lsnc.psk_construct` alone."""
+    names = {"psk_column_offsets", "psk_constraints_closed_form", "_psk_blocks",
+             "check_closed_form", "check_construction_order"}
+    owners = {
+        name: mod
+        for mod, path in FILES.items()
+        for stmt in ast.parse(path.read_text()).body
+        for name in _defines(stmt) & names
+    }
+    assert owners == dict.fromkeys(names, "lsnc.psk_construct")
