@@ -231,8 +231,8 @@ def psk_representative(m: int, k: int, l: int) -> FadeState:
 def psk_representatives(m: int) -> tuple[FadeState, ...]:
     """One representative per non-unit circle: all (k, l) with k != l.
 
-    The radius-1 circle (k = l) is left out; the bitwise-XOR Latin Square
-    removes s = +-1 of its M states, and no closed form covers the others.
+    The radius-1 circle (k = l) is left out: `psk_construct` has no
+    construction for its states yet.
     """
     _check_power_of_two(m)
     return tuple(next(_circle(m, k, l)) for k, l in permutations(range(1, m // 2 + 1), 2))

@@ -300,33 +300,56 @@ def complete_rows_hall(grid: Grid) -> Grid:
         if any(rows[i]):
             raise ValueError(f"row {i + 1} is neither complete nor empty")
     work = interchange_rows(rows)
-    extend_symbols(work, r)
+    extend_symbols(work)
     return Grid.from_lists(interchange_rows(work))
 
 
-def extend_symbols(rows: list[list[int]], n: int) -> None:
-    """Place symbols n+1..M in the empty cells of `rows`, in place, each by
-    one `_kuhn` matching of columns to their empty rows: column c (from 0)
-    first takes its lowest empty row numbered c or above, else its lowest
-    empty one, and augmenting paths match the rest.
+def extend_symbols(rows: list[list[int]]) -> None:
+    """Place every symbol 1..M that a row of `rows` lacks, in place, by one
+    `_kuhn` matching per symbol in increasing order: the columns that lack
+    the symbol are matched to their empty cells in rows that lack it.
+    Column c (from 0) first takes its lowest such row numbered c or above,
+    else its lowest one, and augmenting paths match the rest.  A symbol no
+    line holds yet matches on the empty cells as they are.
 
-    Every column must hold exactly the symbols 1..n, else CompletionError,
-    and no row may repeat a symbol.  Interchanged, such rows are a Latin
-    rectangle, so every matching exists (Hall)."""
+    A symbol outside 0..M, a symbol repeated in a row or a column, a symbol
+    with no perfect matching and a cell left empty at the end raise
+    CompletionError.  On the symbol/row interchange of an r-row Latin
+    rectangle every line holds 1..r, so only r+1..M are placed, and every
+    matching exists (Hall)."""
     m = len(rows)
-    want = set(range(n + 1))
-    free = []  # free[c]: bit j is set while row j (from 0) is empty at column c
-    for c, col in enumerate(zip(*rows), 1):
-        if {0, *col} != want:
-            raise CompletionError(f"column {c} does not hold exactly the symbols 1..{n}")
-        free.append(sum(map((1).__lshift__, compress(range(m), map(not_, col)))))
-    for i in range(n + 1, m + 1):
-        match = _kuhn(free, m)
-        if -1 in match:
-            raise CompletionError("row extension matching failed on a Latin rectangle")
+    # in_rows[s], in_cols[s]: bit j is set when row (column) j, from 0, holds s
+    # before the matchings
+    in_rows, in_cols = [0] * (m + 1), [0] * (m + 1)
+    cols = list(zip(*rows))
+    for name, lines, holds in (("row", rows, in_rows), ("column", cols, in_cols)):
+        for j, line in enumerate(lines):
+            syms = set(line)
+            syms.discard(0)
+            for s in syms:
+                if not 0 < s <= m:
+                    raise CompletionError(f"symbol {s} in {name} {j + 1} is outside 0..{m}")
+                holds[s] |= 1 << j
+            if len(syms) + line.count(0) != m:
+                s = next(s for s in syms if line.count(s) > 1)
+                raise CompletionError(f"symbol {s} repeats in {name} {j + 1}")
+    # free[c]: bit j is set while row j is empty at column c
+    free = [sum(map((1).__lshift__, compress(range(m), map(not_, col)))) for col in cols]
+    full = (1 << m) - 1
+    for s in range(1, m + 1):
+        need = full ^ in_rows[s]  # the rows that lack s
+        if not need:
+            continue
+        held = in_cols[s]
+        nbrs = [0 if held >> c & 1 else f & need for c, f in enumerate(free)] if held else free
+        match = _kuhn(nbrs, m)
+        if match.count(-1) != m - need.bit_count():
+            raise CompletionError(f"symbol {s} has no perfect matching of columns to rows")
         for j, (row, c) in enumerate(zip(rows, match)):
-            row[c] = i
-            free[c] ^= 1 << j
-    # A matching that wrote a filled cell leaves its bit set.
-    if any(free):
-        raise CompletionError("row extension produced a non-Latin grid")
+            if c >= 0:
+                row[c] = s
+                free[c] ^= 1 << j
+    # A matching that wrote a filled cell leaves an empty one in its row.
+    for r, row in enumerate(rows, 1):
+        if 0 in row:
+            raise CompletionError(f"cell {(r, row.index(0) + 1)} is still empty")

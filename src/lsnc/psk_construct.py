@@ -8,13 +8,13 @@ classifies into one of six cases by the 2-adic structure of k and l.
 working grid, whose row and column symbol masks answer each write's checks
 in O(1), starting from the vital subgraph's fixed 4- or 8-coloring written
 block by block.  BothOdd and SamePower fill the empty diagonals with fresh
-symbols.  The other cases top up one (Sin) or two (DiffPower, Mixed) cells
-per row, each with the one symbol of 1..4, or 5..8 for the second cell of
-a pair, that its row and column lack, then take the paper's SDR + Latin
-rectangle route without its symbol/row interchanges.  Only the finished
-square becomes a `Grid`: 240 in an M = 32 sweep (cProfile).  The case is
-dispatched once, so the steps do not re-check it.  Every step checks the
-claims the construction relies on and raises CompletionError when one fails.
+symbols.  The other cases skip the paper's top-up, SDR and Latin rectangle
+steps: `latin.extend_symbols` places each symbol 1..M that a row lacks by
+one Kuhn matching of the columns that lack it to their empty cells in
+those rows, the vital colours first.  Only the finished square
+becomes a `Grid`, after any transpose or rotation.  The case is dispatched
+once, so the steps do not re-check it.  Every step checks the claims the
+construction relies on and raises CompletionError when one fails.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ from lsnc.coloring import Coloring
 from lsnc.constraint import Cell, ConstraintPartition, build_constraints
 from lsnc.errors import CompletionError
 from lsnc.fade_state import psk_representatives
-from lsnc.latin import Grid, extend_symbols, find_sdr, verify_latin, verify_removes
+from lsnc.latin import Grid, extend_symbols, verify_latin, verify_removes
 # Not called here: perfbench looks these names up on this module to trace them.
-from lsnc.latin import candidate_cells, complete_rows_hall, interchange_symbol_row  # noqa: F401
+from lsnc.latin import candidate_cells, complete_rows_hall, find_sdr, interchange_symbol_row  # noqa: F401
 from lsnc.signal_set import make_psk
 
 __all__ = [
@@ -267,82 +267,33 @@ def _diagonal_complete(rows: list[list[int]]) -> None:
         raise CompletionError("diagonal completion produced an invalid square")
 
 
-def _rectangle_complete(work: Working, n_rect: int) -> None:
-    """Finish symbols 1..n_rect via an SDR, then extend the working grid to
-    a Latin Square in place (`extend_symbols`).
-
-    Cell (r, c) of the paper's symbol/row-interchanged rectangle holds j
-    exactly when working cell (j, c) holds r, so the SDR family is read off
-    the working grid's masks and each rectangle fill is written there.
-    `_fill_cell`'s checks of working cell (j, c), row j and column c are the
-    rectangle's checks of its column c, row r and cell (r, c).
-    """
-    rows, row_syms, col_syms = work
-    family: list[list[tuple[int, int]]] = []
-    fill_syms: list[int] = []
-    for j, (row, have) in enumerate(zip(rows, row_syms), 1):
-        empty = [c for c, v in enumerate(row, 1) if not v]
-        for r in range(1, n_rect + 1):
-            if have >> r & 1:
-                continue
-            cells = [(r, c) for c in empty if not col_syms[c - 1] >> r & 1]
-            if not cells:
-                raise CompletionError(
-                    f"symbol {j} has no admissible cell in a row that lacks it"
-                )
-            family.append(cells)
-            fill_syms.append(j)
-    sdr = find_sdr(family)
-    if not sdr.ok:
-        raise CompletionError(f"no SDR; Hall violator {sdr.violating}")
-    for (r, c), j in zip(sdr.representatives, fill_syms):
-        _fill_cell(work, j, c, r)
-    extend_symbols(rows, n_rect)
-
-
-def _top_up(work: Working, case: PskCase) -> int:
-    """Fill the closed-form top-up cells of a Sin, DiffPower or Mixed
-    partial grid in place and return the rectangle height, 4 or 8.
-
-    Appendix A tops up one cell per row of a Sin grid (M constraints, 4
-    symbols), Appendix B two per row of a DiffPower/Mixed grid (2M
-    constraints, 8 symbols).  Each cell takes the one symbol of 1..4, or of
-    5..8 for the second cell of a pair, that its row and column lack.
-    """
-    m, k = case.m, case.bk
-    _, row_syms, col_syms = work
-    if case.tag in (SIN_ODD, SIN_EVEN):
-        d = m // 4 + ((k - 1) // 2 if k % 2 else k // 2 - (1 << _val2(k)))
-        cells = [(i + 1, (i - d) % m + 1, range(1, 5)) for i in range(m)]
-    else:
-        d1, d2 = psk_column_offsets(k, case.bl)
-        cells = [(i + 1, (i - d1) % m + 1, range(1, 5)) for i in range(m)]
-        cells += [(i + 1, (i + m // 2 - d2) % m + 1, range(5, 9)) for i in range(m)]
-    for r, c, syms in cells:
-        present = row_syms[r - 1] | col_syms[c - 1]
-        absent = [s for s in syms if not present >> s & 1]
-        if len(absent) != 1:
-            raise CompletionError(
-                f"cell {(r, c)} admits {len(absent)} symbols of {syms}, expected 1"
-            )
-        _fill_cell(work, r, c, absent[0])
-    return syms.stop - 1  # the largest symbol placed
-
-
-def removal_square(m: int, k: int, l: int) -> Grid:
-    """M-symbol Latin Square removing the (k, l) representative of M-PSK."""
-    case = classify(m, k, l)
-    work = _vital_fill(m, _psk_blocks(m, case.bk, case.bl), vital_coloring(case).colors)
-    rows = work[0]
+def _base_rows(case: PskCase) -> list[list[int]]:
+    """The finished square for (bk, bl), before any transpose or rotation:
+    the vital fill, completed along the diagonals (BothOdd, SamePower) or
+    by one matching per symbol (`extend_symbols`)."""
+    m = case.m
+    rows = _vital_fill(m, _psk_blocks(m, case.bk, case.bl), vital_coloring(case).colors)[0]
     if case.tag in (BOTH_ODD, SAME_POWER):
         _diagonal_complete(rows)
     else:
-        _rectangle_complete(work, _top_up(work, case))
+        extend_symbols(rows)
+    return rows
+
+
+def _oriented(rows: Sequence[Sequence[int]], case: PskCase) -> Grid:
+    """The (bk, bl) square `rows` as the square removing (k, l): transposed
+    and column-rotated as `case` says.  `rows` is not changed."""
     if case.transposed:
         rows = list(zip(*rows))
     if case.rotate:
         rows = [row[case.rotate:] + row[:case.rotate] for row in rows]
     return Grid.from_lists(rows)
+
+
+def removal_square(m: int, k: int, l: int) -> Grid:
+    """M-symbol Latin Square removing the (k, l) representative of M-PSK."""
+    case = classify(m, k, l)
+    return _oriented(_base_rows(case), case)
 
 
 def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:
@@ -357,10 +308,18 @@ def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:
     """
     check_construction_order(m)
     s_set = make_psk(m)
+    bases: dict[tuple[int, int], list[list[int]]] = {}
     out: dict[tuple[int, int], Grid] = {}
     for fs in psk_representatives(m):
         k, l = fs.k, fs.l
-        square = removal_square(m, k, l)
+        case = classify(m, k, l)
+        # (k, l) and (l, k) share one (bk, bl) square when one is transposed;
+        # it is built once, and dropped at its second use.
+        key = case.bk, case.bl
+        rows = bases.pop(key, None)
+        if rows is None:
+            rows = bases[key] = _base_rows(case)
+        square = _oriented(rows, case)
         partition = build_constraints(s_set, fs)
         row1 = partition.labels[:m]
         if -1 in row1 or len(set(row1)) != m:

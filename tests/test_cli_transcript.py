@@ -120,7 +120,7 @@ TRANSCRIPT = [
     ("psk-sweep --m 8",
      "8eb875d6fe01cba49b5a53e972f203d99fe4eab970685e7ce2a62f15ee86b74e"),
     ("psk-sweep --m 8 --out sweep",
-     "7802f04b0ebc04c2873601437ed5f685f90d17b163178501b8597eaffc8a462c"),
+     "86da4feb66f024dbc1d5393c03cb0615f1610b40b71e7da7d61cbd283e55b156"),
     ("psk-sweep --m 4",
      "2b9255ed03f1dc3887c1ea3dcbffe8b48d040a5475fe80f137c4d4d02e3061c5"),
     ("clique --signal qam:4 --fade -1-1j",

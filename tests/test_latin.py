@@ -27,6 +27,7 @@ from lsnc import (
 )
 from lsnc import coloring, latin
 from lsnc.errors import CompletionError, SearchBudgetExceeded
+from lsnc.fixtures import load_grid
 from lsnc.latin import _kuhn, extend_symbols, interchange_rows
 
 from conftest import with_cell, xor_square
@@ -178,7 +179,6 @@ class TestTransforms:
 
     def test_interchange_fixture_pairs(self):
         # the worked exchange examples map onto the Hall-completion pair
-        from lsnc.fixtures import load_grid
         assert interchange_symbol_row(load_grid("interchange_pls")) == load_grid("hall_rect")
         assert interchange_symbol_row(load_grid("interchange_ls")) == load_grid("hall_ls")
 
@@ -263,23 +263,37 @@ class TestHallCompletion:
         with pytest.raises(ValueError, match="symbol 1 repeats in column 1"):
             complete_rows_hall(Grid.from_lists(rows))
 
+    def test_completes_the_hall_fixture(self):
+        assert complete_rows_hall(load_grid("hall_rect")) == load_grid("hall_ls")
+
     @pytest.mark.parametrize(
         "rows,message",
         [
-            ([[1, 0], [0, 0]], "column 2 does not hold exactly the symbols 1..1"),  # lacks 1
-            ([[1, 0], [0, 2]], "column 2 does not hold exactly the symbols 1..1"),  # holds 2
-            # row 1 repeats 1, so no matching gives it symbol 3
-            ([[1, 1, 0], [0, 0, 1], [0, 0, 0]], "row extension matching failed on a Latin rectangle"),
+            ([[0, 3], [0, 0]], "symbol 3 in row 1 is outside 0..2"),
+            ([[0, 0], [-1, 0]], "symbol -1 in row 2 is outside 0..2"),
+            ([[1, 1, 0], [0, 0, 1], [0, 0, 0]], "symbol 1 repeats in row 1"),
+            ([[1, 0], [1, 0]], "symbol 1 repeats in column 1"),
+            # row 2 lacks 1, and its one cell in column 2, which lacks 1, is filled
+            ([[1, 0], [0, 2]], "symbol 1 has no perfect matching of columns to rows"),
         ],
     )
     def test_extend_symbols_guards(self, rows, message):
         with pytest.raises(CompletionError, match=f"^{re.escape(message)}$"):
-            extend_symbols(rows, 1)
+            extend_symbols(rows)
+
+    def test_extend_symbols_places_the_symbols_each_row_lacks(self):
+        # 1 goes to (2, 2) and (3, 3), the columns that lack it each taking
+        # their lowest row at or above their own index; 2 goes to (3, 1) and
+        # (1, 2); fresh 3 fills what is left.
+        rows = [[1, 0, 0], [0, 0, 2], [0, 0, 0]]
+        extend_symbols(rows)
+        assert rows == [[1, 2, 3], [3, 1, 2], [2, 3, 1]]
 
     def test_extend_symbols_rejects_a_matching_that_writes_a_filled_cell(self, monkeypatch):
+        # Symbol 2 is written at (1, 1), over the 1 there, and at (2, 1).
         monkeypatch.setattr(latin, "_kuhn", lambda nbrs, n_right: [0] * n_right)
-        with pytest.raises(CompletionError, match="^row extension produced a non-Latin grid$"):
-            extend_symbols([[1, 0], [0, 1]], 1)
+        with pytest.raises(CompletionError, match=f"^{re.escape('cell (1, 2) is still empty')}$"):
+            extend_symbols([[1, 0], [0, 1]])
 
 
 def brute_max_matching(nbrs, u=0, used=0):

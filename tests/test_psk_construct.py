@@ -11,6 +11,7 @@ from lsnc import (
     constrained_pls,
     exact_chromatic,
     from_coloring,
+    make_psk,
     psk_constraints_closed_form,
     psk_representative,
     psk_representatives,
@@ -19,12 +20,12 @@ from lsnc import (
     verify_proper,
     verify_removes,
 )
-from lsnc import psk_construct
+from lsnc import latin, psk_construct
 from lsnc.constraint import ConstraintPartition
 from lsnc.errors import CompletionError
 from lsnc.fixtures import load_grid
 from lsnc.gridio import dumps_grid
-from lsnc.latin import Grid, SdrResult
+from lsnc.latin import Grid, SdrResult, extend_symbols
 from lsnc.psk_construct import (
     BOTH_ODD,
     DIFF_POWER,
@@ -34,10 +35,10 @@ from lsnc.psk_construct import (
     SIN_ODD,
     _diagonal_complete,
     _fill_cell,
-    _rectangle_complete,
-    _top_up,
+    _oriented,
     _vital_fill,
     classify,
+    psk_column_offsets,
     remove_all_psk,
     removal_square,
     vital_coloring,
@@ -167,10 +168,84 @@ def working(rows):
     return rows, list(map(symbols, rows)), list(map(symbols, zip(*rows)))
 
 
+def top_up(work, case):
+    """Fill the closed-form top-up cells of a Sin, DiffPower or Mixed
+    working grid in place and return the rectangle height, 4 or 8.
+
+    Appendix A tops up one cell per row of a Sin grid (M constraints, 4
+    symbols), Appendix B two per row of a DiffPower/Mixed grid (2M
+    constraints, 8 symbols).  Each cell takes the one symbol of 1..4, or of
+    5..8 for the second cell of a pair, that its row and column lack.
+    """
+    m, k = case.m, case.bk
+    _, row_syms, col_syms = work
+    if case.tag in (SIN_ODD, SIN_EVEN):
+        d = m // 4 + ((k - 1) // 2 if k % 2 else k // 2 - (k & -k))
+        cells = [(i + 1, (i - d) % m + 1, range(1, 5)) for i in range(m)]
+    else:
+        d1, d2 = psk_column_offsets(k, case.bl)
+        cells = [(i + 1, (i - d1) % m + 1, range(1, 5)) for i in range(m)]
+        cells += [(i + 1, (i + m // 2 - d2) % m + 1, range(5, 9)) for i in range(m)]
+    for r, c, syms in cells:
+        present = row_syms[r - 1] | col_syms[c - 1]
+        absent = [s for s in syms if not present >> s & 1]
+        if len(absent) != 1:
+            raise CompletionError(
+                f"cell {(r, c)} admits {len(absent)} symbols of {syms}, expected 1"
+            )
+        _fill_cell(work, r, c, absent[0])
+    return syms.stop - 1  # the largest symbol placed
+
+
+def rectangle_complete(work, n_rect):
+    """Finish symbols 1..n_rect via an SDR, then extend the working grid to
+    a Latin Square in place (`extend_symbols`, which then places only the
+    fresh symbols n_rect+1..M).
+
+    Cell (r, c) of the paper's symbol/row-interchanged rectangle holds j
+    exactly when working cell (j, c) holds r, so the SDR family is read off
+    the working grid's masks and each rectangle fill is written there.
+    `_fill_cell`'s checks of working cell (j, c), row j and column c are the
+    rectangle's checks of its column c, row r and cell (r, c).
+    """
+    rows, row_syms, col_syms = work
+    family, fill_syms = [], []
+    for j, (row, have) in enumerate(zip(rows, row_syms), 1):
+        empty = [c for c, v in enumerate(row, 1) if not v]
+        for r in range(1, n_rect + 1):
+            if have >> r & 1:
+                continue
+            cells = [(r, c) for c in empty if not col_syms[c - 1] >> r & 1]
+            if not cells:
+                raise CompletionError(
+                    f"symbol {j} has no admissible cell in a row that lacks it"
+                )
+            family.append(cells)
+            fill_syms.append(j)
+    sdr = latin.find_sdr(family)
+    if not sdr.ok:
+        raise CompletionError(f"no SDR; Hall violator {sdr.violating}")
+    for (r, c), j in zip(sdr.representatives, fill_syms):
+        _fill_cell(work, j, c, r)
+    # Interchanged, the rows 1..n_rect are a Latin rectangle.
+    for c, col in enumerate(zip(*rows), 1):
+        if {0, *col} != set(range(n_rect + 1)):
+            raise CompletionError(f"column {c} does not hold exactly the symbols 1..{n_rect}")
+    extend_symbols(rows)
+
+
+def paper_complete(case):
+    """The (bk, bl) square of a Sin, DiffPower or Mixed case by the paper's
+    completion: top-up, SDR and Latin rectangle extension of the vital grid."""
+    work = working(vital_pfls(case)[0].to_lists())
+    rectangle_complete(work, top_up(work, case))
+    return work[0]
+
+
 def topped_up(case):
     """The vital partial grid of `case` after its closed-form top-up."""
     rows = vital_pfls(case)[0].to_lists()
-    _top_up(working(rows), case)
+    top_up(working(rows), case)
     return Grid.from_lists(rows)
 
 
@@ -217,6 +292,41 @@ def test_sin_top_up_is_the_colour_half_a_turn_away(m):
         assert [r for r, _ in new] == list(range(1, m + 1))
         for r, sym in new:
             assert sym == coloring.colors[(r - 1 + m // 2) % m], (fs.k, fs.l, r)
+
+
+def sweep_sha256(squares):
+    """SHA-256 of each square's grid JSON after its "(k, l)" line, by (k, l)."""
+    dump = "".join(f"{key}\n{dumps_grid(g)}" for key, g in sorted(squares.items()))
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
+# The golden dumps of the sweep whose Sin, DiffPower and Mixed squares came
+# from the paper's completion (`paper_complete`).
+PAPER_SWEEP_SHA256 = {
+    8: "ea0b5e0c6e93b3945d148201e60a5426fa5f106e4b67b8632604357614edeb76",
+    16: "25d33c87da7089527fd9ee57bfe27baa7a733aa522f82fb22f5c17210ac9de55",
+    32: "9fd4cb34da2b894c55ad0caa94e108db98e95955ab663af57f426174290c6cba",
+}
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_paper_completion_removes_every_sin_diffpower_and_mixed_state(m):
+    # The paper's top-up, SDR and rectangle route completes every state the
+    # library now finishes by one matching per symbol, each square verifies
+    # against its brute-force partition, and the sweep it gives is the one
+    # the library pinned before.
+    signal = make_psk(m)
+    squares = {}
+    for fs in psk_representatives(m):
+        case = classify(m, fs.k, fs.l)
+        if case.tag in (BOTH_ODD, SAME_POWER):
+            squares[fs.k, fs.l] = removal_square(m, fs.k, fs.l)
+            continue
+        grid = _oriented(paper_complete(case), case)
+        assert grid.is_complete() and verify_latin(grid) and grid.symbol_count == m
+        assert verify_removes(grid, build_constraints(signal, fs)), (fs.k, fs.l)
+        squares[fs.k, fs.l] = grid
+    assert sweep_sha256(squares) == PAPER_SWEEP_SHA256[m]
 
 
 @pytest.mark.parametrize(
@@ -283,6 +393,21 @@ def test_sixteen_psk_sweep_is_clean():
     assert len(squares) == 56
 
 
+def test_sweep_builds_each_base_square_once(monkeypatch):
+    # (k, l) and (l, k) share one (bk, bl) square when one of them is built
+    # transposed: 21 of the 56 states at M = 16.  The sweep's squares are
+    # still `removal_square`'s.
+    built = []
+    base_rows = psk_construct._base_rows
+    monkeypatch.setattr(
+        psk_construct, "_base_rows", lambda case: built.append(case) or base_rows(case)
+    )
+    squares = remove_all_psk(16)
+    assert len(built) == len({(case.bk, case.bl) for case in built}) == 56 - 21
+    for (k, l), grid in squares.items():
+        assert grid == removal_square(16, k, l)
+
+
 @pytest.mark.parametrize("m", [8, 16])
 def test_unit_circle_states_are_settled_by_search(m, request):
     # No closed form covers the k = l circle; a small search proves chi = M
@@ -334,16 +459,15 @@ def test_sweep_raises_when_row_one_repeats_a_block(monkeypatch):
 @pytest.mark.parametrize(
     "m,sha256",
     [
-        (8, "ea0b5e0c6e93b3945d148201e60a5426fa5f106e4b67b8632604357614edeb76"),
-        (16, "25d33c87da7089527fd9ee57bfe27baa7a733aa522f82fb22f5c17210ac9de55"),
-        (32, "9fd4cb34da2b894c55ad0caa94e108db98e95955ab663af57f426174290c6cba"),
+        (8, "059382d30a3d4f1275034ca03b0503b3970986ff7653ffa97eccb90b8c29092d"),
+        (16, "9c0be714cf2f597969dd73de052c8abd0ff54642d1cec77f1710841f76e9ea5c"),
+        (32, "e99ee48741ddc768cecadedfc85b6bbf8f80a5fbfa1ee857bbca39e2f0f84f3d"),
     ],
 )
 def test_sweep_matches_golden_dump(m, sha256):
-    # Pins every square byte for byte, so a change in matching or SDR order
-    # shows even where the squares still verify.
-    dump = "".join(f"{key}\n{dumps_grid(g)}" for key, g in sorted(remove_all_psk(m).items()))
-    assert hashlib.sha256(dump.encode()).hexdigest() == sha256
+    # Pins every square byte for byte, so a change in matching order shows
+    # even where the squares still verify.
+    assert sweep_sha256(remove_all_psk(m)) == sha256
 
 
 def diagonal_rows(m=8):
@@ -402,14 +526,14 @@ def test_pair_top_up_needs_one_absent_symbol(row0, admits):
     case = classify(8, 1, 2)  # Mixed: row i's first top-up cell is (i+1, i+1)
     rows = [row0] + [[0] * 8 for _ in range(7)]
     with pytest.raises(CompletionError, match=re.escape(f"cell (1, 1) admits {admits} symbols")):
-        _top_up(working(rows), case)
+        top_up(working(rows), case)
 
 
 def test_sin_top_up_needs_one_absent_symbol():
     case = classify(8, 1, 4)  # SinOdd: row 1's top-up cell is (1, 7)
     rows = [[0] * 8 for _ in range(8)]
     with pytest.raises(CompletionError, match=re.escape("cell (1, 7) admits 4 symbols")):
-        _top_up(working(rows), case)
+        top_up(working(rows), case)
 
 
 @pytest.mark.parametrize(
@@ -427,7 +551,7 @@ def test_sin_top_up_needs_one_absent_symbol():
 )
 def test_rectangle_completion_guards(rows, message):
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _rectangle_complete(working(rows), 1)
+        rectangle_complete(working(rows), 1)
 
 
 @pytest.mark.parametrize(
@@ -444,9 +568,9 @@ def test_rectangle_completion_guards(rows, message):
 def test_rectangle_fill_guards(monkeypatch, planted, message):
     # The first two sets of the family ask for symbol 1 in rectangle rows 1
     # and 2; a planted SDR puts both where the second one conflicts.
-    monkeypatch.setattr(psk_construct, "find_sdr", lambda family: SdrResult(tuple(planted), None))
+    monkeypatch.setattr(latin, "find_sdr", lambda family: SdrResult(tuple(planted), None))
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _rectangle_complete(working([[0] * 4 for _ in range(4)]), 2)
+        rectangle_complete(working([[0] * 4 for _ in range(4)]), 2)
 
 
 @pytest.mark.parametrize(
