@@ -8,7 +8,8 @@ here by matchings; completion by search is coloring extension on the rook
 graph, `lsnc.coloring.generic_complete`.
 
 `complete_rows_hall` runs `extend_symbols` between two interchanges;
-`lsnc.psk_construct` runs it on its working grid, with no interchange.
+`lsnc.psk_construct` runs it on the plain rows of its vital fill, with no
+interchange.
 """
 from __future__ import annotations
 
@@ -125,8 +126,8 @@ def column_rotate(grid: Grid, steps: int) -> Grid:
 
     For M-PSK this turns a removal map for s into one for s*e^{j*2pi*steps/M}.
     """
-    m = grid.m
-    return Grid(tuple(tuple(row[(c + steps) % m] for c in range(m)) for row in grid.rows))
+    s = steps % (grid.m or 1)
+    return Grid(tuple(row[s:] + row[:s] for row in grid.rows))
 
 
 def interchange_symbol_row(grid: Grid) -> Grid:

@@ -4,16 +4,16 @@ This module owns the whole 2^n-PSK construction: its range checks, the
 closed-form constraint blocks (`psk_constraints_closed_form`), the vital
 coloring, and the completions.  Each representative fade state (k, l)
 classifies into one of six cases by the 2-adic structure of k and l.
-`removal_square` builds the square on one
-working grid, whose row and column symbol masks answer each write's checks
-in O(1), starting from the vital subgraph's fixed 4- or 8-coloring written
-block by block.  BothOdd and SamePower fill the empty diagonals with fresh
-symbols.  The other cases skip the paper's top-up, SDR and Latin rectangle
-steps: `latin.extend_symbols` places each symbol 1..M that a row lacks by
-one Kuhn matching of the columns that lack it to their empty cells in
-those rows, the vital colours first.  Only the finished square
-becomes a `Grid`, after any transpose or rotation.  The case is dispatched
-once, so the steps do not re-check it.  Every step checks the claims the
+`removal_square` writes the vital subgraph's fixed 4- or 8-coloring block
+by block into plain rows, checking only that no cell is written twice;
+the completion reads every line, so it checks that no color meets a line
+twice.  BothOdd and SamePower fill the empty diagonals with fresh symbols.
+The other cases skip the paper's top-up, SDR and Latin rectangle steps:
+`latin.extend_symbols` places each symbol 1..M that a row lacks by one
+Kuhn matching of the columns that lack it to their empty cells in those
+rows, the vital colours first.  Only the finished square becomes a
+`Grid`, after any transpose or rotation.  The case is dispatched once, so
+the steps do not re-check it.  Every step checks the claims the
 construction relies on and raises CompletionError when one fails.
 """
 from __future__ import annotations
@@ -202,41 +202,17 @@ def vital_coloring(case: PskCase) -> Coloring:
 
 
 def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
-    """Partial grid with every closed-form constraint filled by its color
-    (`_vital_fill`), its partition and the coloring."""
+    """Partial grid with every closed-form constraint filled by its color,
+    its partition and the coloring.  The partition rejects two blocks
+    sharing a cell (ValueError); a color met twice in a line raises
+    CompletionError: a Latin fill is a proper coloring that also rejects a
+    block meeting one line twice."""
     part = psk_constraints_closed_form(case.m, case.bk, case.bl)
     coloring = vital_coloring(case)
-    return Grid.from_lists(_vital_fill(case.m, part.blocks, coloring.colors)[0]), part, coloring
-
-
-# A working grid: rows, and a symbol bitmask per row and per column with bit s
-# set while s is in the line (bit 0 is never set).
-Working = tuple[list[list[int]], list[int], list[int]]
-
-
-def _vital_fill(m: int, blocks: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int]) -> Working:
-    """An empty M x M working grid with every cell of block i written in
-    colors[i].  Each write checks its cell and lines, so two blocks sharing
-    a cell, or a color met twice in a line, raise CompletionError: a Latin
-    fill is a proper coloring that also rejects a block meeting one line
-    twice."""
-    work = [[0] * m for _ in range(m)], [0] * m, [0] * m
-    for block, color in zip(blocks, colors, strict=True):
-        for r, c in block:
-            _fill_cell(work, r, c, color)
-    return work
-
-
-def _fill_cell(work: Working, r: int, c: int, sym: int) -> None:
-    rows, row_syms, col_syms = work
-    if rows[r - 1][c - 1]:
-        raise CompletionError(f"fill target {(r, c)} is not empty")
-    bit = 1 << sym
-    if (row_syms[r - 1] | col_syms[c - 1]) & bit:
-        raise CompletionError(f"symbol {sym} conflicts at {(r, c)}")
-    rows[r - 1][c - 1] = sym
-    row_syms[r - 1] |= bit
-    col_syms[c - 1] |= bit
+    grid = part.fill(coloring.colors)
+    if not verify_latin(grid):
+        raise CompletionError("vital fill repeats a symbol in a line")
+    return grid, part, coloring
 
 
 def _diagonal_complete(rows: list[list[int]]) -> None:
@@ -269,10 +245,18 @@ def _diagonal_complete(rows: list[list[int]]) -> None:
 
 def _base_rows(case: PskCase) -> list[list[int]]:
     """The finished square for (bk, bl), before any transpose or rotation:
-    the vital fill, completed along the diagonals (BothOdd, SamePower) or
-    by one matching per symbol (`extend_symbols`)."""
+    the vital colors written block by block into empty rows, completed
+    along the diagonals (BothOdd, SamePower) or by one matching per symbol
+    (`extend_symbols`).  A cell written twice raises CompletionError here; a
+    color met twice in a line raises in the completion, which reads every
+    line."""
     m = case.m
-    rows = _vital_fill(m, _psk_blocks(m, case.bk, case.bl), vital_coloring(case).colors)[0]
+    rows = [[0] * m for _ in range(m)]
+    for block, color in zip(_psk_blocks(m, case.bk, case.bl), vital_coloring(case).colors, strict=True):
+        for r, c in block:
+            if rows[r - 1][c - 1]:
+                raise CompletionError(f"fill target {(r, c)} is not empty")
+            rows[r - 1][c - 1] = color
     if case.tag in (BOTH_ODD, SAME_POWER):
         _diagonal_complete(rows)
     else:

@@ -54,6 +54,17 @@ def xor_square(m):
     return Grid.from_lists([[(r ^ c) + 1 for c in range(m)] for r in range(m)])
 
 
+def random_latin_square(m, rng):
+    """Row-, column- and symbol-permuted XOR square, drawn from `rng`."""
+    rp = rng.sample(range(m), m)
+    cp = rng.sample(range(m), m)
+    sp = rng.sample(range(1, m + 1), m)
+    base = xor_square(m)
+    return Grid.from_lists(
+        [[sp[base.rows[rp[r]][cp[c]] - 1] for c in range(m)] for r in range(m)]
+    )
+
+
 def with_cell(grid, r, c, sym):
     """A copy of `grid` with 1-indexed cell (r, c) set to sym."""
     rows = grid.to_lists()

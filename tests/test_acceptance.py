@@ -49,7 +49,7 @@ from lsnc.fixtures import load_grid, load_points
 from lsnc.psk_construct import remove_all_psk
 from lsnc.srg import QAM_CLIQUE_STATES
 
-from conftest import xor_square
+from conftest import random_latin_square
 
 
 # criterion 8's four parts share one 120 s budget
@@ -232,16 +232,6 @@ def test_criterion_7_two_step_dead_end():
 
 
 # --- 8: property suites ------------------------------------------------------
-
-def random_latin_square(m, rng):
-    rp = rng.sample(range(m), m)
-    cp = rng.sample(range(m), m)
-    sp = rng.sample(range(1, m + 1), m)
-    base = xor_square(m)
-    return Grid.from_lists(
-        [[sp[base.rows[rp[r]][cp[c]] - 1] for c in range(m)] for r in range(m)]
-    )
-
 
 def test_criterion_8a_hall_rectangles():
     with criterion("8a", 120.0):

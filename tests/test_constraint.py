@@ -43,14 +43,23 @@ from lsnc.fixtures import load_grid
 from conftest import SKEW_POINTS, gadd, gmul, gq
 
 
-def brute_blocks(signal, s):
-    """Group S x S cells by the clustered value of x_A + s*x_B."""
+def float_grouping(signal, s, effective=True):
+    """Blocks and (if asked) effective constellation of x_A + s*x_B by float
+    clustering of the S x S cells: the brute-force grouping, as `superpose`
+    grouped every PSK fade before exact keys."""
     m = signal.size
+    sv = complex(s)
     cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
-    vals = [signal.points[r - 1] + s * signal.points[c - 1] for r, c in cells]
-    return {
-        frozenset(cells[i] for i in grp) for grp in cluster_complex(vals)
-    }
+    vals = [signal.points[r - 1] + sv * signal.points[c - 1] for r, c in cells]
+    groups = cluster_complex(vals)
+    blocks = tuple(tuple(cells[i] for i in g) for g in groups)
+    if not effective:
+        return blocks, None
+    pts = tuple(sorted((canon_complex(vals[g[0]]) for g in groups), key=complex_sort_key))
+    if len(groups) < len(vals):
+        return blocks, (pts, 0.0)
+    dmin = min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
+    return blocks, (pts, dmin)
 
 
 @pytest.mark.parametrize(
@@ -67,7 +76,8 @@ def brute_blocks(signal, s):
 def test_partition_matches_brute_grouping(sig, fade, request):
     signal = request.getfixturevalue(sig)
     part = build_constraints(signal, fade)
-    assert {frozenset(b) for b in part.blocks} == brute_blocks(signal, fade)
+    blocks, _ = float_grouping(signal, fade, effective=False)
+    assert {frozenset(b) for b in part.blocks} == {frozenset(b) for b in blocks}
 
 
 def test_partition_covers_all_cells(qam4_partition):
@@ -363,24 +373,6 @@ def test_labels_of_closed_forms_and_float_groupings(m):
 
 
 # Exact Z[zeta] keys for M-PSK against the float grouping they replace.
-
-def float_grouping(signal, s, effective=True):
-    """Blocks and (if asked) effective constellation of x_A + s*x_B by float
-    clustering, as `superpose` grouped every PSK fade before exact keys."""
-    m = signal.size
-    sv = complex(s)
-    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
-    vals = [signal.points[r - 1] + sv * signal.points[c - 1] for r, c in cells]
-    groups = cluster_complex(vals)
-    blocks = tuple(tuple(cells[i] for i in g) for g in groups)
-    if not effective:
-        return blocks, None
-    pts = tuple(sorted((canon_complex(vals[g[0]]) for g in groups), key=complex_sort_key))
-    if len(groups) < len(vals):
-        return blocks, (pts, 0.0)
-    dmin = min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:])
-    return blocks, (pts, dmin)
-
 
 @cache
 def psk_states(name):

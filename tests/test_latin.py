@@ -30,25 +30,13 @@ from lsnc.errors import CompletionError, SearchBudgetExceeded
 from lsnc.fixtures import load_grid
 from lsnc.latin import _kuhn, extend_symbols, interchange_rows
 
-from conftest import with_cell, xor_square
+from conftest import random_latin_square, with_cell, xor_square
 from test_coloring import reference_search
-
-
-def random_latin_square(m, seed):
-    """Row-, column- and symbol-permuted XOR square."""
-    rng = random.Random(seed)
-    rp = rng.sample(range(m), m)
-    cp = rng.sample(range(m), m)
-    sp = rng.sample(range(1, m + 1), m)
-    base = xor_square(m)
-    return Grid.from_lists(
-        [[sp[base.rows[rp[r]][cp[c]] - 1] for c in range(m)] for r in range(m)]
-    )
 
 
 def random_partial(m, seed, keep=0.5):
     rng = random.Random(seed)
-    g = random_latin_square(m, seed)
+    g = random_latin_square(m, random.Random(seed))
     return Grid.from_lists(
         [[v if rng.random() < keep else 0 for v in row] for row in g.rows]
     )
@@ -171,6 +159,14 @@ class TestTransforms:
         g = xor_square(8)
         assert column_rotate(g, 8) == g
 
+    @pytest.mark.parametrize("steps", [-9, -1, 0, 3, 8, 11, 2**70])
+    def test_column_rotate_takes_any_int_steps(self, steps):
+        g = random_latin_square(8, random.Random(steps))
+        assert column_rotate(g, steps).rows == tuple(
+            tuple(row[(c + steps) % 8] for c in range(8)) for row in g.rows
+        )
+        assert column_rotate(Grid(()), steps) == Grid(())
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8]))
     @settings(max_examples=40, deadline=None)
     def test_interchange_is_involution_on_partials(self, seed, m):
@@ -239,7 +235,7 @@ class TestHallCompletion:
     @pytest.mark.parametrize("m,r,seed", [(4, 2, 0), (8, 3, 1), (8, 7, 2), (16, 5, 3)])
     def test_extends_rectangles(self, m, r, seed):
         rect = Grid.from_lists(
-            [list(row) for row in random_latin_square(m, seed).rows[:r]]
+            [list(row) for row in random_latin_square(m, random.Random(seed)).rows[:r]]
             + [[0] * m for _ in range(m - r)]
         )
         done = complete_rows_hall(rect)

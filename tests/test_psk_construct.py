@@ -6,6 +6,7 @@ import re
 import pytest
 
 from lsnc import (
+    Coloring,
     build_constraints,
     build_srg,
     constrained_pls,
@@ -33,10 +34,9 @@ from lsnc.psk_construct import (
     SAME_POWER,
     SIN_EVEN,
     SIN_ODD,
+    _base_rows,
     _diagonal_complete,
-    _fill_cell,
     _oriented,
-    _vital_fill,
     classify,
     psk_column_offsets,
     remove_all_psk,
@@ -168,6 +168,14 @@ def working(rows):
     return rows, list(map(symbols, rows)), list(map(symbols, zip(*rows)))
 
 
+def put(work, r, c, sym):
+    """Write sym into working cell (r, c) and its row and column masks."""
+    rows, row_syms, col_syms = work
+    rows[r - 1][c - 1] = sym
+    row_syms[r - 1] |= 1 << sym
+    col_syms[c - 1] |= 1 << sym
+
+
 def top_up(work, case):
     """Fill the closed-form top-up cells of a Sin, DiffPower or Mixed
     working grid in place and return the rectangle height, 4 or 8.
@@ -193,7 +201,7 @@ def top_up(work, case):
             raise CompletionError(
                 f"cell {(r, c)} admits {len(absent)} symbols of {syms}, expected 1"
             )
-        _fill_cell(work, r, c, absent[0])
+        put(work, r, c, absent[0])
     return syms.stop - 1  # the largest symbol placed
 
 
@@ -204,9 +212,9 @@ def rectangle_complete(work, n_rect):
 
     Cell (r, c) of the paper's symbol/row-interchanged rectangle holds j
     exactly when working cell (j, c) holds r, so the SDR family is read off
-    the working grid's masks and each rectangle fill is written there.
-    `_fill_cell`'s checks of working cell (j, c), row j and column c are the
-    rectangle's checks of its column c, row r and cell (r, c).
+    the working grid's masks and each rectangle fill is written there.  The
+    writes are not checked: a bad SDR leaves a column without one of the
+    symbols 1..n_rect, or a line that `extend_symbols` finds repeated.
     """
     rows, row_syms, col_syms = work
     family, fill_syms = [], []
@@ -226,7 +234,7 @@ def rectangle_complete(work, n_rect):
     if not sdr.ok:
         raise CompletionError(f"no SDR; Hall violator {sdr.violating}")
     for (r, c), j in zip(sdr.representatives, fill_syms):
-        _fill_cell(work, j, c, r)
+        put(work, j, c, r)
     # Interchanged, the rows 1..n_rect are a Latin rectangle.
     for c, col in enumerate(zip(*rows), 1):
         if {0, *col} != set(range(n_rect + 1)):
@@ -344,7 +352,7 @@ def test_removal_square_verifies(m, k, l, request):
 
 
 def test_removal_square_validates_one_grid(monkeypatch):
-    # The finished square; every step before it works on the working grid.
+    # The finished square; every step before it works on plain rows.
     built = []
     validate = Grid.__post_init__
     monkeypatch.setattr(Grid, "__post_init__", lambda grid: built.append(validate(grid)))
@@ -355,22 +363,13 @@ def test_removal_square_validates_one_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
-def test_removal_square_starts_from_the_closed_form_fill(monkeypatch, m):
-    # The working rows written block by block equal the closed-form
+def test_removal_square_starts_from_the_closed_form_fill(m):
+    # The finished (bk, bl) square keeps every cell of the closed-form
     # partition filled by the vital colouring.
-    started = []
-
-    def vital_fill(*args):
-        work = _vital_fill(*args)
-        started.append(Grid.from_lists(work[0]))
-        return work
-
-    monkeypatch.setattr(psk_construct, "_vital_fill", vital_fill)
     for fs in psk_representatives(m):
         case = classify(m, fs.k, fs.l)
-        removal_square(m, fs.k, fs.l)
-        part = psk_constraints_closed_form(m, case.bk, case.bl)
-        assert started.pop() == part.fill(vital_coloring(case).colors)
+        for row, vital in zip(_base_rows(case), vital_pfls(case)[0].rows):
+            assert all(v == sym for v, sym in zip(vital, row) if v), (fs.k, fs.l)
 
 
 def test_deterministic_cases_reproduce_printed_squares():
@@ -506,21 +505,6 @@ def test_diagonal_fill_guards(cell, sym, message):
         _diagonal_complete(rows)
 
 
-@pytest.mark.parametrize(
-    "r,c,sym,message",
-    [
-        (1, 1, 2, "fill target (1, 1) is not empty"),
-        (2, 1, 1, "symbol 1 conflicts at (2, 1)"),  # column
-        (1, 2, 1, "symbol 1 conflicts at (1, 2)"),  # row
-    ],
-)
-def test_fill_cell_guards(r, c, sym, message):
-    rows = [[1, 0], [0, 0]]
-    with pytest.raises(CompletionError, match=re.escape(message)):
-        _fill_cell(working(rows), r, c, sym)
-    assert rows == [[1, 0], [0, 0]]
-
-
 @pytest.mark.parametrize("row0,admits", [([0, 1, 2, 0, 0, 0, 0, 0], 2), ([0, 1, 2, 3, 4, 0, 0, 0], 0)])
 def test_pair_top_up_needs_one_absent_symbol(row0, admits):
     case = classify(8, 1, 2)  # Mixed: row i's first top-up cell is (i+1, i+1)
@@ -555,34 +539,57 @@ def test_rectangle_completion_guards(rows, message):
 
 
 @pytest.mark.parametrize(
-    "planted,message",
+    "planted",
     [
         # rectangle cell (1, 1) already took symbol 1
-        ([(1, 1), (1, 1)], "fill target (1, 1) is not empty"),
+        [(1, 1), (1, 1)],
         # rectangle row 1 already holds symbol 1
-        ([(1, 1), (1, 2)], "symbol 1 conflicts at (1, 2)"),
+        [(1, 1), (1, 2)],
         # rectangle column 1 already holds symbol 1: working cell (1, 1) is filled
-        ([(1, 1), (2, 1)], "fill target (1, 1) is not empty"),
+        [(1, 1), (2, 1)],
     ],
 )
-def test_rectangle_fill_guards(monkeypatch, planted, message):
+def test_rectangle_fill_guards(monkeypatch, planted):
     # The first two sets of the family ask for symbol 1 in rectangle rows 1
-    # and 2; a planted SDR puts both where the second one conflicts.
+    # and 2; a planted SDR puts both where the second one conflicts, so
+    # working column 1 misses symbol 2.
     monkeypatch.setattr(latin, "find_sdr", lambda family: SdrResult(tuple(planted), None))
-    with pytest.raises(CompletionError, match=re.escape(message)):
+    with pytest.raises(CompletionError, match=re.escape("column 1 does not hold exactly the symbols 1..2")):
         rectangle_complete(working([[0] * 4 for _ in range(4)]), 2)
 
 
 @pytest.mark.parametrize(
-    "blocks,colors,message",
+    "m,k,l,message",
     [
-        # the second block reuses cell (2, 2)
-        ([[(1, 1), (2, 2)], [(2, 2), (3, 3)]], [1, 2], "fill target (2, 2) is not empty"),
-        # colour 1 meets row 1 twice, then column 1 twice
-        ([[(1, 1), (2, 2)], [(1, 3)]], [1, 1], "symbol 1 conflicts at (1, 3)"),
-        ([[(1, 1), (2, 2)], [(3, 1)]], [1, 1], "symbol 1 conflicts at (3, 1)"),
+        # Mixed and SinOdd on the matching path, BothOdd on the diagonal path,
+        # each with the message its path gives for a colour clash
+        (8, 1, 2, "symbol 1 repeats in row 1"),
+        (16, 1, 8, "symbol 1 repeats in row 1"),
+        (8, 1, 3, "diagonal completion produced an invalid square"),
     ],
 )
-def test_vital_fill_guards(blocks, colors, message):
+def test_vital_fill_guards(monkeypatch, m, k, l, message):
+    blocks, coloring = psk_construct._psk_blocks, psk_construct.vital_coloring
+
+    def overlapping(*args):  # blocks 0 and 1 both take cell (2, 2)
+        out = blocks(*args)
+        for i in (0, 1):
+            out[i] = ((2, 2),) + out[i][1:]
+        return out
+
+    def clashing(case):  # block bk meets row 1, as block 0 does, in its colour
+        colors = list(coloring(case).colors)
+        colors[case.bk] = colors[0]
+        return Coloring(tuple(colors))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(psk_construct, "_psk_blocks", overlapping)
+        with pytest.raises(CompletionError, match=re.escape("fill target (2, 2) is not empty")):
+            removal_square(m, k, l)
+        with pytest.raises(ValueError, match=re.escape("cell (2, 2) is in blocks 0 and 1")):
+            vital_pfls(classify(m, k, l))
+    monkeypatch.setattr(psk_construct, "vital_coloring", clashing)
     with pytest.raises(CompletionError, match=re.escape(message)):
-        _vital_fill(3, blocks, colors)
+        removal_square(m, k, l)
+    with pytest.raises(CompletionError, match=re.escape("vital fill repeats a symbol in a line")):
+        vital_pfls(classify(m, k, l))
