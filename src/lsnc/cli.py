@@ -36,8 +36,9 @@ EXIT_BUDGET = 3
 
 
 def _fmt_num(x: float) -> str:
-    """Render 0.0 as 0 and keep full precision otherwise."""
-    if x == int(x):
+    """Render an integral float below 2**53 without its ".0" (0.0 as 0) and
+    anything else by repr, so 1e308 stays 1e+308, not 309 digits."""
+    if abs(x) < 2**53 and x == int(x):
         return str(int(x))
     return repr(x)
 
@@ -216,6 +217,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = _load_grid(args.latin)
     if grid is None:
         return EXIT_USAGE
+    if grid.m != signal.size:
+        raise ValueError(f"grid is {grid.m}x{grid.m}, but {args.signal} needs {signal.size}x{signal.size}")
     part = build_constraints(signal, fade)
     complete = grid.is_complete()
     latin = verify_latin(grid)

@@ -2,24 +2,23 @@
 
 This module owns the whole 2^n-PSK construction: its range checks, the
 closed-form constraint blocks (`psk_constraints_closed_form`), the vital
-coloring, and the completions.  Each representative fade state (k, l)
+coloring, and the completion.  Each representative fade state (k, l)
 classifies into one of six cases by the 2-adic structure of k and l.
 `removal_square` writes the vital subgraph's fixed 4- or 8-coloring block
 by block into plain rows, checking only that no cell is written twice;
 the completion reads every line, so it checks that no color meets a line
-twice.  BothOdd and SamePower fill the empty diagonals with fresh symbols.
-The other cases skip the paper's top-up, SDR and Latin rectangle steps:
-`latin.extend_symbols` places each symbol 1..M that a row lacks by one
-Kuhn matching of the columns that lack it to their empty cells in those
-rows, the vital colours first.  Only the finished square becomes a
-`Grid`, after any transpose or rotation.  The case is dispatched once, so
-the steps do not re-check it.  Every step checks the claims the
-construction relies on and raises CompletionError when one fails.
+twice.  One completion serves all six cases and skips the paper's top-up,
+SDR and Latin rectangle steps: `latin.extend_symbols` places each symbol
+1..M that a row lacks by one Kuhn matching of the columns that lack it to
+their empty cells in those rows, the vital colours first.  Only the
+finished square becomes a `Grid`, after any transpose or rotation.  The
+case is dispatched once, so the steps do not re-check it.  Every step
+checks the claims the construction relies on and raises CompletionError
+when one fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 from lsnc.coloring import Coloring
@@ -215,41 +214,12 @@ def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
     return grid, part, coloring
 
 
-def _diagonal_complete(rows: list[list[int]]) -> None:
-    """Fill the M-4 empty wrap-around diagonals of a 4-symbol partial grid
-    with fresh symbols, in place, and check the finished square.
-
-    The empty cells must be invariant under the shift (r, c) -> (r+1, c+1):
-    the diagonal through (1, c) is filled with one new symbol.  Anything else
-    raises CompletionError.
-    """
-    m = len(rows)
-    if {v for row in rows for v in row} - set(range(5)):
-        raise CompletionError("diagonal completion expects symbols 1..4")
-    for r, row in enumerate(rows, 1):
-        if m - row.count(0) != 4:
-            raise CompletionError(f"row {r} does not have exactly 4 filled cells")
-    empty_cols = [c for c, v in enumerate(rows[0]) if not v]
-    for sym, c in enumerate(empty_cols, 5):
-        for r, row in enumerate(rows):
-            cc = (c + r) % m
-            if row[cc]:
-                raise CompletionError(
-                    f"empty cells are not diagonal-shift invariant at {(r + 1, cc + 1)}"
-                )
-            row[cc] = sym
-    full = set(range(1, m + 1))
-    if any(set(line) != full for line in chain(rows, zip(*rows))):
-        raise CompletionError("diagonal completion produced an invalid square")
-
-
 def _base_rows(case: PskCase) -> list[list[int]]:
     """The finished square for (bk, bl), before any transpose or rotation:
-    the vital colors written block by block into empty rows, completed
-    along the diagonals (BothOdd, SamePower) or by one matching per symbol
-    (`extend_symbols`).  A cell written twice raises CompletionError here; a
-    color met twice in a line raises in the completion, which reads every
-    line."""
+    the vital colors written block by block into empty rows, completed by
+    one matching per symbol (`extend_symbols`).  A cell written twice raises
+    CompletionError here; a color met twice in a line raises in the
+    completion, which reads every line."""
     m = case.m
     rows = [[0] * m for _ in range(m)]
     for block, color in zip(_psk_blocks(m, case.bk, case.bl), vital_coloring(case).colors, strict=True):
@@ -257,10 +227,7 @@ def _base_rows(case: PskCase) -> list[list[int]]:
             if rows[r - 1][c - 1]:
                 raise CompletionError(f"fill target {(r, c)} is not empty")
             rows[r - 1][c - 1] = color
-    if case.tag in (BOTH_ODD, SAME_POWER):
-        _diagonal_complete(rows)
-    else:
-        extend_symbols(rows)
+    extend_symbols(rows)
     return rows
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from lsnc import RemovalGraph, build_constraints, build_srg, verify_removes
-from lsnc.cli import main, parse_fade, render_grid
+from lsnc.cli import _fmt_num, main, parse_fade, render_grid
 from lsnc.gridio import dumps_grid, loads_grid
 from lsnc.latin import Grid
 from lsnc.fixtures import load_grid
@@ -66,6 +66,15 @@ def test_mindist_regular_state(capsys):
     line = capsys.readouterr().out
     assert line.startswith("points=16 dmin=")
     assert float(line.rsplit("=", 1)[1]) > 0
+
+
+def test_mindist_prints_a_huge_distance_by_repr(tmp_path, capsys):
+    # an integral float drops its ".0" only below 2**53, not as 308 digits
+    pts = tmp_path / "pts.json"
+    pts.write_text('[{"re": 0, "im": 0}, {"re": 1e308, "im": 0}]')
+    assert main(["mindist", "--signal", f"custom:@{pts}", "--fade", "0.5"]) == 0
+    assert capsys.readouterr().out == "points=4 dmin=5e+307\n"
+    assert (_fmt_num(2.0**53 - 1), _fmt_num(-(2.0**53))) == ("9007199254740991", "-9007199254740992.0")
 
 
 def test_fade_states_json_schema(tmp_path, capsys):

@@ -97,6 +97,8 @@ TRANSCRIPT = [
      "bab5f31f52920d29afb0f551821995f0d84f40a76035c2dcfa41bfeb1e2d8c36"),
     ("verify --latin nope.json --signal qam:4 --fade 1+0j",
      "fa674a5fce70e4a48723ec45e495e323711705d7cadadc582339f1b0fc766704"),
+    ("verify --latin rect.json --signal psk:8 --fade psk:1,3",
+     "b07cf8fb524302d97368d107c0aa191f6b59bd1827bd19571a4d34d69e5aaaf0"),
     ("complete --partial rect.json --symbols 4",
      "a185326988f9f2633946c8a3f83722d3d3ede536e6f41f7a7cd9e00ec5b8203b"),
     ("complete --partial rect.json --symbols 4 --json done.json",
@@ -120,7 +122,7 @@ TRANSCRIPT = [
     ("psk-sweep --m 8",
      "8eb875d6fe01cba49b5a53e972f203d99fe4eab970685e7ce2a62f15ee86b74e"),
     ("psk-sweep --m 8 --out sweep",
-     "86da4feb66f024dbc1d5393c03cb0615f1610b40b71e7da7d61cbd283e55b156"),
+     "0e126fc8702f2f7758b31b95ad9d19b4d629f3d0673b960d87bcb5f2396a9565"),
     ("psk-sweep --m 4",
      "2b9255ed03f1dc3887c1ea3dcbffe8b48d040a5475fe80f137c4d4d02e3061c5"),
     ("clique --signal qam:4 --fade -1-1j",

@@ -35,7 +35,6 @@ from lsnc.psk_construct import (
     SIN_EVEN,
     SIN_ODD,
     _base_rows,
-    _diagonal_complete,
     _oriented,
     classify,
     psk_column_offsets,
@@ -242,12 +241,27 @@ def rectangle_complete(work, n_rect):
     extend_symbols(rows)
 
 
+def diagonal_fill(rows):
+    """Fill each empty wrap-around diagonal of a BothOdd or SamePower vital
+    grid in place with a fresh symbol: 5, 6, ... for the empty cells of row
+    1 from left to right, each shifted one column right per row."""
+    m = len(rows)
+    for sym, c in enumerate([c for c, v in enumerate(rows[0]) if not v], 5):
+        for r, row in enumerate(rows):
+            row[(c + r) % m] = sym
+
+
 def paper_complete(case):
-    """The (bk, bl) square of a Sin, DiffPower or Mixed case by the paper's
-    completion: top-up, SDR and Latin rectangle extension of the vital grid."""
-    work = working(vital_pfls(case)[0].to_lists())
-    rectangle_complete(work, top_up(work, case))
-    return work[0]
+    """The (bk, bl) square by the paper's completion of the vital grid: the
+    diagonal fill for BothOdd and SamePower, else top-up, SDR and Latin
+    rectangle extension."""
+    rows = vital_pfls(case)[0].to_lists()
+    if case.tag in (BOTH_ODD, SAME_POWER):
+        diagonal_fill(rows)
+    else:
+        work = working(rows)
+        rectangle_complete(work, top_up(work, case))
+    return rows
 
 
 def topped_up(case):
@@ -308,8 +322,8 @@ def sweep_sha256(squares):
     return hashlib.sha256(dump.encode()).hexdigest()
 
 
-# The golden dumps of the sweep whose Sin, DiffPower and Mixed squares came
-# from the paper's completion (`paper_complete`).
+# The golden dumps of the sweep whose squares all came from the paper's
+# completion (`paper_complete`), before one matching per symbol replaced it.
 PAPER_SWEEP_SHA256 = {
     8: "ea0b5e0c6e93b3945d148201e60a5426fa5f106e4b67b8632604357614edeb76",
     16: "25d33c87da7089527fd9ee57bfe27baa7a733aa522f82fb22f5c17210ac9de55",
@@ -318,18 +332,15 @@ PAPER_SWEEP_SHA256 = {
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
-def test_paper_completion_removes_every_sin_diffpower_and_mixed_state(m):
-    # The paper's top-up, SDR and rectangle route completes every state the
-    # library now finishes by one matching per symbol, each square verifies
-    # against its brute-force partition, and the sweep it gives is the one
-    # the library pinned before.
+def test_paper_completion_removes_every_state(m):
+    # The paper's completion (diagonal fill; top-up, SDR and rectangle)
+    # completes every state the library now finishes by one matching per
+    # symbol, each square verifies against its brute-force partition, and
+    # the sweep it gives is the one the library pinned before.
     signal = make_psk(m)
     squares = {}
     for fs in psk_representatives(m):
         case = classify(m, fs.k, fs.l)
-        if case.tag in (BOTH_ODD, SAME_POWER):
-            squares[fs.k, fs.l] = removal_square(m, fs.k, fs.l)
-            continue
         grid = _oriented(paper_complete(case), case)
         assert grid.is_complete() and verify_latin(grid) and grid.symbol_count == m
         assert verify_removes(grid, build_constraints(signal, fs)), (fs.k, fs.l)
@@ -373,9 +384,23 @@ def test_removal_square_starts_from_the_closed_form_fill(m):
 
 
 def test_deterministic_cases_reproduce_printed_squares():
-    # diagonal-style completions are canonical; Hall-matching ones need not be
-    assert removal_square(8, 1, 3) == load_grid("psk8_k1_l3_ls")
-    assert removal_square(16, 2, 6) == load_grid("psk16_k2_l6_ls")
+    # The paper's diagonal fill gives the printed squares.  The matchings
+    # give each BothOdd/SamePower square with its fresh symbols relabelled:
+    # one permutation of the symbols maps it onto the diagonal fill's and
+    # fixes the vital colours 1..4.
+    assert Grid.from_lists(paper_complete(classify(8, 1, 3))) == load_grid("psk8_k1_l3_ls")
+    assert Grid.from_lists(paper_complete(classify(16, 2, 6))) == load_grid("psk16_k2_l6_ls")
+    for m in (8, 16, 32):
+        for fs in psk_representatives(m):
+            case = classify(m, fs.k, fs.l)
+            if case.tag not in (BOTH_ODD, SAME_POWER):
+                continue
+            relabel = {}
+            for row, paper in zip(removal_square(m, fs.k, fs.l).rows, paper_complete(case)):
+                for sym, want in zip(row, paper):
+                    assert relabel.setdefault(sym, want) == want, (fs.k, fs.l)
+            assert sorted(relabel.values()) == list(range(1, m + 1)), (fs.k, fs.l)
+            assert all(relabel[s] == s for s in range(1, 5)), (fs.k, fs.l)
 
 
 def test_remove_all_covers_every_representative():
@@ -455,54 +480,18 @@ def test_sweep_raises_when_row_one_repeats_a_block(monkeypatch):
         remove_all_psk(8)
 
 
-@pytest.mark.parametrize(
-    "m,sha256",
-    [
-        (8, "059382d30a3d4f1275034ca03b0503b3970986ff7653ffa97eccb90b8c29092d"),
-        (16, "9c0be714cf2f597969dd73de052c8abd0ff54642d1cec77f1710841f76e9ea5c"),
-        (32, "e99ee48741ddc768cecadedfc85b6bbf8f80a5fbfa1ee857bbca39e2f0f84f3d"),
-    ],
-)
-def test_sweep_matches_golden_dump(m, sha256):
+SWEEP_SHA256 = {
+    8: "bfd10e655c5e34f079e1d086a719daa130b444e82b612267a759875224a26dab",
+    16: "71871920175deaed7faeb1c499e5a5f78744f68b23e0f8b71b42e10b921f9bd5",
+    32: "7038b85c0dc10d9327fbbbe48c330a3df037601d8625b0f815e417b7145bda85",
+}
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_sweep_matches_golden_dump(m):
     # Pins every square byte for byte, so a change in matching order shows
     # even where the squares still verify.
-    assert sweep_sha256(remove_all_psk(m)) == sha256
-
-
-def diagonal_rows(m=8):
-    # Row r holds 1..4 at columns r..r+3 (mod M): the shape the diagonal fill takes.
-    rows = [[0] * m for _ in range(m)]
-    for r in range(m):
-        for j in range(4):
-            rows[r][(r + j) % m] = j + 1
-    return rows
-
-
-def test_diagonal_fill_completes_shift_invariant_rows():
-    rows = diagonal_rows()
-    _diagonal_complete(rows)
-    square = Grid.from_lists(rows)
-    assert square.is_complete() and verify_latin(square) and square.symbol_count == 8
-
-
-@pytest.mark.parametrize(
-    "cell,sym,message",
-    [
-        ((2, 6), 1, "row 3 does not have exactly 4 filled cells"),
-        ((0, 0), 5, "diagonal completion expects symbols 1..4"),
-        # row 1 equal to row 0 keeps 4 filled cells but breaks the shift
-        (None, None, "not diagonal-shift invariant at (2, 1)"),
-        ((0, 1), 1, "diagonal completion produced an invalid square"),
-    ],
-)
-def test_diagonal_fill_guards(cell, sym, message):
-    rows = diagonal_rows()
-    if cell is None:
-        rows[1] = list(rows[0])
-    else:
-        rows[cell[0]][cell[1]] = sym
-    with pytest.raises(CompletionError, match=re.escape(message)):
-        _diagonal_complete(rows)
+    assert sweep_sha256(remove_all_psk(m)) == SWEEP_SHA256[m]
 
 
 @pytest.mark.parametrize("row0,admits", [([0, 1, 2, 0, 0, 0, 0, 0], 2), ([0, 1, 2, 3, 4, 0, 0, 0], 0)])
@@ -561,11 +550,10 @@ def test_rectangle_fill_guards(monkeypatch, planted):
 @pytest.mark.parametrize(
     "m,k,l,message",
     [
-        # Mixed and SinOdd on the matching path, BothOdd on the diagonal path,
-        # each with the message its path gives for a colour clash
+        # Mixed, SinOdd and BothOdd: the matchings' set-up reads the clash
         (8, 1, 2, "symbol 1 repeats in row 1"),
         (16, 1, 8, "symbol 1 repeats in row 1"),
-        (8, 1, 3, "diagonal completion produced an invalid square"),
+        (8, 1, 3, "symbol 1 repeats in row 1"),
     ],
 )
 def test_vital_fill_guards(monkeypatch, m, k, l, message):
