@@ -4,18 +4,21 @@ Vertices are the constraint blocks of a partition; two blocks are adjacent
 when they share a row or a column label, so proper colorings are exactly
 the symbol assignments a Latin Square may use.  The graph is therefore the
 union of 2M cliques ("lines"), one per row label and one per column label,
-each holding the blocks that meet it.  A graph keeps the lines it was built
-from: adjacency is one bitmask per vertex, the OR of its lines' bitmaps
+each holding the blocks that meet it.  A graph is its lines: a clique
+certificate is checked against them, and the vital subgraph restricts
+them.  Adjacency is one bitmask per vertex, the OR of its lines' bitmaps
 (the graphs are small, n <= M^2, and coloring searches hammer edge
-queries).  Searches read these masks as they are and break ties by degree
-through one mask per distinct degree, cached on the graph the first time
-a search asks; neighbor and edge listings unpack the masks.
+queries), built the first time a search, an edge listing or a degree
+count reads it, so a graph that is only certified never pays for it.
+Searches read these masks as they are and break ties by degree through
+one mask per distinct degree, cached on the graph the same way; neighbor
+and edge listings unpack the masks.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -34,24 +37,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RemovalGraph:
     """Undirected graph over block indices: every two vertices of a line
-    are adjacent.  `n`, `adj` and `vertex_block` define the graph; the
-    lines it was built from are not part of equality or hashing."""
+    are adjacent.  `n`, `adj` and `vertex_block` define the graph, its
+    equality and its hash; the lines it was built from do not.  Build one
+    with `from_lines`."""
 
     n: int
-    adj: tuple[int, ...]
     vertex_block: tuple[int, ...]  # vertex -> block index in the source partition
-    lines: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    lines: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_lines(
-        cls, n: int, lines: list[tuple[int, ...]], vertex_block: tuple[int, ...] | None = None
+        cls, n: int, lines: Sequence[tuple[int, ...]], vertex_block: tuple[int, ...] | None = None
     ) -> RemovalGraph:
-        """Graph whose cliques are `lines`."""
+        """Graph on vertices 0..n-1 whose cliques are `lines`.  A line that
+        names a vertex outside 0..n-1 raises ValueError naming the first
+        such line and vertex."""
+        lines = tuple(lines)
+        named = sorted(set().union(*lines))
+        if named and (named[0] < 0 or named[-1] >= n):
+            i, v = next((i, v) for i, line in enumerate(lines) for v in line if v not in range(n))
+            raise ValueError(f"line {i} names vertex {v}, not in range({n})")
         vertex_block = tuple(range(n)) if vertex_block is None else vertex_block
-        return cls(n, _line_masks(n, lines)[0], vertex_block, tuple(lines))
+        return cls(n, vertex_block, lines)
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """One mask per vertex: bit u of adj[v] is set when u != v share a
+        line.  Built from the lines on first use."""
+        return _line_masks(self.n, self.lines)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.adj, self.vertex_block) == (other.n, other.adj, other.vertex_block)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj, self.vertex_block))
+
+    def __repr__(self) -> str:
+        return f"RemovalGraph(n={self.n}, adj={self.adj}, vertex_block={self.vertex_block})"
 
     @cached_property
     def degree_classes(self) -> tuple[int, ...]:
@@ -73,23 +100,17 @@ class RemovalGraph:
         return sum(map(int.bit_count, self.adj)) // 2
 
 
-def _line_masks(
-    n: int, lines: Iterable[Sequence[int]]
-) -> tuple[tuple[int, ...], int | None]:
-    """Adjacency masks of the union of the cliques `lines` on n vertices,
-    and the index of the first line that names a vertex twice (its bitmap
-    has fewer bits than it has entries), or None: each line's bitmap is
-    built once and ORed into the mask of every vertex on it."""
+def _line_masks(n: int, lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Adjacency masks of the union of the cliques `lines` on n vertices:
+    each line's bitmap is built once and ORed into the mask of every
+    vertex on it."""
     masks = [0] * n
     size = (n + 7) // 8
-    short = None
-    for i, line in enumerate(lines):
+    for line in lines:
         buf = bytearray(size)
         for v in line:
             buf[v >> 3] |= 1 << (v & 7)
         bits = int.from_bytes(buf, "little")
-        if short is None and bits.bit_count() < len(line):
-            short = i
         for v in line:
             mask = masks[v]
             masks[v] = mask | bits if mask else bits
@@ -98,7 +119,7 @@ def _line_masks(
     for v, mask in enumerate(masks):
         if mask:
             masks[v] = mask ^ (1 << v)
-    return tuple(masks), short
+    return tuple(masks)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -126,18 +147,18 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
     m, labels = partition.m, partition.labels
     grid_lines = [labels[i:i + m] for i in range(0, m * m, m)] + [labels[c::m] for c in range(m)]
     lines = []
-    for grid_line in grid_lines:
+    for i, grid_line in enumerate(grid_lines):
         line = sorted(grid_line)
-        lines.append(tuple(line[line.count(-1):]))
-    n = len(partition.blocks)
-    masks, short = _line_masks(n, lines)
-    if short is not None:
-        where = f"row {short + 1}" if short < m else f"column {short + 1 - m}"
-        raise ValueError(
-            f"a constraint block holds two cells of {where}, so no Latin square removes"
-            " this partition (each block is a whole row at fade 0)"
-        )
-    return RemovalGraph(n, masks, tuple(range(n)), tuple(lines))
+        if line[0] < 0:
+            del line[:line.count(-1)]
+        if len(set(line)) < len(line):
+            where = f"row {i + 1}" if i < m else f"column {i + 1 - m}"
+            raise ValueError(
+                f"a constraint block holds two cells of {where}, so no Latin square removes"
+                " this partition (each block is a whole row at fade 0)"
+            )
+        lines.append(tuple(line))
+    return RemovalGraph.from_lines(len(partition.blocks), lines)
 
 
 def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> RemovalGraph:
@@ -222,18 +243,33 @@ def _certified_clique(
     graph: RemovalGraph, partition: ConstraintPartition, cells: list[tuple[int, int]]
 ) -> tuple[int, ...]:
     """The sorted blocks of `cells`, checked to be one per cell and pairwise
-    adjacent in `graph`; a failure raises CertificateMismatchError."""
-    vertices = sorted({partition.block_of(cell) for cell in cells})
+    adjacent in `graph`, that is, each two on a common line; a failure
+    raises CertificateMismatchError.  A line holding all of them certifies
+    at once; otherwise the first pair that shares no line is named."""
+    try:
+        vertices = sorted({partition.block_of(cell) for cell in cells})
+    except KeyError as err:
+        raise CertificateMismatchError(err.args[0]) from None
     if len(vertices) != len(cells):
         raise CertificateMismatchError(f"cells span {len(vertices)} blocks, expected {len(cells)}")
-    clique = sum(1 << v for v in vertices)
-    for u in vertices:
-        # Adjacency is symmetric, so at the first u that misses a member v,
-        # v lies above u and (u, v) is the first non-adjacent pair.
-        missing = clique & ~(1 << u) & ~graph.adj[u]
+    members = {v: i for i, v in enumerate(vertices)}
+    met = [0] * len(vertices)  # met[i]: places of the members sharing a line with member i
+    for line in graph.lines:
+        on = members.keys() & line
+        if len(on) == len(vertices):
+            return tuple(vertices)
+        if len(on) > 1:
+            mask = sum(1 << members[v] for v in on)
+            for v in on:
+                met[members[v]] |= mask
+    everyone = (1 << len(vertices)) - 1
+    for i, mask in enumerate(met):
+        # Sharing a line is symmetric, so at the first member i that misses
+        # one, the missing member lies above i: the first unshared pair.
+        missing = everyone & ~mask & ~(1 << i)
         if missing:
-            v = (missing & -missing).bit_length() - 1
-            raise CertificateMismatchError(f"blocks {u} and {v} are not adjacent")
+            j = (missing & -missing).bit_length() - 1
+            raise CertificateMismatchError(f"blocks {vertices[i]} and {vertices[j]} are not adjacent")
     return tuple(vertices)
 
 

@@ -156,14 +156,30 @@ def oracle_greedy_clique(graph):
     return len(clique)
 
 
+def first_unshared_pair(graph, vertices):
+    """The first pair (u, v), u < v, of sorted `vertices` that the
+    adjacency masks leave apart, as the mask-based certificate named it."""
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1:]:
+            if not graph.adj[u] >> v & 1:
+                return u, v
+    return None
+
+
 def test_qam16_graphs_match_oracle(qam16):
     for fs in enumerate_singular_fade_states(qam16):
         part = build_constraints(qam16, fs)
         graph = build_srg(part)
+        clique = row_clique(graph, part)
+        vital = vital_subgraph(graph, part)
+        # Certifying the row clique and cutting the vital subgraph read only
+        # lines; the masks are built below, when they are first read.
+        assert "adj" not in vars(graph) and "adj" not in vars(vital)
         assert_matches_oracle(graph, oracle_adj(part))
+        assert vital.adj == oracle_vital_adj(graph, part)[0]
+        assert first_unshared_pair(graph, clique) is None
         assert graph.lines == oracle_lines(part)
         assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
-        vital = vital_subgraph(graph, part)
         assert greedy_clique_lower_bound(vital) == oracle_greedy_clique(vital)
         assert_degree_classes_match(graph)
         assert_degree_classes_match(vital)
@@ -423,6 +439,52 @@ def test_row_clique_certifies_psk_lower_bound(psk8):
     graph = build_srg(part)
     clique = row_clique(graph, part)
     assert len(clique) == 8
+
+
+def test_qam_clique_certificate_builds_no_masks(monkeypatch):
+    graphs = []
+
+    def spy(partition):
+        graphs.append(build_srg(partition))
+        return graphs[-1]
+
+    monkeypatch.setattr(srg, "build_srg", spy)
+    clique = qam_clique_certificate(16, -1 - 1j)
+    [graph] = graphs
+    assert "adj" not in vars(graph)
+    # The (M+1)-clique spans two lines, so it is certified pair by pair.
+    assert not any(set(clique) <= set(line) for line in graph.lines)
+    assert first_unshared_pair(graph, clique) is None
+
+
+def test_certificate_with_one_vertex_off_the_line(qam16):
+    # Row 1's blocks plus the block of (3, 1): that block shares column 1
+    # with one of them and no line with some other, so the line check
+    # names the pair the masks would.
+    part = build_constraints(qam16, -1 - 1j)
+    graph = build_srg(part)
+    cells = [(1, c) for c in range(1, 17)] + [(3, 1)]
+    vertices = sorted(part.block_of(cell) for cell in cells)
+    u, v = first_unshared_pair(RemovalGraph.from_lines(graph.n, graph.lines), vertices)
+    with pytest.raises(CertificateMismatchError, match=f"^blocks {u} and {v} are not adjacent$"):
+        srg._certified_clique(graph, part, cells)
+    assert "adj" not in vars(graph)
+
+
+def test_row_clique_of_a_partition_that_misses_row_1():
+    # The closed-form PSK partition leaves cell (1, 1) uncovered.
+    part = psk_constraints_closed_form(8, 1, 3)
+    with pytest.raises(CertificateMismatchError, match=r"^cell \(1, 1\) not in any block$"):
+        row_clique(build_srg(part), part)
+
+
+@pytest.mark.parametrize("lines,where", [
+    ([(0, -1)], "line 0 names vertex -1"),
+    ([(0, 1, 2), (0, 5)], "line 1 names vertex 5"),
+])
+def test_from_lines_rejects_a_vertex_outside_the_graph(lines, where):
+    with pytest.raises(ValueError, match=rf"^{where}, not in range\(3\)$"):
+        RemovalGraph.from_lines(3, lines)
 
 
 def test_certificate_names_the_first_non_adjacent_pair(qam4_partition, qam4_graph):
