@@ -41,7 +41,6 @@ from .latin import (
 from .srg import (
     RemovalGraph,
     build_srg,
-    greedy_clique_lower_bound,
     qam_clique_certificate,
     row_clique,
     to_dot,
@@ -93,7 +92,6 @@ __all__ = [
     "from_coloring",
     "from_spec",
     "generic_complete",
-    "greedy_clique_lower_bound",
     "interchange_symbol_row",
     "make_custom",
     "make_pam",

@@ -41,7 +41,7 @@ from typing import Sequence
 
 from lsnc.errors import SearchBudgetExceeded
 from lsnc.latin import Grid, verify_latin
-from lsnc.srg import RemovalGraph, greedy_clique_lower_bound
+from lsnc.srg import RemovalGraph
 
 __all__ = [
     "Coloring",
@@ -263,13 +263,12 @@ def exact_chromatic(
 ) -> ChromaticResult:
     """Chromatic number by ascending k-colorability decisions.
 
-    The start bound is the larger of the widest line of the graph and a
-    greedy clique, both cliques.  For k = that bound, k + 1, ... the kernel
-    searches for a k-coloring.  The first k with a coloring is the
-    chromatic number, every smaller k having been refuted by an exhausted
-    search.  All decisions share `node_budget`; if it runs out, the partial
-    coloring of the current decision is filled by greedy DSATUR, which is
-    optimal only if it needs no more than k colors.
+    The start bound is the widest line of the graph, a clique.  For k =
+    that bound, k + 1, ... the kernel searches for a k-coloring.  The first
+    k with a coloring is the chromatic number, every smaller k having been
+    refuted by an exhausted search.  All decisions share `node_budget`; if
+    it runs out, the partial coloring of the current decision is filled by
+    greedy DSATUR, which is optimal only if it needs no more than k colors.
 
     `lower`, a bound the caller claims, is only checked: a coloring with
     fewer than `lower` colors raises ValueError.
@@ -277,7 +276,7 @@ def exact_chromatic(
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0, 0)
     widest = max((len(set(line)) for line in graph.lines), default=0)
-    k = max(1, widest, greedy_clique_lower_bound(graph))
+    k = max(1, widest)
     nodes = 0
     while True:
         colors = [0] * graph.n
@@ -367,10 +366,10 @@ def generic_complete(
     cells = [v for row in grid.rows for v in row]
     if max(cells, default=0) > max_symbols:
         raise ValueError(f"symbol {max(cells)} outside 1..{max_symbols}")
-    if max_symbols < m:
-        return None  # a complete M x M Latin grid needs at least M symbols
     if not verify_latin(grid):
         raise ValueError("input grid violates row/column exclusion")
+    if max_symbols < m:
+        return None  # a complete M x M Latin grid needs at least M symbols
     given = {v: s for v, s in enumerate(cells) if s}
     done = extend_coloring(_rook_graph(m), given, max_symbols, node_budget)
     if done is None:

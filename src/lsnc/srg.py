@@ -32,7 +32,6 @@ __all__ = [
     "vital_subgraph",
     "qam_clique_certificate",
     "QAM_CLIQUE_STATES",
-    "greedy_clique_lower_bound",
     "to_dot",
 ]
 
@@ -271,22 +270,6 @@ def _certified_clique(
             j = (missing & -missing).bit_length() - 1
             raise CertificateMismatchError(f"blocks {vertices[i]} and {vertices[j]} are not adjacent")
     return tuple(vertices)
-
-
-def greedy_clique_lower_bound(graph: RemovalGraph) -> int:
-    """Size of a maximal clique grown greedily: from the vertex of highest
-    degree, then lowest index, each step adds the candidate first in that
-    order and keeps only its neighbors as candidates.  That candidate is the
-    lowest set bit of the first degree class the candidates meet."""
-    adj, classes = graph.adj, graph.degree_classes
-    size, cand = 0, (1 << graph.n) - 1
-    while cand:
-        for b in classes:
-            b &= cand
-            if b:
-                break
-        size, cand = size + 1, cand & adj[(b & -b).bit_length() - 1]
-    return size
 
 
 def to_dot(graph: RemovalGraph) -> str:

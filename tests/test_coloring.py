@@ -18,14 +18,16 @@ from lsnc import (
     enumerate_singular_fade_states,
     exact_chromatic,
     extend_coloring,
+    from_spec,
     generic_complete,
     make_psk,
     row_clique,
     verify_proper,
+    vital_subgraph,
 )
 from lsnc import coloring
 from lsnc.errors import SearchBudgetExceeded
-from lsnc.srg import _bits, greedy_clique_lower_bound
+from lsnc.srg import _bits
 
 
 def complete_graph(n):
@@ -160,8 +162,8 @@ def test_lower_above_chi_is_rejected():
 def test_lower_is_not_trusted_when_a_leaf_uses_exactly_that_many_colors():
     # Here a search for a 4-coloring would find one first, so starting the
     # ladder at the caller's lower=4 would report chi = 4 as optimal.  Cut
-    # off by the budget, the run only brackets chi between its own bound
-    # and the greedy fill.
+    # off by the budget, the run only brackets chi between its own bound,
+    # the widest line (an edge, so 2), and the greedy fill.
     g = RemovalGraph.from_lines(
         10,
         [(0, 1), (0, 2), (0, 6), (1, 4), (1, 9), (2, 3), (2, 5), (2, 6),
@@ -171,7 +173,7 @@ def test_lower_is_not_trusted_when_a_leaf_uses_exactly_that_many_colors():
     with pytest.raises(ValueError, match="lower=4 is not a lower bound: the graph has a 3-coloring"):
         exact_chromatic(g, lower=4)
     res = exact_chromatic(g, lower=4, node_budget=0)
-    assert (res.chi, res.lower, res.optimal) == (4, 3, False)
+    assert (res.chi, res.lower, res.optimal) == (4, 2, False)
     for lower in (None, 2, 3):
         res = exact_chromatic(g, lower=lower)
         assert (res.chi, res.lower, res.optimal) == (3, 3, True)
@@ -301,6 +303,41 @@ def test_full_answers_on_every_qam16_state(qam16):
     )
 
 
+def graphs_and_vital_subgraphs(spec):
+    """(removal graph, vital subgraph) at every singular state of `spec`."""
+    signal = from_spec(spec)
+    for fs in enumerate_singular_fade_states(signal):
+        part = build_constraints(signal, fs.value)
+        graph = build_srg(part)
+        yield graph, vital_subgraph(graph, part)
+
+
+@pytest.mark.parametrize("signal", ["qam:4", "qam:16", "psk:8", "psk:12"])
+def test_ladder_starts_at_the_widest_line(signal):
+    # At budget 0 no k is refuted, so `lower` is the start bound itself: the
+    # widest line, on full graphs and on the vital subgraphs, where other
+    # cliques can be wider.
+    for pair in graphs_and_vital_subgraphs(signal):
+        for g in pair:
+            widest = max(len(set(line)) for line in g.lines)
+            assert exact_chromatic(g, node_budget=0).lower == max(1, widest)
+
+
+def test_vital_answers_on_16qam_8psk_16psk_states():
+    # (chi, optimal, lower) at 300 nodes on the vital subgraph of every
+    # 16-QAM, 8-PSK and 16-PSK state, taken while the ladder could also
+    # start at a greedy clique: starting at the widest line moves none.
+    lines = []
+    for signal in ("qam:16", "psk:8", "psk:16"):
+        for _, vital in graphs_and_vital_subgraphs(signal):
+            res = exact_chromatic(vital, node_budget=300)
+            lines.append(f"{res.chi} {res.optimal} {res.lower}\n")
+    assert len(lines) == 388 + 104 + 912
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "0309acc0f9a51fd1174eb63c9104e176857bfb91374eec53f44c9e3dcc3e2ad4"
+    )
+
+
 def test_exact_respects_budget():
     g = random_graph(24, 0.5, 99)
     res = exact_chromatic(g, node_budget=3)
@@ -330,7 +367,7 @@ def reference_descending_chromatic(graph, lower=None, node_budget=10**7):
     if graph.n == 0:
         return coloring.ChromaticResult(0, Coloring(()), True, 0, 0)
     widest = max((len(set(line)) for line in graph.lines), default=0)
-    lb = max(lower or 1, widest, greedy_clique_lower_bound(graph))
+    lb = max(lower or 1, widest)
     best = exact_chromatic(graph, node_budget=0).coloring.colors
     best_k = max(best)
     if best_k <= lb:

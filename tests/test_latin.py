@@ -413,6 +413,12 @@ class TestGenericComplete:
         with pytest.raises(ValueError, match="outside 1..2"):
             generic_complete(g, 2)  # checked before the symbol count
 
+    def test_grid_that_is_not_latin_is_rejected(self):
+        g = Grid.from_lists([[1, 1], [0, 0]])
+        for symbols in (1, 2):  # checked before the symbol count too
+            with pytest.raises(ValueError, match="violates row/column exclusion"):
+                generic_complete(g, symbols)
+
 
 # Reference implementations for the matching and candidate-cell kernels:
 # plain lists and sets, in the seed and visiting order the kernels promise.

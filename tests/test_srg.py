@@ -26,7 +26,7 @@ from lsnc._numeric import MERGE_TOL
 from lsnc.constraint import ConstraintPartition
 from lsnc.errors import CertificateMismatchError
 from lsnc.latin import Grid
-from lsnc.srg import QAM_CLIQUE_STATES, greedy_clique_lower_bound
+from lsnc.srg import QAM_CLIQUE_STATES
 
 
 # Oracles: the mask-by-mask construction the line-based graphs replaced.
@@ -140,22 +140,6 @@ def oracle_psk_vital_adj(m, k, l):
     return tuple(masks)
 
 
-def oracle_greedy_clique(graph):
-    """The list-based greedy clique the mask-based one replaced: candidate
-    lists filtered edge by edge, the next vertex chosen by a scan."""
-    if graph.n == 0:
-        return 0
-    degree = [mask.bit_count() for mask in graph.adj]
-    seed = max(range(graph.n), key=lambda v: (degree[v], -v))
-    clique = [seed]
-    cand = bits(graph.adj[seed])
-    while cand:
-        v = max(cand, key=lambda v: (degree[v], -v))
-        clique.append(v)
-        cand = [u for u in cand if graph.adj[v] >> u & 1]
-    return len(clique)
-
-
 def first_unshared_pair(graph, vertices):
     """The first pair (u, v), u < v, of sorted `vertices` that the
     adjacency masks leave apart, as the mask-based certificate named it."""
@@ -179,8 +163,6 @@ def test_qam16_graphs_match_oracle(qam16):
         assert vital.adj == oracle_vital_adj(graph, part)[0]
         assert first_unshared_pair(graph, clique) is None
         assert graph.lines == oracle_lines(part)
-        assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
-        assert greedy_clique_lower_bound(vital) == oracle_greedy_clique(vital)
         assert_degree_classes_match(graph)
         assert_degree_classes_match(vital)
 
@@ -248,11 +230,10 @@ def test_from_edges_matches_oracle(seed):
                 adj[u] |= 1 << v
     assert_matches_oracle(graph, tuple(adj))
     assert_degree_classes_match(graph)
-    assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_greedy_clique_matches_oracle_on_random_lines(seed):
+def test_degree_classes_match_on_random_lines(seed):
     # Random cliques of random sizes, so degrees tie and cliques overlap.
     rng = random.Random(seed)
     n = rng.randint(1, 60)
@@ -260,7 +241,6 @@ def test_greedy_clique_matches_oracle_on_random_lines(seed):
     lines = [tuple(rng.sample(range(n), k)) for k in sizes]
     graph = RemovalGraph.from_lines(n, lines)
     assert_degree_classes_match(graph)
-    assert greedy_clique_lower_bound(graph) == oracle_greedy_clique(graph)
 
 
 def test_isolated_vertices_of_a_vital_subgraph():
@@ -495,13 +475,6 @@ def test_certificate_names_the_first_non_adjacent_pair(qam4_partition, qam4_grap
     )
     with pytest.raises(CertificateMismatchError, match=f"^blocks {c[1]} and {c[2]} are not adjacent$"):
         row_clique(broken, qam4_partition)
-
-
-def test_greedy_clique_bound_on_known_graph():
-    # K4 plus a pendant vertex
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
-    g = RemovalGraph.from_lines(5, edges)
-    assert greedy_clique_lower_bound(g) == 4
 
 
 def test_dot_export_roundtrip(qam4_graph):
