@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .constraint import ConstraintPartition, build_constraints, constrained_pls, effective_constellation
-from .coloring import DEFAULT_BUDGET, ChromaticResult, exact_chromatic, generic_complete
+from .coloring import DEFAULT_BUDGET, ChromaticResult, exact_chromatic, generic_complete, verify_proper
 from .errors import (
     AmbiguousGroupingError,
     CertificateMismatchError,
@@ -80,15 +80,20 @@ def _partition(args: argparse.Namespace) -> ConstraintPartition:
     return build_constraints(signal, parse_fade(args.fade, signal))
 
 
-def _chromatic(graph: RemovalGraph, budget: int) -> ChromaticResult | None:
-    """exact_chromatic within `budget`; None, after reporting its bounds, if not optimal."""
+def _chromatic(graph: RemovalGraph, budget: int) -> ChromaticResult | int:
+    """exact_chromatic within `budget`, its coloring checked proper on
+    `graph`; else the exit code, once stderr says why: the bounds if not
+    optimal, or the failed check."""
     result = exact_chromatic(graph, node_budget=budget)
     if not result.optimal:
         print(
             f"budget exhausted; chi in [{result.lower}, {result.chi}] after {result.nodes} nodes",
             file=sys.stderr,
         )
-        return None
+        return EXIT_BUDGET
+    if not verify_proper(graph, result.coloring):
+        print("internal check failed: coloring is not proper", file=sys.stderr)
+        return EXIT_FAILED
     return result
 
 
@@ -177,8 +182,8 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
     if args.vital_only:
         graph = vital_subgraph(graph, part)
     result = _chromatic(graph, args.budget)
-    if result is None:
-        return EXIT_BUDGET
+    if isinstance(result, int):
+        return result
     print(f"chi={result.chi}")
     print(json.dumps({"colors": list(result.coloring.colors)}, separators=(",", ":")))
     return EXIT_OK
@@ -187,12 +192,9 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
 def cmd_latin(args: argparse.Namespace) -> int:
     part = _partition(args)
     result = _chromatic(build_srg(part), args.budget)
-    if result is None:
-        return EXIT_BUDGET
-    grid = from_coloring(part, result.coloring)
-    if not (verify_latin(grid) and verify_removes(grid, part)):
-        print("internal check failed: emitted square does not verify", file=sys.stderr)
-        return EXIT_FAILED
+    if isinstance(result, int):
+        return result
+    grid = from_coloring(part, result.coloring)  # a proper coloring fills a Latin square
     if args.json:
         Path(args.json).write_text(dumps_grid(grid))
     else:
@@ -236,6 +238,10 @@ def cmd_complete(args: argparse.Namespace) -> int:
     done = generic_complete(grid, args.symbols, node_budget=args.budget)
     if done is None:
         print(f"no completion with {args.symbols} symbols exists", file=sys.stderr)
+        return EXIT_FAILED
+    kept = all(w in (0, v) for row, old in zip(done.rows, grid.rows) for v, w in zip(row, old))
+    if not (done.m == grid.m and kept and done.is_complete() and verify_latin(done)):
+        print("internal check failed: completion drops a given cell or is not Latin", file=sys.stderr)
         return EXIT_FAILED
     if args.json:
         Path(args.json).write_text(dumps_grid(done))

@@ -3,23 +3,24 @@
 This module owns the whole 2^n-PSK construction: its range checks, the
 closed-form constraint blocks (`psk_constraints_closed_form`), the vital
 coloring, and the completion.  Each representative fade state (k, l)
-classifies into one of six cases by the 2-adic structure of k and l.
-`removal_square` writes the vital subgraph's fixed 4- or 8-coloring block
-by block into plain rows, checking only that no cell is written twice;
-the completion reads every line, so it checks that no color meets a line
-twice.  One completion serves all six cases and skips the paper's top-up,
-SDR and Latin rectangle steps: `latin.extend_symbols` places each symbol
-1..M that a row lacks by one Kuhn matching of the columns that lack it to
-their empty cells in those rows, the vital colours first.  Only the
-finished square becomes a `Grid`, after any transpose or rotation.  The
-case is dispatched once, so the steps do not re-check it.  Every step
-checks the claims the construction relies on and raises CompletionError
-when one fails.
+classifies into one of six cases by the 2-adic structure of k and l, and
+its square is built for (k, l) itself: the vital coloring picks its roles
+by 2-adic valuation, not by position, so no state is built from its
+(l, k) partner by a transpose and a rotation, as in the paper.
+`removal_square` writes the vital subgraph's fixed 4- or 8-coloring
+block by block into plain rows, checking only that no cell is written
+twice; the completion reads every line, so it checks that no color meets
+a line twice.  One completion serves all six cases and skips the paper's
+top-up, SDR and Latin rectangle steps: `latin.extend_symbols` places each
+symbol 1..M that a row lacks by one Kuhn matching of the columns that
+lack it to their empty cells in those rows, the vital colours first.
+Only the finished square becomes a `Grid`.  The case is dispatched once,
+so the steps do not re-check it.  Every step checks the claims the
+construction relies on and raises CompletionError when one fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from lsnc.coloring import Coloring
 from lsnc.constraint import Cell, ConstraintPartition, build_constraints
@@ -70,53 +71,37 @@ def check_closed_form(m: int, k: int, l: int) -> None:
 
 @dataclass(frozen=True)
 class PskCase:
-    """Construction plan for one representative.
-
-    The square is built for parameters (bk, bl); when `transposed` is set
-    that is the swapped pair and the finished square must be transposed to
-    remove the original (k, l) state, then column-rotated by `rotate` when k
-    and l have opposite parity (the swap keeps the e^{j*pi/M} phase).
-    """
+    """Construction plan for one representative: the square is built for
+    (k, l) itself, in the case `tag` names, with the roles of k and l in
+    the vital coloring picked by 2-adic valuation.  `bk` and `bl` are
+    read-only aliases of `k` and `l`, kept while perfbench reads them."""
 
     m: int
     k: int
     l: int
     tag: str
-    bk: int
-    bl: int
 
     @property
-    def transposed(self) -> bool:
-        return (self.bk, self.bl) != (self.k, self.l)
+    def bk(self) -> int:
+        return self.k
 
     @property
-    def rotate(self) -> int:
-        return (self.k - self.l) % 2 if self.transposed else 0
+    def bl(self) -> int:
+        return self.l
 
 
 def classify(m: int, k: int, l: int) -> PskCase:
     """Pick the construction case for the (k, l) representative of M-PSK."""
     check_closed_form(m, k, l)
     half = m // 2
-    if l == half:
-        return PskCase(m, k, l, SIN_ODD if k % 2 else SIN_EVEN, bk=k, bl=l)
-    if k == half:
-        # 1/sin form: build the sin form for (l, M/2) and transpose.
-        return PskCase(m, k, l, SIN_ODD if l % 2 else SIN_EVEN, bk=l, bl=k)
+    if half in (k, l):
+        p = k + l - half  # the parameter that is not M/2
+        return PskCase(m, k, l, SIN_ODD if p % 2 else SIN_EVEN)
     if k % 2 and l % 2:
-        return PskCase(m, k, l, BOTH_ODD, bk=k, bl=l)
+        return PskCase(m, k, l, BOTH_ODD)
     if k % 2 != l % 2:
-        if k % 2:
-            return PskCase(m, k, l, MIXED, bk=k, bl=l)
-        # The mixed-parity completion assumes the odd parameter comes first;
-        # build the swapped square and transpose.
-        return PskCase(m, k, l, MIXED, bk=l, bl=k)
-    m1, m2 = _val2(k), _val2(l)
-    if m1 == m2:
-        return PskCase(m, k, l, SAME_POWER, bk=k, bl=l)
-    if m1 < m2:
-        return PskCase(m, k, l, DIFF_POWER, bk=k, bl=l)
-    return PskCase(m, k, l, DIFF_POWER, bk=l, bl=k)
+        return PskCase(m, k, l, MIXED)
+    return PskCase(m, k, l, SAME_POWER if _val2(k) == _val2(l) else DIFF_POWER)
 
 
 def psk_column_offsets(k: int, l: int) -> tuple[int, int]:
@@ -173,26 +158,28 @@ def _psk_blocks(m: int, k: int, l: int) -> list[tuple[Cell, Cell]]:
 
 
 def vital_coloring(case: PskCase) -> Coloring:
-    """The fixed coloring of the vital subgraph for (bk, bl): four colors
+    """The fixed coloring of the vital subgraph for (k, l): four colors
     for BothOdd/SamePower and the single-family Sin cases, eight for
     DiffPower/Mixed.  `vital_pfls` checks it on the grid it fills.
 
     One rule covers every case.  Vertex v < M takes 1 + (v // w) % 2, plus
     2 on the upper vertices, v mod P >= P/2; vertex M + v of the second
-    family, where there is one, takes v's color plus `shift`.  w is 2^v2 of
-    bk, or of bl (the even one) for Mixed.  P is M for Sin (v >= M/2), 2M
-    for BothOdd/SamePower (no upper vertex), 2 for Mixed (odd v) and
-    2^(v2(bl)+1) for DiffPower.
+    family, where there is one, takes v's color plus `shift`.  The roles
+    go by 2-adic valuation, not by position: of lo <= hi, the 2-parts of k
+    and l, w is lo, or hi (the even one's) for Mixed.  P is M for Sin
+    (v >= M/2), 2M for BothOdd/SamePower (no upper vertex), 2 for Mixed
+    (odd v) and 2hi for DiffPower.
     """
-    m, k, l = case.m, case.bk, case.bl
+    m = case.m
+    lo, hi = sorted((case.k & -case.k, case.l & -case.l))
     try:
         w, p, shift = {
-            SIN_ODD: (k & -k, m, 0),
-            SIN_EVEN: (k & -k, m, 0),
-            BOTH_ODD: (k & -k, 2 * m, 2),
-            SAME_POWER: (k & -k, 2 * m, 2),
-            MIXED: (l & -l, 2, 4),
-            DIFF_POWER: (k & -k, 2 * (l & -l), 4),
+            SIN_ODD: (lo, m, 0),
+            SIN_EVEN: (lo, m, 0),
+            BOTH_ODD: (lo, 2 * m, 2),
+            SAME_POWER: (lo, 2 * m, 2),
+            MIXED: (hi, 2, 4),
+            DIFF_POWER: (lo, 2 * hi, 4),
         }[case.tag]
     except KeyError:
         raise ValueError(f"unknown case tag {case.tag}") from None
@@ -206,7 +193,7 @@ def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
     sharing a cell (ValueError); a color met twice in a line raises
     CompletionError: a Latin fill is a proper coloring that also rejects a
     block meeting one line twice."""
-    part = psk_constraints_closed_form(case.m, case.bk, case.bl)
+    part = psk_constraints_closed_form(case.m, case.k, case.l)
     coloring = vital_coloring(case)
     grid = part.fill(coloring.colors)
     if not verify_latin(grid):
@@ -215,14 +202,14 @@ def vital_pfls(case: PskCase) -> tuple[Grid, ConstraintPartition, Coloring]:
 
 
 def _base_rows(case: PskCase) -> list[list[int]]:
-    """The finished square for (bk, bl), before any transpose or rotation:
-    the vital colors written block by block into empty rows, completed by
-    one matching per symbol (`extend_symbols`).  A cell written twice raises
-    CompletionError here; a color met twice in a line raises in the
-    completion, which reads every line."""
+    """The finished square for (k, l): the vital colors written block by
+    block into empty rows, completed by one matching per symbol
+    (`extend_symbols`).  A cell written twice raises CompletionError here;
+    a color met twice in a line raises in the completion, which reads every
+    line."""
     m = case.m
     rows = [[0] * m for _ in range(m)]
-    for block, color in zip(_psk_blocks(m, case.bk, case.bl), vital_coloring(case).colors, strict=True):
+    for block, color in zip(_psk_blocks(m, case.k, case.l), vital_coloring(case).colors, strict=True):
         for r, c in block:
             if rows[r - 1][c - 1]:
                 raise CompletionError(f"fill target {(r, c)} is not empty")
@@ -231,20 +218,9 @@ def _base_rows(case: PskCase) -> list[list[int]]:
     return rows
 
 
-def _oriented(rows: Sequence[Sequence[int]], case: PskCase) -> Grid:
-    """The (bk, bl) square `rows` as the square removing (k, l): transposed
-    and column-rotated as `case` says.  `rows` is not changed."""
-    if case.transposed:
-        rows = list(zip(*rows))
-    if case.rotate:
-        rows = [row[case.rotate:] + row[:case.rotate] for row in rows]
-    return Grid.from_lists(rows)
-
-
 def removal_square(m: int, k: int, l: int) -> Grid:
     """M-symbol Latin Square removing the (k, l) representative of M-PSK."""
-    case = classify(m, k, l)
-    return _oriented(_base_rows(case), case)
+    return Grid.from_lists(_base_rows(classify(m, k, l)))
 
 
 def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:
@@ -259,18 +235,10 @@ def remove_all_psk(m: int) -> dict[tuple[int, int], Grid]:
     """
     check_construction_order(m)
     s_set = make_psk(m)
-    bases: dict[tuple[int, int], list[list[int]]] = {}
     out: dict[tuple[int, int], Grid] = {}
     for fs in psk_representatives(m):
         k, l = fs.k, fs.l
-        case = classify(m, k, l)
-        # (k, l) and (l, k) share one (bk, bl) square when one is transposed;
-        # it is built once, and dropped at its second use.
-        key = case.bk, case.bl
-        rows = bases.pop(key, None)
-        if rows is None:
-            rows = bases[key] = _base_rows(case)
-        square = _oriented(rows, case)
+        square = removal_square(m, k, l)
         partition = build_constraints(s_set, fs)
         row1 = partition.labels[:m]
         if -1 in row1 or len(set(row1)) != m:

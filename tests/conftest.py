@@ -75,17 +75,17 @@ def with_cell(grid, r, c, sym):
 def swap_first_cells(monkeypatch, key):
     """Make the PSK construction swap cells (1, 1) and (1, 2) of the (k, l)
     = key square, which repeats a symbol in both columns."""
-    oriented = psk_construct._oriented
+    build = psk_construct.removal_square
 
-    def swapped(rows, case):
-        grid = oriented(rows, case)
-        if (case.k, case.l) != key:
+    def swapped(m, k, l):
+        grid = build(m, k, l)
+        if (k, l) != key:
             return grid
         rows = grid.to_lists()
         rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
         return Grid.from_lists(rows)
 
-    monkeypatch.setattr(psk_construct, "_oriented", swapped)
+    monkeypatch.setattr(psk_construct, "removal_square", swapped)
 
 
 def to_triple(x):

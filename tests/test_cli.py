@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lsnc import RemovalGraph, build_constraints, build_srg, verify_removes
+from lsnc import ChromaticResult, Coloring, RemovalGraph, build_constraints, build_srg, cli, verify_removes
 from lsnc.cli import _fmt_num, main, parse_fade, render_grid
 from lsnc.gridio import dumps_grid, loads_grid
 from lsnc.latin import Grid
@@ -214,6 +214,38 @@ def test_complete_with_a_huge_given_symbol(tmp_path, capsys):
         "+------------+------------+------------+\n"
         "symbols=3\n"
     )
+
+
+@pytest.mark.parametrize("cmd", ["chromatic", "latin"])
+def test_coloring_is_checked_before_it_is_emitted(cmd, monkeypatch, capsys):
+    # A search that claimed an optimal but improper coloring: nothing is
+    # printed, and the failed check is an internal failure, not bad usage.
+    def one_color(graph, node_budget):
+        return ChromaticResult(1, Coloring((1,) * graph.n), True, 0, 1)
+
+    monkeypatch.setattr(cli, "exact_chromatic", one_color)
+    assert main([cmd, "--signal", "qam:4", "--fade", "0.5+0.5j"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: coloring is not proper\n"
+
+
+@pytest.mark.parametrize(
+    "given,done",
+    [
+        ([[1, 0], [0, 0]], [[1, 1], [1, 1]]),  # not Latin
+        ([[1, 0], [0, 0]], [[2, 1], [1, 2]]),  # Latin, but cell (1, 1) changed
+        ([[1, 0], [0, 0]], [[1, 2, 3], [2, 3, 1], [3, 1, 2]]),  # wrong order
+    ],
+)
+def test_completion_is_checked_before_it_is_emitted(given, done, monkeypatch, tmp_path, capsys):
+    partial = tmp_path / "p.json"
+    partial.write_text(dumps_grid(Grid.from_lists(given)))
+    monkeypatch.setattr(cli, "generic_complete", lambda grid, symbols, node_budget: Grid.from_lists(done))
+    assert main(["complete", "--partial", str(partial), "--symbols", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: completion drops a given cell or is not Latin\n"
 
 
 def test_psk_sweep_outputs(tmp_path, capsys):

@@ -130,7 +130,7 @@ TRANSCRIPT = [
     ("psk-sweep --m 8",
      "8eb875d6fe01cba49b5a53e972f203d99fe4eab970685e7ce2a62f15ee86b74e"),
     ("psk-sweep --m 8 --out sweep",
-     "0e126fc8702f2f7758b31b95ad9d19b4d629f3d0673b960d87bcb5f2396a9565"),
+     "ea961daf79c2821df44d9f7326710a7483659a02d5f0e420bf6ea1dba0eef173"),
     ("psk-sweep --m 4",
      "2b9255ed03f1dc3887c1ea3dcbffe8b48d040a5475fe80f137c4d4d02e3061c5"),
     ("clique --signal qam:4 --fade -1-1j",

@@ -34,8 +34,6 @@ from lsnc.psk_construct import (
     SAME_POWER,
     SIN_EVEN,
     SIN_ODD,
-    _base_rows,
-    _oriented,
     classify,
     psk_column_offsets,
     remove_all_psk,
@@ -75,13 +73,6 @@ def test_classify_rejects_bad_input():
         classify(8, 0, 3)
 
 
-def test_swapped_parameters_route_through_transpose():
-    direct = classify(16, 2, 4)
-    swapped = classify(16, 4, 2)
-    assert not direct.transposed and swapped.transposed
-    assert (swapped.bk, swapped.bl) == (2, 4)
-
-
 # Parity-split colorings use 4 classes; the two-symbol-per-row b-cell
 # constructions start from 8.
 VITAL_COLORS = {BOTH_ODD: 4, SAME_POWER: 4, SIN_ODD: 4, SIN_EVEN: 4, MIXED: 8, DIFF_POWER: 8}
@@ -100,16 +91,19 @@ def test_vital_coloring_is_proper(m, k, l, colors):
     # the removal graph of the closed-form constraints is the oracle.
     case = classify(m, k, l)
     _, _, coloring = vital_pfls(case)
-    assert verify_proper(build_srg(psk_constraints_closed_form(m, case.bk, case.bl)), coloring)
+    assert verify_proper(build_srg(psk_constraints_closed_form(m, k, l)), coloring)
     assert coloring.k == colors
 
 
-def paper_vital_coloring(case):
-    """The vital coloring by the paper's four per-case formulas."""
-    m, k, l = case.m, case.bk, case.bl
+def val2(n):
+    return (n & -n).bit_length() - 1
 
-    def val2(n):
-        return (n & -n).bit_length() - 1
+
+def paper_vital_coloring(case):
+    """The vital coloring by the paper's four per-case formulas, with k the
+    parameter of lower 2-adic valuation, as in the pair the paper builds."""
+    m = case.m
+    k, l = sorted((case.k, case.l), key=val2)
 
     def four_block_color(v, blk, upper_split):
         # blocks of width 2^blk alternate two colors, optionally re-split
@@ -149,7 +143,7 @@ def test_vital_coloring_matches_the_paper_formulas(m):
 
 
 def test_vital_coloring_rejects_an_unknown_tag():
-    case = psk_construct.PskCase(8, 1, 3, "Unknown", bk=1, bl=3)
+    case = psk_construct.PskCase(8, 1, 3, "Unknown")
     with pytest.raises(ValueError, match="unknown case tag Unknown"):
         vital_coloring(case)
 
@@ -184,13 +178,13 @@ def top_up(work, case):
     constraints, 8 symbols).  Each cell takes the one symbol of 1..4, or of
     5..8 for the second cell of a pair, that its row and column lack.
     """
-    m, k = case.m, case.bk
+    m, k = case.m, case.k
     _, row_syms, col_syms = work
     if case.tag in (SIN_ODD, SIN_EVEN):
         d = m // 4 + ((k - 1) // 2 if k % 2 else k // 2 - (k & -k))
         cells = [(i + 1, (i - d) % m + 1, range(1, 5)) for i in range(m)]
     else:
-        d1, d2 = psk_column_offsets(k, case.bl)
+        d1, d2 = psk_column_offsets(k, case.l)
         cells = [(i + 1, (i - d1) % m + 1, range(1, 5)) for i in range(m)]
         cells += [(i + 1, (i + m // 2 - d2) % m + 1, range(5, 9)) for i in range(m)]
     for r, c, syms in cells:
@@ -251,23 +245,44 @@ def diagonal_fill(rows):
             row[(c + r) % m] = sym
 
 
+def paper_case(case):
+    """The case of the pair the paper builds for `case`: (l, k) when k = M/2,
+    when k is the even one of a Mixed pair and when v2(k) > v2(l) in
+    DiffPower, because its steps need that parameter order; else `case`."""
+    m, k, l = case.m, case.k, case.l
+    swap = (
+        k == m // 2
+        or (case.tag == MIXED and k % 2 == 0)
+        or (case.tag == DIFF_POWER and val2(k) > val2(l))
+    )
+    return classify(m, l, k) if swap else case
+
+
 def paper_complete(case):
-    """The (bk, bl) square by the paper's completion of the vital grid: the
-    diagonal fill for BothOdd and SamePower, else top-up, SDR and Latin
-    rectangle extension."""
-    rows = vital_pfls(case)[0].to_lists()
+    """The square removing `case` by the paper's completion of the vital
+    grid of its own pair (`paper_case`): the diagonal fill for BothOdd and
+    SamePower, else top-up, SDR and Latin rectangle extension.  A swapped
+    pair's square is transposed, then column-rotated by one when k and l
+    have opposite parity (the swap keeps the e^{j*pi/M} phase)."""
+    paper = paper_case(case)
+    rows = vital_pfls(paper)[0].to_lists()
     if case.tag in (BOTH_ODD, SAME_POWER):
         diagonal_fill(rows)
     else:
         work = working(rows)
-        rectangle_complete(work, top_up(work, case))
+        rectangle_complete(work, top_up(work, paper))
+    if paper is not case:
+        turn = (case.k - case.l) % 2
+        rows = [list(row[turn:] + row[:turn]) for row in zip(*rows)]
     return rows
 
 
 def topped_up(case):
-    """The vital partial grid of `case` after its closed-form top-up."""
-    rows = vital_pfls(case)[0].to_lists()
-    top_up(working(rows), case)
+    """The vital partial grid of the paper's pair for `case` after its
+    closed-form top-up."""
+    paper = paper_case(case)
+    rows = vital_pfls(paper)[0].to_lists()
+    top_up(working(rows), paper)
     return Grid.from_lists(rows)
 
 
@@ -303,7 +318,7 @@ def test_sin_top_up_is_the_colour_half_a_turn_away(m):
         case = classify(m, fs.k, fs.l)
         if case.tag not in (SIN_ODD, SIN_EVEN):
             continue
-        grid, _, coloring = vital_pfls(case)
+        grid, _, coloring = vital_pfls(paper_case(case))
         filled = topped_up(case)
         new = [
             (r, sym)
@@ -340,8 +355,7 @@ def test_paper_completion_removes_every_state(m):
     signal = make_psk(m)
     squares = {}
     for fs in psk_representatives(m):
-        case = classify(m, fs.k, fs.l)
-        grid = _oriented(paper_complete(case), case)
+        grid = Grid.from_lists(paper_complete(classify(m, fs.k, fs.l)))
         assert grid.is_complete() and verify_latin(grid) and grid.symbol_count == m
         assert verify_removes(grid, build_constraints(signal, fs)), (fs.k, fs.l)
         squares[fs.k, fs.l] = grid
@@ -375,12 +389,14 @@ def test_removal_square_validates_one_grid(monkeypatch):
 
 @pytest.mark.parametrize("m", [8, 16, 32])
 def test_removal_square_starts_from_the_closed_form_fill(m):
-    # The finished (bk, bl) square keeps every cell of the closed-form
-    # partition filled by the vital colouring.
+    # Each square keeps every cell of its own state's closed-form partition
+    # filled by that state's vital colouring: no square is built for the
+    # swapped pair and transposed.
     for fs in psk_representatives(m):
-        case = classify(m, fs.k, fs.l)
-        for row, vital in zip(_base_rows(case), vital_pfls(case)[0].rows):
-            assert all(v == sym for v, sym in zip(vital, row) if v), (fs.k, fs.l)
+        k, l = fs.k, fs.l
+        fill = psk_constraints_closed_form(m, k, l).fill(vital_coloring(classify(m, k, l)).colors)
+        for row, vital in zip(removal_square(m, k, l).rows, fill.rows):
+            assert all(v == sym for v, sym in zip(vital, row) if v), (k, l)
 
 
 def test_deterministic_cases_reproduce_printed_squares():
@@ -415,19 +431,6 @@ def test_remove_all_covers_every_representative():
 def test_sixteen_psk_sweep_is_clean():
     squares = remove_all_psk(16)
     assert len(squares) == 56
-
-
-def test_sweep_builds_each_base_square_once(monkeypatch):
-    # (k, l) and (l, k) share one (bk, bl) square when one of them is built
-    # transposed: 21 of the 56 states at M = 16.  The sweep's squares are
-    # still `removal_square`'s.
-    built = []
-    base_rows = psk_construct._base_rows
-    monkeypatch.setattr(
-        psk_construct, "_base_rows", lambda case: built.append(case) or base_rows(case)
-    )
-    squares = remove_all_psk(16)
-    assert len(built) == len({(case.bk, case.bl) for case in built}) == 56 - 21
     for (k, l), grid in squares.items():
         assert grid == removal_square(16, k, l)
 
@@ -481,9 +484,9 @@ def test_sweep_raises_when_row_one_repeats_a_block(monkeypatch):
 
 
 SWEEP_SHA256 = {
-    8: "bfd10e655c5e34f079e1d086a719daa130b444e82b612267a759875224a26dab",
-    16: "71871920175deaed7faeb1c499e5a5f78744f68b23e0f8b71b42e10b921f9bd5",
-    32: "7038b85c0dc10d9327fbbbe48c330a3df037601d8625b0f815e417b7145bda85",
+    8: "5ff20cb6c0fbf6d2f25d4205cd84534affcbc53667748e2a0c009c166b02804a",
+    16: "c1c5660ac56a349e4dbde7142ead6d19fff438a6c3518d65128f32a300ba42f0",
+    32: "7bcf5d20d5c66db36874ede0ff97bcf42599e614f8623982c1e4d402d59249ab",
 }
 
 
@@ -565,9 +568,9 @@ def test_vital_fill_guards(monkeypatch, m, k, l, message):
             out[i] = ((2, 2),) + out[i][1:]
         return out
 
-    def clashing(case):  # block bk meets row 1, as block 0 does, in its colour
+    def clashing(case):  # block k meets row 1, as block 0 does, in its colour
         colors = list(coloring(case).colors)
-        colors[case.bk] = colors[0]
+        colors[case.k] = colors[0]
         return Coloring(tuple(colors))
 
     with monkeypatch.context() as patch:
