@@ -4,15 +4,16 @@ Vertices are the constraint blocks of a partition; two blocks are adjacent
 when they share a row or a column label, so proper colorings are exactly
 the symbol assignments a Latin Square may use.  The graph is therefore the
 union of 2M cliques ("lines"), one per row label and one per column label,
-each holding the blocks that meet it.  A graph is its lines: a clique
-certificate is checked against them, and the vital subgraph restricts
-them.  Adjacency is one bitmask per vertex, the OR of its lines' bitmaps
+each holding the blocks that meet it.  A graph is its lines: it equals
+a graph of the same order, vertex blocks and lines, a clique certificate
+is checked against them, and the vital subgraph restricts them.
+Adjacency is one bitmask per vertex, the OR of its lines' bitmaps
 (the graphs are small, n <= M^2, and coloring searches hammer edge
 queries), built the first time a search, an edge listing or a degree
-count reads it, so a graph that is only certified never pays for it.
-Searches read these masks as they are and break ties by degree through
-one mask per distinct degree, cached on the graph the same way; neighbor
-and edge listings unpack the masks.
+count reads it, so a graph that is only certified, compared or hashed
+never pays for it.  Searches read these masks as they are and break ties
+by degree through one mask per distinct degree, cached on the graph the
+same way; the edge listing reads each mask's bits from the top down.
 """
 from __future__ import annotations
 
@@ -36,12 +37,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class RemovalGraph:
     """Undirected graph over block indices: every two vertices of a line
-    are adjacent.  `n`, `adj` and `vertex_block` define the graph, its
-    equality and its hash; the lines it was built from do not.  Build one
-    with `from_lines`."""
+    are adjacent.  Its fields `n`, `vertex_block` and `lines` give its
+    equality, hash and repr, so one edge set given as different lines
+    makes different graphs.  Build one with `from_lines`."""
 
     n: int
     vertex_block: tuple[int, ...]  # vertex -> block index in the source partition
@@ -68,17 +69,6 @@ class RemovalGraph:
         line.  Built from the lines on first use."""
         return _line_masks(self.n, self.lines)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.adj, self.vertex_block) == (other.n, other.adj, other.vertex_block)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj, self.vertex_block))
-
-    def __repr__(self) -> str:
-        return f"RemovalGraph(n={self.n}, adj={self.adj}, vertex_block={self.vertex_block})"
-
     @cached_property
     def degree_classes(self) -> tuple[int, ...]:
         """One mask per distinct degree, highest first, holding the vertices
@@ -92,7 +82,16 @@ class RemovalGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v), u < v, in ascending order."""
-        return [(u, u + 1 + i) for u, mask in enumerate(self.adj) for i in _bits(mask >> (u + 1))]
+        out = []
+        for u, mask in enumerate(self.adj):
+            mask >>= u + 1
+            above = []  # u's neighbors above u, highest first: bit_length finds each
+            while mask:
+                top = mask.bit_length()
+                above.append(u + top)
+                mask ^= 1 << top - 1
+            out += zip(itertools.repeat(u), reversed(above))
+        return out
 
     @property
     def edge_count(self) -> int:
@@ -119,18 +118,6 @@ def _line_masks(n: int, lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
         if mask:
             masks[v] = mask ^ (1 << v)
     return tuple(masks)
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Set bits of `mask`, ascending: the places of the 1s in its binary
-    digits, least significant first, found by str.find."""
-    digits = bin(mask)[:1:-1]
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return tuple(out)
 
 
 def build_srg(partition: ConstraintPartition) -> RemovalGraph:

@@ -49,6 +49,16 @@ def gdiv(x, y):
     return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
 
 
+def bits(mask):
+    """Set bits of `mask`, ascending, one per loop turn."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def xor_square(m):
     """The bitwise-XOR Latin Square: cell (a, b) = (a-1) xor (b-1), plus 1."""
     return Grid.from_lists([[(r ^ c) + 1 for c in range(m)] for r in range(m)])

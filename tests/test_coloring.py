@@ -27,7 +27,8 @@ from lsnc import (
 )
 from lsnc import coloring
 from lsnc.errors import SearchBudgetExceeded
-from lsnc.srg import _bits
+
+from conftest import bits
 
 
 def complete_graph(n):
@@ -631,7 +632,7 @@ def scan_dsatur_search(graph, colors, palette, order, on_leaf, budget):
     placed and uses[c] the vertices colored c; at a full coloring
     on_leaf(used) says whether to stop.  A color above palette, given or
     offered, raises IndexError."""
-    nbrs = [_bits(mask) for mask in graph.adj]
+    nbrs = [bits(mask) for mask in graph.adj]
     degree = [len(ns) for ns in nbrs]
     seen = [0] * graph.n
     uses = [0] * (palette + 1)
