@@ -97,6 +97,18 @@ class RemovalGraph:
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.adj)) // 2
 
+    def induced(self, keep: Sequence[int]) -> RemovalGraph:
+        """Subgraph on the ascending vertices `keep`, renumbered 0.. in that
+        order: its lines are the lines restricted to them, less those left
+        with fewer than two, and each keeps its block."""
+        pos = {v: i for i, v in enumerate(keep)}
+        lines = []
+        for line in self.lines:
+            kept = tuple(pos[v] for v in line if v in pos)
+            if len(kept) >= 2:
+                lines.append(kept)
+        return RemovalGraph.from_lines(len(keep), lines, tuple(self.vertex_block[v] for v in keep))
+
 
 def _line_masks(n: int, lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
     """Adjacency masks of the union of the cliques `lines` on n vertices:
@@ -150,15 +162,8 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
 def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> RemovalGraph:
     """Induced subgraph on blocks with two or more cells: the graph's lines
     restricted to those blocks."""
-    keep = [v for v in range(graph.n) if len(partition.blocks[graph.vertex_block[v]]) >= 2]
-    pos = {v: i for i, v in enumerate(keep)}
-    lines = []
-    for line in graph.lines:
-        kept = tuple(pos[v] for v in line if v in pos)
-        if len(kept) >= 2:
-            lines.append(kept)
-    return RemovalGraph.from_lines(
-        len(keep), lines, tuple(graph.vertex_block[v] for v in keep)
+    return graph.induced(
+        [v for v in range(graph.n) if len(partition.blocks[graph.vertex_block[v]]) >= 2]
     )
 
 

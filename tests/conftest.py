@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -9,6 +10,7 @@ from lsnc import (
     Grid,
     build_constraints,
     build_srg,
+    enumerate_singular_fade_states,
     make_custom,
     make_pam,
     make_psk,
@@ -115,6 +117,25 @@ def qam4():
 @pytest.fixture(scope="session")
 def qam16():
     return make_square_qam(16)
+
+
+@pytest.fixture(scope="session")
+def qam64():
+    return make_square_qam(64)
+
+
+@pytest.fixture(scope="session")
+def qam64_states(qam64):
+    """The 8,324 singular fade states of 64-QAM."""
+    return enumerate_singular_fade_states(qam64)
+
+
+@pytest.fixture(scope="session")
+def qam64_partition(qam64):
+    """The partition of 64-QAM at a fade state, each built once a session
+    while it is one of the last 64 asked for (a partition holds some 4,000
+    blocks, so the cache is bounded)."""
+    return lru_cache(maxsize=64)(lambda fs: build_constraints(qam64, fs))
 
 
 @pytest.fixture(scope="session")

@@ -80,7 +80,7 @@ TRANSCRIPT = [
     ("chromatic --signal qam:4 --fade psk:1,2",
      "ee6709799254860c0fd64c550f728293878b5690463a40fdee0f13e0329ca605"),
     ("chromatic --signal qam:16 --fade 0.16666666666666666+0.8333333333333334j --budget 100000",
-     "6ea89e377c4c032d7bb89177cbffd8ec6fb2487e503a50dda26e780278ea2c8d"),
+     "56c48e276f34a32c2f11ae16a592518849e285494b31bd57004d55a805bcd507"),
     ("chromatic --signal qam:16 --fade -1-1j --budget 2000",
      "c7ceba243e9fb7df40915bc8c75b693c53ad401caa866d9256f3181095977e3e"),
     ("latin --signal qam:4 --fade 0.5+0.5j",
@@ -88,7 +88,7 @@ TRANSCRIPT = [
     ("latin --signal qam:4 --fade 0.5+0.5j --json ls.json",
      "e9067f4aa55d13f7767d25ca230c6077cc7a39e9fef8e47823dc3a1002341c11"),
     ("latin --signal pam:4 --fade -2",
-     "b632e861bfdac89b762913a9cd2ff812acfacf5b1f9d1a2545ff86f910908825"),
+     "b7aebc11d0891e6c03588bce5d01184001035fbc27e7b84c127e2eb55b2b7e3b"),
     ("latin --signal qam:16 --fade 0.5+2.5j --budget 5",
      "38f9304a4502b71d3a153b4e27c2d626914c5be756c30762c77c0dde456a6737"),
     ("latin --signal qam:16 --fade -1-1j --budget 2000",

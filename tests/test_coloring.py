@@ -18,10 +18,13 @@ from lsnc import (
     enumerate_singular_fade_states,
     exact_chromatic,
     extend_coloring,
+    from_coloring,
     from_spec,
     generic_complete,
     make_psk,
+    psk_representatives,
     row_clique,
+    verify_latin,
     verify_proper,
     vital_subgraph,
 )
@@ -137,6 +140,14 @@ def test_greedy_colorings_are_pinned(qam16):
     assert hashed(colorings) == "b0664131acee4b535b70b4dbdd91832283ce490a7ee45d0f2cf0fab5f4896bba"
 
 
+def ladder_only(graph, **kwargs):
+    """exact_chromatic with its first step, the vital coloring completed by
+    matchings, switched off: the ascending ladder alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_grid_coloring", lambda graph, k, budget: (None, 0))
+        return exact_chromatic(graph, **kwargs)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_exact_on_complete_graphs(n):
     res = exact_chromatic(complete_graph(n))
@@ -209,21 +220,25 @@ def test_exact_matches_exhaustive_oracle(seed):
 @pytest.mark.parametrize(
     "fade, budget, expected",
     [
-        (0.5 - 2.5j, 200_000, (16, True, 566)),
-        (0.5 - 2.5j, 300, (17, False, 301)),
-        (2 + 0j, 300, (16, True, 184)),
-        (-1 - 1j, 300, (17, True, 170)),
-        (-1.2 + 0.6j, 300, (16, True, 209)),
-        (-3 + 0j, 300, (16, True, 171)),
-        (-3 - 2j, 300, (16, True, 296)),
-        (-0.5 - 0.5j, 300, (17, True, 172)),
+        (0.5 - 2.5j, 200_000, ((16, True, 36), (16, True, 566))),
+        (0.5 - 2.5j, 300, ((16, True, 36), (17, False, 301))),
+        (2 + 0j, 300, ((16, True, 269), (16, True, 184))),
+        (-1 - 1j, 300, ((17, True, 191), (17, True, 170))),
+        (-1.2 + 0.6j, 300, ((16, True, 41), (16, True, 209))),
+        (-3 + 0j, 300, ((16, True, 240), (16, True, 171))),
+        (-3 - 2j, 300, ((16, True, 48), (16, True, 296))),
+        (-0.5 - 0.5j, 300, ((17, True, 193), (17, True, 172))),
     ],
 )
 def test_exact_search_order_on_qam16(qam16, fade, budget, expected):
-    # Pins vertex order, color order and node accounting: any drift in
-    # them changes the bound reached within the budget or the node count.
-    res = exact_chromatic(build_srg(build_constraints(qam16, fade)), node_budget=budget)
-    assert (res.chi, res.optimal, res.nodes) == expected
+    # Pins vertex order, color order and node accounting, of the whole
+    # search and then of the ladder alone: any drift in them changes the
+    # bound reached within the budget or the node count.  Where the first
+    # step fails (at 2, -3 and the chi = 17 states -1-1j and -0.5-0.5j),
+    # its nodes come on top of the ladder's.
+    graph = build_srg(build_constraints(qam16, fade))
+    results = exact_chromatic(graph, node_budget=budget), ladder_only(graph, node_budget=budget)
+    assert tuple((r.chi, r.optimal, r.nodes) for r in results) == expected
 
 
 def run_with_kernel(monkeypatch, kernel, fn, *args):
@@ -270,7 +285,7 @@ def test_exact_search_effort_on_qam16_states(qam16):
         lines.append(f"{res.chi} {res.optimal} {res.nodes}\n")
     assert len(lines) == 49
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-        "fc132a16abf713fe4b8ac1d61568d8d9b1056fa2aad02be6077622df9c54448b"
+        "cc3bb93736be377371685952037fe1d0364cf32faffa38bdd8ef1544c7d3bf82"
     )
 
 
@@ -297,7 +312,7 @@ def test_full_answers_on_every_qam16_state(qam16):
     assert len(chi_lines) == 388
     assert Counter(line.split()[0] for line in extend_lines) == {"yes": 242, "no": 8, "budget": 138}
     assert hashlib.sha256("".join(chi_lines).encode()).hexdigest() == (
-        "c1273610b0ac7f1f3f3e4cf3ace790d573568c376a518b331bec491526647243"
+        "2fb88278c3c3bf4846dc2234a3d073e55a6d95a74b47a052659102a80d5e4277"
     )
     assert hashlib.sha256("".join(extend_lines).encode()).hexdigest() == (
         "2387f693b13164f7f738ee493b06ba6adcb8c438a5502a94af1fbbbb86f1b8d7"
@@ -421,6 +436,137 @@ def test_psk_chromatic_numbers_off_the_powers_of_two(m, chis):
         assert res.optimal
         found[res.chi] += 1
     assert found == chis
+
+
+def brute_blocks(signal, fs):
+    """The cells (r, c) grouped by the value x_r + s*x_c: by exact Gaussian
+    integer keys when the points and the fade are exact, else by floats,
+    each cell joining the first group whose first value lies within 1e-9."""
+    m = len(signal.points)
+    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
+    if signal.exact_points and fs.exact_value:
+        a, b, q = fs.exact_value
+        pts = signal.exact_points
+        groups = {}
+        for r, c in cells:
+            (xr, xi), (yr, yi) = pts[r - 1], pts[c - 1]
+            groups.setdefault((q * xr + a * yr - b * yi, q * xi + a * yi + b * yr), []).append((r, c))
+        return list(groups.values())
+    firsts, blocks = [], []
+    for r, c in cells:
+        value = signal.points[r - 1] + fs.value * signal.points[c - 1]
+        i = next((i for i, first in enumerate(firsts) if abs(value - first) < 1e-9), len(firsts))
+        if i == len(firsts):
+            firsts.append(value)
+            blocks.append([])
+        blocks[i].append((r, c))
+    return blocks
+
+
+def assert_square_removes(part, res, signal, fs):
+    """The result's square is a complete Latin square on exactly chi symbols
+    that gives every brute-force block one symbol."""
+    grid = from_coloring(part, res.coloring)
+    assert grid.is_complete() and verify_latin(grid) and grid.symbol_count == res.chi
+    for block in brute_blocks(signal, fs):
+        assert len({grid.rows[r - 1][c - 1] for r, c in block}) == 1, (fs, block)
+
+
+# spec: (node budget, states, the states the ladder alone leaves open, the
+# states the first step and the ladder together leave open)
+ORACLE_CASES = {
+    "qam:4": (2000, 12, 0, 0),
+    "pam:4": (2000, 14, 0, 0),
+    "psk:6": (2000, 42, 0, 0),
+    "psk:8": (2000, 12, 4, 4),
+    "qam:16": (300, 388, 144, 93),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_CASES))
+def test_vital_first_step_agrees_with_the_ladder_and_the_brute_partition(spec):
+    # Every coloring is proper, its square removes the brute-force partition
+    # with exactly chi symbols, and wherever the ladder alone proves chi, the
+    # first step gives the same chi.  8-PSK is its 12 representatives.
+    budget, count, *expected_open = ORACLE_CASES[spec]
+    signal = from_spec(spec)
+    states = psk_representatives(8) if spec == "psk:8" else enumerate_singular_fade_states(signal)
+    assert len(states) == count
+    open_ladder = open_both = 0
+    for fs in states:
+        part = build_constraints(signal, fs)
+        graph = build_srg(part)
+        res = exact_chromatic(graph, node_budget=budget)
+        ref = ladder_only(graph, node_budget=budget)
+        for r in (res, ref):
+            assert verify_proper(graph, r.coloring) and r.coloring.k == r.chi
+            assert r.lower <= r.chi
+        assert_square_removes(part, res, signal, fs)
+        if ref.optimal and res.optimal:
+            assert res.chi == ref.chi, fs
+        open_ladder += not ref.optimal
+        open_both += not res.optimal
+    assert [open_ladder, open_both] == expected_open
+
+
+def test_vital_first_step_never_certifies_six_on_psk6():
+    # The 24 states of 6-PSK with chi = 7 have no 6-coloring: at any budget
+    # the first step fails there, and the ladder proves 7.
+    signal = make_psk(6)
+    sevens = 0
+    for fs in enumerate_singular_fade_states(signal):
+        graph = build_srg(build_constraints(signal, fs))
+        chi = ladder_only(graph, node_budget=2000).chi
+        sevens += chi == 7
+        for budget in (0, 5, 300, 2000):
+            res = exact_chromatic(graph, node_budget=budget)
+            assert verify_proper(graph, res.coloring)
+            if chi == 7:
+                assert res.chi >= 7 and not (res.optimal and res.lower == 6)
+        assert res.optimal and res.chi == chi
+    assert sevens == 24
+
+
+def collided_grid():
+    """Six lines of three vertices, three row lines then three column lines,
+    where vertices 0 and 1 share row line 0 and column line 0, and vertices
+    7 and 9, on two row lines or on none, are vital."""
+    rows = [(0, 1, 2), (3, 4, 9), (5, 6, 9)]
+    cols = [(0, 1, 5), (3, 6, 9), (2, 4, 7)]
+    return RemovalGraph.from_lines(10, rows + cols)
+
+
+def test_vital_first_step_declines_off_the_grid_layout(qam16):
+    # Vital subgraphs (the path of `lsnc chromatic --vital-only`), edge
+    # graphs and a grid whose two one-cell vertices share a cell get exactly
+    # the ladder's answer: the first step spends no node on them.
+    graphs = [collided_grid()]
+    graphs += [random_graph(7, 0.5, seed) for seed in range(8)] + [random_graph(24, 0.5, 99)]
+    for spec in ("qam:4", "psk:8"):
+        graphs += [vital for _, vital in graphs_and_vital_subgraphs(spec)]
+    for fs in enumerate_singular_fade_states(qam16)[::8]:
+        part = build_constraints(qam16, fs)
+        graphs.append(vital_subgraph(build_srg(part), part))
+    for graph in graphs:
+        for budget in (0, 5, 300):
+            assert exact_chromatic(graph, node_budget=budget) == ladder_only(graph, node_budget=budget)
+
+
+def test_vital_first_step_certifies_most_of_a_qam64_sample(qam64, qam64_states, qam64_partition):
+    # 30 seeded 64-QAM states at 5,000 nodes: the ladder alone, a node per
+    # vertex over some 3,900 vertices, certifies none; the first step
+    # certifies chi = 64 on at least 21, each square checked against the
+    # brute-force partition.
+    certified = 0
+    for fs in random.Random(3).sample(qam64_states, 30):
+        part = qam64_partition(fs)
+        res = exact_chromatic(build_srg(part), node_budget=5000)
+        assert res.lower == 64 and verify_proper(build_srg(part), res.coloring)
+        if res.optimal:
+            assert res.chi == 64
+            assert_square_removes(part, res, qam64, fs)
+            certified += 1
+    assert certified >= 21
 
 
 class TestExtendColoring:

@@ -5,7 +5,7 @@ import hashlib
 import math
 import random
 import re
-from functools import cache
+from functools import cache, partial
 
 import pytest
 
@@ -310,15 +310,21 @@ LARGE_Q_FADES = [
     "name,step", [("qam4", 1), ("qam16", 1), ("pam4", 1), ("qam64", 7), ("skew", 1)],
     ids=["qam4-all", "qam16-all", "pam4-all", "qam64-every-7th", "skew-all"],
 )
-def test_packed_keys_match_tuple_keys(name, step):
+def test_packed_keys_match_tuple_keys(name, step, request):
     # Square QAM and PAM points have odd coordinates, so two keys differ by
     # even amounts and would stay apart with a digit one bit narrower; the
-    # skew set's states are where a digit at its bound matters.
+    # skew set's states are where a digit at its bound matters.  64-QAM's
+    # states and partitions come from the session's fixtures.
     signal = make_pam(4) if name == "pam4" else EXACT_SIGNALS[name]
-    states = enumerate_singular_fade_states(signal)[::step]
+    if name == "qam64":
+        states = request.getfixturevalue("qam64_states")[::step]
+        partition = request.getfixturevalue("qam64_partition")
+    else:
+        states = enumerate_singular_fade_states(signal)[::step]
+        partition = partial(build_constraints, signal)
     stride = 1 + len(states) // 40  # labels of a sample
     for i, fs in enumerate(states):
-        part = build_constraints(signal, fs)
+        part = partition(fs)
         assert part.blocks == tuple_key_blocks(signal, fs), fs
         if i % stride == 0:
             assert_labels(part)

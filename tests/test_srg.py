@@ -172,13 +172,12 @@ def test_psk_graphs_and_vital_subgraphs_match_oracle(m):
         assert vital.vertex_block == vertex_block
 
 
-def test_qam64_graphs_match_oracle_and_golden_hash():
+def test_qam64_graphs_match_oracle_and_golden_hash(qam64_states, qam64_partition):
     # The hash was taken from the mask-by-mask construction; it pins every
     # adjacency mask of every 400th state.
-    signal = make_square_qam(64)
     dump = []
-    for i, fs in enumerate(enumerate_singular_fade_states(signal)[::400]):
-        part = build_constraints(signal, fs)
+    for i, fs in enumerate(qam64_states[::400]):
+        part = qam64_partition(fs)
         graph = build_srg(part)
         assert_matches_oracle(graph, oracle_adj(part), unpack=i % 5 == 0)
         assert graph.lines == oracle_lines(part)
