@@ -18,17 +18,18 @@ refuted by an exhausted search.
 
 Before the ladder searches, `exact_chromatic` tries to certify chi = k at
 its start bound k, the widest line, by the paper's split of a removal
-square into its multi-cell blocks and the rest.  On a graph whose lines
-are k row lines and then k column lines of k vertices each, as
-`build_srg` lays them out, the kernel colors the vital vertices (those
-not on exactly one row line and one column line) on their induced
-subgraph, within as many nodes as there are vital vertices and never
-more than the caller's budget, and one matching per color
-(`latin.match_symbols`, the loop that completes the 2^n-PSK squares)
-colors the one-cell vertices.  A proper result proves chi = k, the widest
-line being a k-clique.  Any failure falls through to the ladder, with the
-nodes spent taken from its budget, so a "no" still comes only from an
-exhausted search.
+square into its multi-cell blocks and the rest.  On a graph that keeps
+the k x k label grid of its partition, as `build_srg` returns it, the
+kernel colors the vital vertices (those whose label fills two or more
+cells) on their induced subgraph, within as many nodes as there are
+vital vertices and never more than the caller's budget.  Their colors
+are written into their cells and `latin.extend_symbols`, the one
+matching per symbol that completes the 2^n-PSK squares, fills the rest.
+A completed square proves chi = k, the widest line being a k-clique; a
+vital search that runs to exhaustion proves chi > k, the vital subgraph
+being induced, and the ladder starts at k + 1.  Any other failure falls
+through to the ladder at k.  The nodes spent are taken from the ladder's
+budget, so a "no" still comes only from an exhausted search.
 
 The kernel numbers colors by first use: the given colors in ascending
 order, then the colors it opens, handed back in order as the lowest
@@ -48,13 +49,14 @@ up, popping and undoing frames until one has a later color free.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Sequence
 
 from lsnc.errors import CompletionError, SearchBudgetExceeded
-from lsnc.latin import Grid, match_symbols, verify_latin
+from lsnc.latin import Grid, extend_symbols, verify_latin
 from lsnc.srg import RemovalGraph
 
 __all__ = [
@@ -270,66 +272,39 @@ def _dsatur_search(
     return nodes, stopped
 
 
-def _grid_coloring(graph: RemovalGraph, k: int, budget: int) -> tuple[list[int] | None, int]:
-    """A k-coloring of a graph laid out as a k x k grid, by coloring its
-    vital vertices and matching the rest, or None; and the nodes spent.
+def _grid_coloring(graph: RemovalGraph, k: int, budget: int) -> tuple[list[int] | None, int, int]:
+    """A k-coloring of a graph built on a k x k label grid, by coloring its
+    vital vertices and completing the square, or None; the nodes spent;
+    and the lower bound the attempt certifies, k, or k + 1 when it refutes k.
 
-    The graph must show the layout `build_srg` gives: k row lines, then k
-    column lines, each of k distinct vertices.  A vertex on exactly one row
-    line j and one column line c is the one-cell block at cell (j, c); every
-    other vertex is vital.  The kernel colors the vital vertices' induced
-    subgraph at k within min(budget, their number) nodes, and
-    `latin.match_symbols` gives each color the one-cell vertices whose row
-    and column lines both lack it, by one matching per color.  The result
-    is returned only when it is a proper coloring of every vertex.  None
-    when the graph is not such a grid, two one-cell vertices share a cell,
-    the budget stops the vital coloring, no k-coloring of it exists or a
-    color has no perfect matching.
+    The vertices whose label fills two or more cells of `graph.labels` are
+    vital.  The kernel colors their induced subgraph at k within
+    min(budget, their number) nodes, their colors are written into their
+    cells, and `latin.extend_symbols` completes the square; each vertex
+    takes the symbol of its cells, a proper coloring since the square is
+    Latin.  None when the graph has no k x k label grid, the budget stops
+    the vital coloring, no k-coloring of it exists or a symbol has no
+    perfect matching.  Only an exhausted vital search refutes k: a
+    k-coloring of the graph would color its induced vital subgraph too.
     """
-    lines = graph.lines
-    if len(lines) != 2 * k or any(len(line) != k or len(set(line)) != k for line in lines):
-        return None, 0
-    halves = lines[:k], lines[k:]
-    # row_of[v], col_of[v]: the one row (column) line holding v, -1 on none,
-    # -2 on two or more
-    row_of, col_of = [-1] * graph.n, [-1] * graph.n
-    for of, half in zip((row_of, col_of), halves):
-        for j, line in enumerate(half):
-            for v in line:
-                of[v] = j if of[v] == -1 else -2
-    one_cell = [v for v in range(graph.n) if row_of[v] >= 0 and col_of[v] >= 0]
-    if len({row_of[v] * k + col_of[v] for v in one_cell}) < len(one_cell):
-        return None, 0  # two one-cell vertices share a cell
-    vital = [v for v in range(graph.n) if row_of[v] < 0 or col_of[v] < 0]
+    labels = graph.labels
+    if labels is None or len(labels) != k * k:
+        return None, 0, k
+    cells = Counter(labels)
+    vital = [v for v in range(graph.n) if cells[v] >= 2]
     sub_colors = [0] * len(vital)
     nodes, stopped = _dsatur_search(graph.induced(vital), sub_colors, k, min(budget, len(vital)))
-    if stopped or not all(sub_colors):
-        return None, nodes
-    colors = [0] * graph.n
-    for v, s in zip(vital, sub_colors):
-        colors[v] = s
-    # in_rows[s], in_cols[s]: bit j is set when row (column) line j holds
-    # color s; the uncolored one-cell vertices fall in in_rows[0] and
-    # in_cols[0], which no matching reads
-    in_rows, in_cols = [0] * (k + 1), [0] * (k + 1)
-    for holds, half in zip((in_rows, in_cols), halves):
-        for j, line in enumerate(half):
-            bit = 1 << j
-            for v in line:
-                holds[colors[v]] |= bit
-    free = [0] * k  # free[c]: bit j is set while cell (j, c) is uncolored
-    for v in one_cell:
-        free[col_of[v]] |= 1 << row_of[v]
-    rows = [[0] * k for _ in range(k)]
+    if not all(sub_colors):
+        return None, nodes, k if stopped else k + 1
+    color_of = dict(zip(vital, sub_colors))
+    flat = [color_of.get(v, 0) for v in labels]
+    rows = [flat[i:i + k] for i in range(0, k * k, k)]
     try:
-        match_symbols(rows, in_rows, in_cols, free)
+        extend_symbols(rows)
     except CompletionError:
-        return None, nodes
-    for v in one_cell:
-        colors[v] = rows[row_of[v]][col_of[v]]
-    if not all(colors) or _first_conflict(graph, colors):
-        return None, nodes
-    return colors, nodes
+        return None, nodes, k
+    symbol_of = dict(zip(labels, chain.from_iterable(rows)))  # vertex -> its cells' symbol
+    return [symbol_of[v] for v in range(graph.n)], nodes, k
 
 
 def exact_chromatic(
@@ -341,11 +316,12 @@ def exact_chromatic(
     ascending k-colorability decisions.
 
     The start bound k is the widest line of the graph, a clique.  First,
-    on a graph laid out as a k x k grid of lines (as `build_srg` builds
-    them), the kernel colors the vital vertices at k within the fewer of
-    `node_budget` and their number of nodes, and one matching per color
-    colors the one-cell vertices; a proper result certifies chi = k.
-    Otherwise, for k, k + 1, ... the kernel searches the whole graph for a
+    on a graph that keeps a k x k label grid (as `build_srg` builds it),
+    the kernel colors the vital vertices at k within the fewer of
+    `node_budget` and their number of nodes, and one matching per symbol
+    completes the square; a result certifies chi = k, and a vital search
+    that runs to exhaustion refutes k.  Otherwise, for k, k + 1, ... from
+    the bound reached, the kernel searches the whole graph for a
     k-coloring.  The first k with a coloring is the chromatic number, every
     smaller k having been refuted by an exhausted search.  The first step
     and every decision share `node_budget`; if it runs out, the partial
@@ -358,8 +334,7 @@ def exact_chromatic(
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0, 0)
     widest = max((len(set(line)) for line in graph.lines), default=0)
-    k = max(1, widest)
-    colors, nodes = _grid_coloring(graph, k, node_budget)
+    colors, nodes, k = _grid_coloring(graph, max(1, widest), node_budget)
     while colors is None:
         colors = [0] * graph.n
         spent, stopped = _dsatur_search(graph, colors, k, node_budget - nodes)

@@ -7,11 +7,11 @@ state's partition is filled with a single common symbol.  Grids complete
 here by matchings; completion by search is coloring extension on the rook
 graph, `lsnc.coloring.generic_complete`.
 
-`complete_rows_hall` runs `extend_symbols` between two interchanges;
-`lsnc.psk_construct` runs it on the plain rows of its vital fill, with no
-interchange.  Its loop, one matching per symbol, is `match_symbols`,
-which `lsnc.coloring.exact_chromatic` also runs on the one-cell blocks of
-a removal graph whose vital blocks the search kernel has colored.
+`extend_symbols`, one matching per symbol, completes a square whose
+vital blocks are filled: `lsnc.psk_construct` runs it on the plain rows
+of its closed-form vital fill, and `lsnc.coloring.exact_chromatic` on
+the label grid of a removal graph whose vital blocks the search kernel
+has colored.  `complete_rows_hall` runs it between two interchanges.
 """
 from __future__ import annotations
 
@@ -311,8 +311,12 @@ def complete_rows_hall(grid: Grid) -> Grid:
 
 
 def extend_symbols(rows: list[list[int]]) -> None:
-    """Place every symbol 1..M that a row of `rows` lacks, in place, by
-    `match_symbols`: one `_kuhn` matching per symbol in increasing order.
+    """Place every symbol 1..M that a row of `rows` lacks, in place, by one
+    `_kuhn` matching per symbol s in increasing order: the columns that
+    lack s are matched to their empty cells in the rows that lack s, and a
+    matched cell is written.  Column c first takes its lowest such row
+    numbered c or above, else its lowest one, and augmenting paths match
+    the rest.
 
     A symbol outside 0..M, a symbol repeated in a row or a column, a symbol
     with no perfect matching and a cell left empty at the end raise
@@ -337,32 +341,13 @@ def extend_symbols(rows: list[list[int]]) -> None:
                 raise CompletionError(f"symbol {s} repeats in {name} {j + 1}")
     # free[c]: bit j is set while row j is empty at column c
     free = [sum(map((1).__lshift__, compress(range(m), map(not_, col)))) for col in cols]
-    match_symbols(rows, in_rows, in_cols, free)
-    # A matching that wrote a filled cell leaves an empty one in its row.
-    for r, row in enumerate(rows, 1):
-        if 0 in row:
-            raise CompletionError(f"cell {(r, row.index(0) + 1)} is still empty")
-
-
-def match_symbols(
-    rows: list[list[int]], in_rows: list[int], in_cols: list[int], free: list[int]
-) -> None:
-    """Write each symbol s = 1..M, in increasing order, into the free cells
-    of `rows` by one `_kuhn` matching: the columns that lack s are matched
-    to their free cells in rows that lack s.  Bit j of in_rows[s]
-    (in_cols[s]) is set when row (column) j, from 0, holds s, and bit j of
-    free[c] while cell (j, c) is free; a matched cell is written and leaves
-    `free`.  Column c first takes its lowest such row numbered c or above,
-    else its lowest one, and augmenting paths match the rest.  A symbol no
-    column holds yet matches on the free cells as they are.  A symbol whose
-    matching misses a row that lacks it raises CompletionError."""
-    m = len(free)
     full = (1 << m) - 1
     for s in range(1, m + 1):
         need = full ^ in_rows[s]  # the rows that lack s
         if not need:
             continue
         held = in_cols[s]
+        # A symbol no column holds yet matches on the empty cells as they are.
         nbrs = [0 if held >> c & 1 else f & need for c, f in enumerate(free)] if held else free
         match = _kuhn(nbrs, m)
         if match.count(-1) != m - need.bit_count():
@@ -371,3 +356,7 @@ def match_symbols(
             if c >= 0:
                 row[c] = s
                 free[c] ^= 1 << j
+    # A matching that wrote a filled cell leaves an empty one in its row.
+    for r, row in enumerate(rows, 1):
+        if 0 in row:
+            raise CompletionError(f"cell {(r, row.index(0) + 1)} is still empty")

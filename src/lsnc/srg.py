@@ -6,7 +6,10 @@ the symbol assignments a Latin Square may use.  The graph is therefore the
 union of 2M cliques ("lines"), one per row label and one per column label,
 each holding the blocks that meet it.  A graph is its lines: it equals
 a graph of the same order, vertex blocks and lines, a clique certificate
-is checked against them, and the vital subgraph restricts them.
+is checked against them, and the vital subgraph restricts them.  A graph
+`build_srg` returns also keeps its partition's label grid, which gives
+each vertex its cells; it takes no part in equality, hash or repr, and
+`from_lines` and `induced` graphs have none.
 Adjacency is one bitmask per vertex, the OR of its lines' bitmaps
 (the graphs are small, n <= M^2, and coloring searches hammer edge
 queries), built the first time a search, an edge listing or a degree
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -42,11 +45,14 @@ class RemovalGraph:
     """Undirected graph over block indices: every two vertices of a line
     are adjacent.  Its fields `n`, `vertex_block` and `lines` give its
     equality, hash and repr, so one edge set given as different lines
-    makes different graphs.  Build one with `from_lines`."""
+    makes different graphs.  Build one with `from_lines`.  `labels` is the
+    label grid of the partition `build_srg` read, its vertex per cell (row
+    major, -1 on a cell no block covers), and None on any other graph."""
 
     n: int
     vertex_block: tuple[int, ...]  # vertex -> block index in the source partition
     lines: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_lines(
@@ -100,7 +106,7 @@ class RemovalGraph:
     def induced(self, keep: Sequence[int]) -> RemovalGraph:
         """Subgraph on the ascending vertices `keep`, renumbered 0.. in that
         order: its lines are the lines restricted to them, less those left
-        with fewer than two, and each keeps its block."""
+        with fewer than two, and each keeps its block.  It has no label grid."""
         pos = {v: i for i, v in enumerate(keep)}
         lines = []
         for line in self.lines:
@@ -141,7 +147,8 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
 
     A block that holds two cells of one row or column (each block is a
     whole row at fade 0) raises ValueError naming the first such line: a
-    Latin square cannot give both cells the block's one symbol."""
+    Latin square cannot give both cells the block's one symbol.  The graph
+    keeps the label grid: vertex i is block i."""
     m, labels = partition.m, partition.labels
     grid_lines = [labels[i:i + m] for i in range(0, m * m, m)] + [labels[c::m] for c in range(m)]
     lines = []
@@ -156,7 +163,7 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
                 " this partition (each block is a whole row at fade 0)"
             )
         lines.append(tuple(line))
-    return RemovalGraph.from_lines(len(partition.blocks), lines)
+    return replace(RemovalGraph.from_lines(len(partition.blocks), lines), labels=labels)
 
 
 def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> RemovalGraph:

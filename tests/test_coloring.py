@@ -144,7 +144,7 @@ def ladder_only(graph, **kwargs):
     """exact_chromatic with its first step, the vital coloring completed by
     matchings, switched off: the ascending ladder alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coloring, "_grid_coloring", lambda graph, k, budget: (None, 0))
+        mp.setattr(coloring, "_grid_coloring", lambda graph, k, budget: (None, 0, k))
         return exact_chromatic(graph, **kwargs)
 
 
@@ -223,19 +223,20 @@ def test_exact_matches_exhaustive_oracle(seed):
         (0.5 - 2.5j, 200_000, ((16, True, 36), (16, True, 566))),
         (0.5 - 2.5j, 300, ((16, True, 36), (17, False, 301))),
         (2 + 0j, 300, ((16, True, 269), (16, True, 184))),
-        (-1 - 1j, 300, ((17, True, 191), (17, True, 170))),
+        (-1 - 1j, 300, ((17, True, 170), (17, True, 170))),
         (-1.2 + 0.6j, 300, ((16, True, 41), (16, True, 209))),
         (-3 + 0j, 300, ((16, True, 240), (16, True, 171))),
         (-3 - 2j, 300, ((16, True, 48), (16, True, 296))),
-        (-0.5 - 0.5j, 300, ((17, True, 193), (17, True, 172))),
+        (-0.5 - 0.5j, 300, ((17, True, 172), (17, True, 172))),
     ],
 )
 def test_exact_search_order_on_qam16(qam16, fade, budget, expected):
     # Pins vertex order, color order and node accounting, of the whole
     # search and then of the ladder alone: any drift in them changes the
     # bound reached within the budget or the node count.  Where the first
-    # step fails (at 2, -3 and the chi = 17 states -1-1j and -0.5-0.5j),
-    # its nodes come on top of the ladder's.
+    # step fails (at 2 and -3), its nodes come on top of the ladder's.  At
+    # the chi = 17 states -1-1j and -0.5-0.5j its vital search runs to
+    # exhaustion in 21 nodes, refuting 16, and the ladder starts at 17.
     graph = build_srg(build_constraints(qam16, fade))
     results = exact_chromatic(graph, node_budget=budget), ladder_only(graph, node_budget=budget)
     assert tuple((r.chi, r.optimal, r.nodes) for r in results) == expected
@@ -312,7 +313,7 @@ def test_full_answers_on_every_qam16_state(qam16):
     assert len(chi_lines) == 388
     assert Counter(line.split()[0] for line in extend_lines) == {"yes": 242, "no": 8, "budget": 138}
     assert hashlib.sha256("".join(chi_lines).encode()).hexdigest() == (
-        "2fb88278c3c3bf4846dc2234a3d073e55a6d95a74b47a052659102a80d5e4277"
+        "58fb2cbe103a5996079fe7bf1c714064c7bbdab25c29010b4e3f364560320505"
     )
     assert hashlib.sha256("".join(extend_lines).encode()).hexdigest() == (
         "2387f693b13164f7f738ee493b06ba6adcb8c438a5502a94af1fbbbb86f1b8d7"
@@ -529,18 +530,19 @@ def test_vital_first_step_never_certifies_six_on_psk6():
 
 def collided_grid():
     """Six lines of three vertices, three row lines then three column lines,
-    where vertices 0 and 1 share row line 0 and column line 0, and vertices
-    7 and 9, on two row lines or on none, are vital."""
+    built by hand with `from_lines`: the layout alone, no label grid."""
     rows = [(0, 1, 2), (3, 4, 9), (5, 6, 9)]
     cols = [(0, 1, 5), (3, 6, 9), (2, 4, 7)]
     return RemovalGraph.from_lines(10, rows + cols)
 
 
 def test_vital_first_step_declines_off_the_grid_layout(qam16):
-    # Vital subgraphs (the path of `lsnc chromatic --vital-only`), edge
-    # graphs and a grid whose two one-cell vertices share a cell get exactly
-    # the ladder's answer: the first step spends no node on them.
-    graphs = [collided_grid()]
+    # Only a `build_srg` graph keeps the label grid that gives its vertices
+    # cells.  Vital subgraphs (the path of `lsnc chromatic --vital-only`),
+    # edge graphs and graphs shaped like a grid but built from their lines,
+    # rook graphs included, get exactly the ladder's answer: the first step
+    # spends no node on them.
+    graphs = [collided_grid()] + [coloring._rook_graph(m) for m in (3, 4, 8)]
     graphs += [random_graph(7, 0.5, seed) for seed in range(8)] + [random_graph(24, 0.5, 99)]
     for spec in ("qam:4", "psk:8"):
         graphs += [vital for _, vital in graphs_and_vital_subgraphs(spec)]
@@ -548,8 +550,19 @@ def test_vital_first_step_declines_off_the_grid_layout(qam16):
         part = build_constraints(qam16, fs)
         graphs.append(vital_subgraph(build_srg(part), part))
     for graph in graphs:
+        assert graph.labels is None
         for budget in (0, 5, 300):
             assert exact_chromatic(graph, node_budget=budget) == ladder_only(graph, node_budget=budget)
+
+
+def test_exhausted_vital_search_starts_the_ladder_above_k(qam16):
+    # At -1-1j the 16-QAM vital subgraph has no 16-coloring: its search
+    # runs to exhaustion in 21 nodes, which certifies chi > 16 for the whole
+    # graph, so the ladder begins at 17 and finds a 17-coloring there.
+    graph = build_srg(build_constraints(qam16, -1 - 1j))
+    assert coloring._grid_coloring(graph, 16, 300) == (None, 21, 17)
+    res = exact_chromatic(graph, node_budget=300)
+    assert (res.chi, res.lower, res.optimal) == (17, 17, True)
 
 
 def test_vital_first_step_certifies_most_of_a_qam64_sample(qam64, qam64_states, qam64_partition):

@@ -269,6 +269,14 @@ def test_identity_comes_from_the_lines_without_building_masks(qam16):
     assert f"lines={graph.lines!r}" in repr(graph)
     assert "adj" not in vars(graph) and "adj" not in vars(twin)
     assert graph != RemovalGraph.from_lines(graph.n, graph.lines[::-1], graph.vertex_block)
+    # Only the build_srg graph keeps a label grid, which is not part of its
+    # identity: the same lines given to from_lines make an equal graph.
+    rebuilt = RemovalGraph.from_lines(graph.n, graph.lines, graph.vertex_block)
+    assert graph.labels == partition.labels and rebuilt.labels is None
+    assert rebuilt == graph and graph == rebuilt
+    assert hash(rebuilt) == hash(graph)
+    assert repr(rebuilt) == repr(graph)
+    assert "adj" not in vars(rebuilt) and "adj" not in vars(graph)
 
 
 def shares_line(block_a, block_b):
