@@ -53,7 +53,7 @@ print("=== 4. a tempting start that cannot be finished ===")
 signal = make_custom(load_points("qam8_rect_points"))
 part = build_constraints(signal, -0.5 - 0.5j)
 graph = build_srg(part)
-vital = vital_subgraph(graph, part)
+vital = vital_subgraph(graph)
 
 # Merge the 18 pre-filled symbols down to 8 in a plausible-looking way.
 classes = [(1, 9), (2, 15), (3, 18), (4, 16, 17),

@@ -163,7 +163,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     part = _partition(args)
     graph = build_srg(part)
     if args.vital:
-        graph = vital_subgraph(graph, part)
+        graph = vital_subgraph(graph)
     if args.dot:
         Path(args.dot).write_text(to_dot(graph))
     if args.json:
@@ -180,7 +180,7 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
     part = _partition(args)
     graph = build_srg(part)
     if args.vital_only:
-        graph = vital_subgraph(graph, part)
+        graph = vital_subgraph(graph)
     result = _chromatic(graph, args.budget)
     if isinstance(result, int):
         return result

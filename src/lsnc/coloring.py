@@ -2,7 +2,8 @@
 
 Proper colorings of a removal graph are exactly the valid symbol
 assignments, so the chromatic number is the minimum symbol count of a
-Latin Square removing the fade state.
+Latin Square removing the fade state.  A coloring is certified on the
+graph's lines: it is proper when no line repeats a color.
 
 Every search here, Latin completion included, runs one backtracking
 kernel.  It colors next the uncolored vertex with the most distinct
@@ -21,7 +22,7 @@ its start bound k, the widest line, by the paper's split of a removal
 square into its multi-cell blocks and the rest.  On a graph that keeps
 the k x k label grid of its partition, as `build_srg` returns it, the
 kernel colors the vital vertices (those whose label fills two or more
-cells) on their induced subgraph, within as many nodes as there are
+cells) on their `vital_subgraph`, within as many nodes as there are
 vital vertices and never more than the caller's budget.  Their colors
 are written into their cells and `latin.extend_symbols`, the one
 matching per symbol that completes the 2^n-PSK squares, fills the rest.
@@ -49,7 +50,6 @@ up, popping and undoing frames until one has a later color free.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, islice
@@ -57,7 +57,7 @@ from typing import Sequence
 
 from lsnc.errors import CompletionError, SearchBudgetExceeded
 from lsnc.latin import Grid, extend_symbols, verify_latin
-from lsnc.srg import RemovalGraph
+from lsnc.srg import RemovalGraph, vital_subgraph
 
 __all__ = [
     "Coloring",
@@ -100,31 +100,26 @@ class ChromaticResult:
 
 
 def verify_proper(graph: RemovalGraph, coloring: Coloring) -> bool:
-    """Total assignment with no monochromatic edge."""
+    """Total assignment of colors >= 1, all distinct along every line."""
     cols = coloring.colors
-    if len(cols) != graph.n or any(c < 1 for c in cols):
-        return False
-    return _first_conflict(graph, cols) is None
+    return len(cols) == graph.n and min(cols, default=1) >= 1 and _first_conflict(graph, cols) is None
 
 
 def _first_conflict(graph: RemovalGraph, colors: Sequence[int]) -> tuple[int, int] | None:
     """The first edge (u, v), u < v in row-major order, whose ends share a
-    nonzero color, or None.  Each colored vertex's adjacency mask is tested
-    against the mask of the vertices of its color, and only a hit is
-    narrowed to the neighbors above u."""
-    members: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        if c:
-            members[c] = members.get(c, 0) | 1 << v
-    adj = graph.adj
-    for u, c in enumerate(colors):
-        if c:
-            same = adj[u] & members[c]
-            if same:
-                later = same & -(2 << u)  # neighbors above u
-                if later:
-                    return u, (later & -later).bit_length() - 1
-    return None
+    nonzero color, or None.  Read off the lines, each a clique of distinct
+    vertices: a line whose colors are all distinct holds no such edge, and
+    the first one is the least, over every line and color, of the line's
+    two lowest vertices of that color."""
+    pairs = []
+    for line in graph.lines:
+        if len(set(map(colors.__getitem__, line))) < len(line):
+            lowest: dict[int, int] = {}  # color -> the line's lowest vertex of it
+            for v in sorted(line):
+                u = lowest.setdefault(colors[v], v)
+                if u != v and colors[v]:
+                    pairs.append((u, v))
+    return min(pairs, default=None)
 
 
 def _dsatur_search(
@@ -277,26 +272,25 @@ def _grid_coloring(graph: RemovalGraph, k: int, budget: int) -> tuple[list[int] 
     vital vertices and completing the square, or None; the nodes spent;
     and the lower bound the attempt certifies, k, or k + 1 when it refutes k.
 
-    The vertices whose label fills two or more cells of `graph.labels` are
-    vital.  The kernel colors their induced subgraph at k within
-    min(budget, their number) nodes, their colors are written into their
-    cells, and `latin.extend_symbols` completes the square; each vertex
-    takes the symbol of its cells, a proper coloring since the square is
-    Latin.  None when the graph has no k x k label grid, the budget stops
-    the vital coloring, no k-coloring of it exists or a symbol has no
-    perfect matching.  Only an exhausted vital search refutes k: a
-    k-coloring of the graph would color its induced vital subgraph too.
+    The kernel colors the `vital_subgraph`, the vertices whose label fills
+    two or more cells of `graph.labels`, at k within min(budget, their
+    number) nodes, their colors are written into their cells, and
+    `latin.extend_symbols` completes the square; each vertex takes the
+    symbol of its cells, a proper coloring since the square is Latin.
+    None when the graph has no k x k label grid, the budget stops the
+    vital coloring, no k-coloring of it exists or a symbol has no perfect
+    matching.  Only an exhausted vital search refutes k: a k-coloring of
+    the graph would color its induced vital subgraph too.
     """
     labels = graph.labels
     if labels is None or len(labels) != k * k:
         return None, 0, k
-    cells = Counter(labels)
-    vital = [v for v in range(graph.n) if cells[v] >= 2]
-    sub_colors = [0] * len(vital)
-    nodes, stopped = _dsatur_search(graph.induced(vital), sub_colors, k, min(budget, len(vital)))
+    vital = vital_subgraph(graph)
+    sub_colors = [0] * vital.n
+    nodes, stopped = _dsatur_search(vital, sub_colors, k, min(budget, vital.n))
     if not all(sub_colors):
         return None, nodes, k if stopped else k + 1
-    color_of = dict(zip(vital, sub_colors))
+    color_of = dict(zip(vital.vertex_block, sub_colors))  # vertex i is block i
     flat = [color_of.get(v, 0) for v in labels]
     rows = [flat[i:i + k] for i in range(0, k * k, k)]
     try:
@@ -333,7 +327,7 @@ def exact_chromatic(
     """
     if graph.n == 0:
         return ChromaticResult(0, Coloring(()), True, 0, 0)
-    widest = max((len(set(line)) for line in graph.lines), default=0)
+    widest = max(map(len, graph.lines), default=0)
     colors, nodes, k = _grid_coloring(graph, max(1, widest), node_budget)
     while colors is None:
         colors = [0] * graph.n

@@ -4,25 +4,26 @@ Vertices are the constraint blocks of a partition; two blocks are adjacent
 when they share a row or a column label, so proper colorings are exactly
 the symbol assignments a Latin Square may use.  The graph is therefore the
 union of 2M cliques ("lines"), one per row label and one per column label,
-each holding the blocks that meet it.  A graph is its lines: it equals
-a graph of the same order, vertex blocks and lines, a clique certificate
-is checked against them, and the vital subgraph restricts them.  A graph
-`build_srg` returns also keeps its partition's label grid, which gives
-each vertex its cells; it takes no part in equality, hash or repr, and
-`from_lines` and `induced` graphs have none.
+each holding the blocks that meet it.  A graph is its lines, each a set
+of distinct vertices: it equals a graph of the same order, vertex blocks
+and lines, and clique certificates, colorings and the vital subgraph are
+read off them.  A `build_srg` graph also keeps its partition's label
+grid, which names the vital vertices; it takes no part in equality, hash
+or repr, and `from_lines` and `induced` graphs have none.
 Adjacency is one bitmask per vertex, the OR of its lines' bitmaps
 (the graphs are small, n <= M^2, and coloring searches hammer edge
 queries), built the first time a search, an edge listing or a degree
-count reads it, so a graph that is only certified, compared or hashed
-never pays for it.  Searches read these masks as they are and break ties
-by degree through one mask per distinct degree, cached on the graph the
-same way; the edge listing reads each mask's bits from the top down.
+count reads it, so a graph that is only certified, colored from its
+grid, compared or hashed never pays for it.  Searches read the masks as
+they are and break ties by degree through one mask per distinct degree,
+cached the same way; the edge listing reads mask bits from the top down.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -58,16 +59,16 @@ class RemovalGraph:
     def from_lines(
         cls, n: int, lines: Sequence[tuple[int, ...]], vertex_block: tuple[int, ...] | None = None
     ) -> RemovalGraph:
-        """Graph on vertices 0..n-1 whose cliques are `lines`.  A line that
-        names a vertex outside 0..n-1 raises ValueError naming the first
-        such line and vertex."""
+        """Graph on vertices 0..n-1 whose cliques are `lines`.  The first
+        line that names a vertex outside 0..n-1, or one vertex twice, raises
+        ValueError naming it and that vertex: every line is a set."""
         lines = tuple(lines)
-        named = sorted(set().union(*lines))
-        if named and (named[0] < 0 or named[-1] >= n):
-            i, v = next((i, v) for i, line in enumerate(lines) for v in line if v not in range(n))
-            raise ValueError(f"line {i} names vertex {v}, not in range({n})")
-        vertex_block = tuple(range(n)) if vertex_block is None else vertex_block
-        return cls(n, vertex_block, lines)
+        for i, line in enumerate(lines):
+            if len(set(line)) < len(line) or not all(0 <= v < n for v in line):
+                v = next(v for j, v in enumerate(line) if v not in range(n) or v in line[:j])
+                why = " twice" if v in range(n) else f", not in range({n})"
+                raise ValueError(f"line {i} names vertex {v}{why}")
+        return cls(n, tuple(range(n)) if vertex_block is None else vertex_block, lines)
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -113,7 +114,7 @@ class RemovalGraph:
             kept = tuple(pos[v] for v in line if v in pos)
             if len(kept) >= 2:
                 lines.append(kept)
-        return RemovalGraph.from_lines(len(keep), lines, tuple(self.vertex_block[v] for v in keep))
+        return RemovalGraph(len(keep), tuple(self.vertex_block[v] for v in keep), tuple(lines))
 
 
 def _line_masks(n: int, lines: Iterable[Sequence[int]]) -> tuple[int, ...]:
@@ -147,9 +148,12 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
 
     A block that holds two cells of one row or column (each block is a
     whole row at fade 0) raises ValueError naming the first such line: a
-    Latin square cannot give both cells the block's one symbol.  The graph
-    keeps the label grid: vertex i is block i."""
-    m, labels = partition.m, partition.labels
+    Latin square cannot give both cells the block's one symbol, and a
+    label outside -1..n-1 raises ValueError.  The graph keeps the label
+    grid: vertex i is block i."""
+    m, labels, n = partition.m, partition.labels, len(partition.blocks)
+    if not -1 <= min(labels, default=-1) <= max(labels, default=-1) < n:
+        raise ValueError(f"label grid spans {min(labels)}..{max(labels)}, not within -1..{n - 1}")
     grid_lines = [labels[i:i + m] for i in range(0, m * m, m)] + [labels[c::m] for c in range(m)]
     lines = []
     for i, grid_line in enumerate(grid_lines):
@@ -163,15 +167,16 @@ def build_srg(partition: ConstraintPartition) -> RemovalGraph:
                 " this partition (each block is a whole row at fade 0)"
             )
         lines.append(tuple(line))
-    return replace(RemovalGraph.from_lines(len(partition.blocks), lines), labels=labels)
+    return RemovalGraph(n, tuple(range(n)), tuple(lines), labels)
 
 
-def vital_subgraph(graph: RemovalGraph, partition: ConstraintPartition) -> RemovalGraph:
-    """Induced subgraph on blocks with two or more cells: the graph's lines
-    restricted to those blocks."""
-    return graph.induced(
-        [v for v in range(graph.n) if len(partition.blocks[graph.vertex_block[v]]) >= 2]
-    )
+def vital_subgraph(graph: RemovalGraph) -> RemovalGraph:
+    """Induced subgraph on the vertices whose label fills two or more cells
+    of the label grid (multi-cell blocks), or ValueError if there is none."""
+    if graph.labels is None:
+        raise ValueError("the graph keeps no label grid, so it has no vital vertices")
+    cells = Counter(graph.labels)
+    return graph.induced([v for v in range(graph.n) if cells[v] >= 2])
 
 
 # The eight singular fade states Theorem-1-style cliques cover, reachable

@@ -221,7 +221,7 @@ def test_criterion_7_two_step_dead_end():
             for color, members in enumerate(STATED_CLASSES, 1)
             for sym in members
         }
-        vital = vital_subgraph(graph, part)
+        vital = vital_subgraph(graph)
         stated = Coloring(
             tuple(partial[vital.vertex_block[i]] for i in range(vital.n))
         )
@@ -306,7 +306,7 @@ def test_criterion_8d_closed_forms_vs_brute_oracles():
                 assert {frozenset(b) for b in cf.blocks} == {
                     frozenset(b) for b in brute.multi_blocks()
                 }
-                brute_vital = vital_subgraph(build_srg(brute), brute)
+                brute_vital = vital_subgraph(build_srg(brute))
                 cf_graph = build_srg(cf)
                 assert cf_graph.n == brute_vital.n
                 brute_edges = {

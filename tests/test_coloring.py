@@ -101,6 +101,71 @@ def test_verify_proper_detects_conflicts():
     assert not verify_proper(g, Coloring((1, 1, 2, 2)))
 
 
+def oracle_first_conflict(graph, colors):
+    """The least edge (u, v), u < v, whose ends share a nonzero color, from
+    every pair of every line: an edge list that reads no mask."""
+    edges = {(min(u, v), max(u, v)) for line in graph.lines for u in line for v in line if u != v}
+    return min(((u, v) for u, v in edges if colors[u] and colors[u] == colors[v]), default=None)
+
+
+def assert_line_checks_match_the_oracle(graph, colors):
+    first = oracle_first_conflict(graph, colors)
+    assert coloring._first_conflict(graph, colors) == first
+    assert verify_proper(graph, Coloring(tuple(colors))) == (first is None and 0 not in colors)
+
+
+def random_line_graph(seed):
+    """A graph from random lines of distinct vertices, each in the order
+    `random.sample` drew them, so most lines are unsorted."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 24)
+    lines = [tuple(rng.sample(range(n), rng.randint(2, min(n, 7)))) for _ in range(rng.randint(1, 12))]
+    return RemovalGraph.from_lines(n, lines)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_line_checks_match_an_edge_list_on_unsorted_lines(seed):
+    # Total and partial colorings, from few colors (many conflicts) to
+    # many, and the greedy coloring, proper, with one vertex recolored.
+    rng = random.Random(seed)
+    graph = random_line_graph(seed)
+    for k in (1, 2, 3, graph.n):
+        total = [rng.randint(1, k) for _ in range(graph.n)]
+        assert_line_checks_match_the_oracle(graph, total)
+        assert_line_checks_match_the_oracle(graph, [c if rng.random() < 0.6 else 0 for c in total])
+    greedy = list(greedy_from(graph, [0] * graph.n))
+    assert_line_checks_match_the_oracle(graph, greedy)
+    greedy[rng.randrange(graph.n)] = rng.choice(greedy)
+    assert_line_checks_match_the_oracle(graph, greedy)
+
+
+@pytest.mark.parametrize("spec", ["qam:16", "psk:8"])
+def test_line_checks_match_an_edge_list_on_removal_graphs(spec):
+    # Each state's chi coloring at 300 nodes is proper; giving one vertex
+    # the color of another on one of its lines makes it improper.
+    rng = random.Random(spec)
+    for graph, _ in graphs_and_vital_subgraphs(spec):
+        colors = list(exact_chromatic(graph, node_budget=300).coloring.colors)
+        assert_line_checks_match_the_oracle(graph, colors)
+        line = rng.choice(graph.lines)
+        u, v = rng.sample(line, 2)
+        colors[u] = colors[v]
+        assert_line_checks_match_the_oracle(graph, colors)
+        colors[rng.randrange(graph.n)] = 0
+        assert_line_checks_match_the_oracle(graph, colors)
+
+
+def test_a_vital_certificate_builds_no_masks(qam16):
+    # -1.4-0.2j is certified chi = 16 by the vital coloring and one matching
+    # per symbol; checking the coloring reads the lines, so the full graph
+    # never builds its adjacency masks.
+    graph = build_srg(build_constraints(qam16, -1.4 - 0.2j))
+    res = exact_chromatic(graph, node_budget=2000)
+    assert (res.chi, res.optimal) == (16, True)
+    assert verify_proper(graph, res.coloring)
+    assert "adj" not in graph.__dict__ and "degree_classes" not in graph.__dict__
+
+
 def test_greedy_is_always_proper():
     for seed in range(10):
         g = random_graph(12, 0.4, seed)
@@ -326,7 +391,7 @@ def graphs_and_vital_subgraphs(spec):
     for fs in enumerate_singular_fade_states(signal):
         part = build_constraints(signal, fs.value)
         graph = build_srg(part)
-        yield graph, vital_subgraph(graph, part)
+        yield graph, vital_subgraph(graph)
 
 
 @pytest.mark.parametrize("signal", ["qam:4", "qam:16", "psk:8", "psk:12"])
@@ -548,7 +613,7 @@ def test_vital_first_step_declines_off_the_grid_layout(qam16):
         graphs += [vital for _, vital in graphs_and_vital_subgraphs(spec)]
     for fs in enumerate_singular_fade_states(qam16)[::8]:
         part = build_constraints(qam16, fs)
-        graphs.append(vital_subgraph(build_srg(part), part))
+        graphs.append(vital_subgraph(build_srg(part)))
     for graph in graphs:
         assert graph.labels is None
         for budget in (0, 5, 300):

@@ -146,7 +146,7 @@ def test_qam16_graphs_match_oracle(qam16):
         part = build_constraints(qam16, fs)
         graph = build_srg(part)
         clique = row_clique(graph, part)
-        vital = vital_subgraph(graph, part)
+        vital = vital_subgraph(graph)
         # Certifying the row clique and cutting the vital subgraph read only
         # lines; the masks are built below, when they are first read.
         assert "adj" not in vars(graph) and "adj" not in vars(vital)
@@ -166,7 +166,7 @@ def test_psk_graphs_and_vital_subgraphs_match_oracle(m):
         graph = build_srg(part)
         assert_matches_oracle(graph, oracle_adj(part), unpack=m == 16 or i % 8 == 0)
         assert graph.lines == oracle_lines(part)
-        vital = vital_subgraph(graph, part)
+        vital = vital_subgraph(graph)
         adj, vertex_block = oracle_vital_adj(graph, part)
         assert_matches_oracle(vital, adj)
         assert vital.vertex_block == vertex_block
@@ -242,7 +242,7 @@ def test_isolated_vertices_of_a_vital_subgraph():
     graph = build_srg(part)
     assert_matches_oracle(graph, oracle_adj(part))
     assert graph.lines == oracle_lines(part)
-    vital = vital_subgraph(graph, part)
+    vital = vital_subgraph(graph)
     adj, vertex_block = oracle_vital_adj(graph, part)
     assert adj == (0, 0)
     assert_matches_oracle(vital, adj)
@@ -306,7 +306,7 @@ def test_documented_example_edge(qam4_partition, qam4_graph):
 
 
 def test_vital_subgraph_keeps_multi_blocks(qam4_partition, qam4_graph):
-    vital = vital_subgraph(qam4_graph, qam4_partition)
+    vital = vital_subgraph(qam4_graph)
     assert vital.n == 4
     assert vital.vertex_block == qam4_partition.multi_indices
     for i in range(vital.n):
@@ -320,7 +320,7 @@ def test_vital_subgraph_keeps_multi_blocks(qam4_partition, qam4_graph):
 def test_closed_form_adjacency_matches_brute(m, k, l, request):
     signal = request.getfixturevalue(f"psk{m}")
     part = build_constraints(signal, psk_representative(m, k, l).value)
-    brute_vital = vital_subgraph(build_srg(part), part)
+    brute_vital = vital_subgraph(build_srg(part))
     cf_part = psk_constraints_closed_form(m, k, l)
     cf_graph = build_srg(cf_part)
     assert cf_graph.n == brute_vital.n
@@ -474,6 +474,37 @@ def test_row_clique_of_a_partition_that_misses_row_1():
 def test_from_lines_rejects_a_vertex_outside_the_graph(lines, where):
     with pytest.raises(ValueError, match=rf"^{where}, not in range\(3\)$"):
         RemovalGraph.from_lines(3, lines)
+
+
+@pytest.mark.parametrize("lines,where", [
+    ([(0, 1, 0)], "line 0 names vertex 0 twice"),
+    ([(0, 1), (2, 1, 2)], "line 1 names vertex 2 twice"),
+    ([(0, 1), (1, 2, 1, 5)], "line 1 names vertex 1 twice"),
+    ([(0, 0), (0, 5)], "line 0 names vertex 0 twice"),
+])
+def test_from_lines_rejects_a_vertex_named_twice(lines, where):
+    # Every line is a set of distinct vertices, which the line-based
+    # coloring check relies on; the first bad line is named, whichever way.
+    with pytest.raises(ValueError, match=rf"^{where}$"):
+        RemovalGraph.from_lines(3, lines)
+
+
+def test_vital_subgraph_needs_a_label_grid(qam4_graph):
+    for graph in (RemovalGraph.from_lines(qam4_graph.n, qam4_graph.lines), vital_subgraph(qam4_graph)):
+        assert graph.labels is None
+        with pytest.raises(ValueError, match="no label grid"):
+            vital_subgraph(graph)
+
+
+@pytest.mark.parametrize("label,span", [(12, "0..12"), (-2, "-2..11")])
+def test_build_srg_rejects_a_label_naming_no_block(qam4_partition, label, span):
+    # build_srg makes its graph without from_lines' checks: its lines are
+    # sets of vertices in range as long as every label is -1 or a block.
+    labels = list(qam4_partition.labels)
+    labels[5] = label
+    part = ConstraintPartition(m=4, blocks=qam4_partition.blocks, labels=tuple(labels))
+    with pytest.raises(ValueError, match=rf"^label grid spans {span}, not within -1\.\.11$"):
+        build_srg(part)
 
 
 def test_certificate_names_the_first_non_adjacent_pair(qam4_partition, qam4_graph):
